@@ -13,12 +13,6 @@ constexpr uint32_t kChunkedMagic = 0x4d4d4c43;  // "MMLC"
 
 }  // namespace
 
-bool IsChunkedFrame(const Bytes& frame) {
-  BytesReader reader(frame);
-  Result<uint32_t> magic = reader.ReadU32();
-  return magic.ok() && magic.value() == kChunkedMagic;
-}
-
 Result<Bytes> ChunkedFrame(const Bytes& input, CodecKind kind,
                            size_t chunk_size, util::ThreadPool* pool) {
   if (chunk_size == 0) {

@@ -44,8 +44,4 @@ Result<Bytes> ChunkedFrame(const Bytes& input, CodecKind kind,
 Result<Bytes> ChunkedUnframe(const Bytes& frame,
                              util::ThreadPool* pool = nullptr);
 
-/// True if `frame` starts with the chunked-frame magic. Lets readers accept
-/// both chunked frames and the raw serialization of older snapshots.
-bool IsChunkedFrame(const Bytes& frame);
-
 }  // namespace mmlib

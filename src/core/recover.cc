@@ -13,16 +13,6 @@ namespace {
 
 constexpr int kMaxChainDepth = 4096;
 
-/// Parameter payloads written by current save services are chunked frames;
-/// payloads from before the chunked container are raw serializations.
-/// Auto-detect and decode accordingly.
-Result<Bytes> DecodeParamsPayload(Bytes raw, util::ThreadPool* pool) {
-  if (IsChunkedFrame(raw)) {
-    return ChunkedUnframe(raw, pool);
-  }
-  return raw;
-}
-
 /// Times a region including any simulated network transfer time.
 class PhaseTimer {
  public:
@@ -50,12 +40,11 @@ class PhaseTimer {
 Result<Bytes> ModelRecoverer::FetchParamsPayload(const std::string& file_id) {
   // The per-chunk CRC-32 of the chunked frame catches payloads damaged in
   // flight; the stored copy is intact, so the cure is a re-fetch, not an
-  // abort. Legacy raw payloads carry no checksums and decode as-is.
+  // abort. Damage to the frame header itself (magic, sizes) is Corruption
+  // too and heals the same way.
   return FetchDecoded(
       backends_.files, file_id,
-      [this](Bytes raw) {
-        return DecodeParamsPayload(std::move(raw), backends_.pool);
-      },
+      [this](Bytes raw) { return ChunkedUnframe(raw, backends_.pool); },
       &corruption_refetches_);
 }
 

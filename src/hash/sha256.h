@@ -27,7 +27,8 @@ struct Digest {
 };
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch; deterministic
-/// across platforms.
+/// across platforms. Whole blocks run on the x86 SHA extensions when the CPU
+/// has them and on portable scalar code otherwise; both give the same digest.
 class Sha256 {
  public:
   Sha256();
@@ -53,8 +54,6 @@ class Sha256 {
   static Digest HashPair(const Digest& left, const Digest& right);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t total_bytes_ = 0;
   uint8_t buffer_[64];

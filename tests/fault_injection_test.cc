@@ -444,10 +444,14 @@ TEST(SaveRollbackTest, TransactionKeepsWritesAfterCommit) {
 
 /// File store that damages the first `corrupt_loads` LoadFile results by one
 /// byte — the stored copy stays intact, exactly like in-flight corruption.
+/// The flipped byte is at `offset`, or mid-payload by default.
 class CorruptingFileStore : public filestore::FileStore {
  public:
-  CorruptingFileStore(filestore::FileStore* backend, int corrupt_loads)
-      : backend_(backend), remaining_(corrupt_loads) {}
+  static constexpr size_t kMiddle = static_cast<size_t>(-1);
+
+  CorruptingFileStore(filestore::FileStore* backend, int corrupt_loads,
+                      size_t offset = kMiddle)
+      : backend_(backend), remaining_(corrupt_loads), offset_(offset) {}
 
   Result<Bytes> LoadFile(const std::string& id) override {
     auto loaded = backend_->LoadFile(id);
@@ -455,7 +459,8 @@ class CorruptingFileStore : public filestore::FileStore {
       --remaining_;
       Bytes damaged = std::move(loaded).value();
       if (!damaged.empty()) {
-        damaged[damaged.size() / 2] ^= 0x01;
+        damaged[offset_ == kMiddle ? damaged.size() / 2
+                                   : offset_ % damaged.size()] ^= 0x01;
       }
       return damaged;
     }
@@ -478,6 +483,7 @@ class CorruptingFileStore : public filestore::FileStore {
  private:
   filestore::FileStore* backend_;
   int remaining_;
+  size_t offset_;
 };
 
 class RefetchTest : public ::testing::Test {
@@ -518,6 +524,23 @@ TEST_F(RefetchTest, RecovererRefetchesCorruptedChunks) {
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_TRUE(recovered->checksum_verified);
   EXPECT_EQ(recoverer.corruption_refetches(), 2u);
+  EXPECT_EQ(recovered->model.ParamsHash().ToHex(),
+            model_->ParamsHash().ToHex());
+}
+
+TEST_F(RefetchTest, RecovererRefetchesCorruptedFrameMagic) {
+  core::BaselineSaveService service(backends_);
+  const std::string id = service.SaveModel(MakeRequest()).value().model_id;
+
+  // A flip inside the 4-byte frame magic must not pass the payload through
+  // undecoded: it is Corruption like any other damage, and is re-fetched.
+  CorruptingFileStore flaky(&files_, /*corrupt_loads=*/1, /*offset=*/0);
+  core::StorageBackends flaky_backends{&docs_, &flaky, nullptr, nullptr};
+  core::ModelRecoverer recoverer(flaky_backends);
+  auto recovered = recoverer.Recover(id, core::RecoverOptions{});
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(recovered->checksum_verified);
+  EXPECT_EQ(recoverer.corruption_refetches(), 1u);
   EXPECT_EQ(recovered->model.ParamsHash().ToHex(),
             model_->ParamsHash().ToHex());
 }

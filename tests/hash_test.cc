@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "hash/merkle_tree.h"
 #include "hash/sha256.h"
+#include "hash/sha256_blocks.h"
 #include "util/random.h"
 
 namespace mmlib {
@@ -59,6 +63,104 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(hasher.Finish(), Sha256::Hash(data));
 }
 
+Bytes RandomBytes(Rng* rng, size_t size) {
+  Bytes data(size);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng->NextBelow(256));
+  }
+  return data;
+}
+
+// Digest of `data` from the portable block function alone, padded here
+// rather than by Sha256::Finish.
+Digest ReferenceDigest(const Bytes& data) {
+  Bytes padded = data;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) {
+    padded.push_back(0x00);
+  }
+  const uint64_t bit_length = static_cast<uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bit_length >> (8 * i)));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  sha256_internal::BlocksPortable(state, padded.data(), padded.size() / 64);
+  Digest digest;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      digest.bytes[i * 4 + j] = static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return digest;
+}
+
+TEST(Sha256Test, PortableReferenceMatchesFipsVector) {
+  EXPECT_EQ(ReferenceDigest(Bytes{'a', 'b', 'c'}).ToHex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+TEST(Sha256Test, IncrementalAtRandomSplitsMatchesReferenceForAllLengths) {
+  Rng rng(17);
+  for (size_t length = 0; length <= 4096; ++length) {
+    const Bytes data = RandomBytes(&rng, length);
+    const Digest reference = ReferenceDigest(data);
+    ASSERT_EQ(Sha256::Hash(data), reference) << "length " << length;
+
+    // Split into a random number of pieces at random points, including
+    // empty pieces.
+    std::vector<size_t> cuts = {0, length};
+    const size_t num_cuts = rng.NextBelow(6);
+    for (size_t i = 0; i < num_cuts; ++i) {
+      cuts.push_back(rng.NextBelow(length + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    Sha256 hasher;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      hasher.Update(data.data() + cuts[i], cuts[i + 1] - cuts[i]);
+    }
+    ASSERT_EQ(hasher.Finish(), reference) << "length " << length;
+  }
+}
+
+TEST(Sha256BlocksTest, SelectedPathIsShaNiExactlyWhenCpuHasIt) {
+#if defined(__x86_64__)
+  EXPECT_EQ(sha256_internal::SelectedBlocks() == sha256_internal::BlocksShaNi,
+            sha256_internal::CpuHasShaNi());
+#else
+  EXPECT_FALSE(sha256_internal::CpuHasShaNi());
+  EXPECT_EQ(sha256_internal::SelectedBlocks(),
+            sha256_internal::BlocksPortable);
+#endif
+}
+
+TEST(Sha256BlocksTest, ShaNiMatchesPortableOnRandomStatesAndBlocks) {
+#if defined(__x86_64__)
+  if (!sha256_internal::CpuHasShaNi()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+  Rng rng(23);
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t num_blocks = rng.NextBelow(40);
+    // One spare byte so the blocks can start at a misaligned address.
+    const Bytes data = RandomBytes(&rng, num_blocks * 64 + 1);
+    const uint8_t* blocks = data.data() + rng.NextBelow(2);
+    uint32_t portable[8];
+    for (auto& word : portable) {
+      word = static_cast<uint32_t>(rng.NextU64());
+    }
+    uint32_t sha_ni[8];
+    std::copy(portable, portable + 8, sha_ni);
+    sha256_internal::BlocksPortable(portable, blocks, num_blocks);
+    sha256_internal::BlocksShaNi(sha_ni, blocks, num_blocks);
+    ASSERT_TRUE(std::equal(portable, portable + 8, sha_ni))
+        << "trial " << trial << ", " << num_blocks << " blocks";
+  }
+#else
+  GTEST_SKIP() << "no SHA-NI path on this architecture";
+#endif
+}
+
 TEST(Sha256Test, HashPairDependsOnOrder) {
   const Digest a = Sha256::Hash("a");
   const Digest b = Sha256::Hash("b");
@@ -92,6 +194,39 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const uint32_t original = Crc32(data);
   data[50] ^= 0x01;
   EXPECT_NE(Crc32(data), original);
+}
+
+// Bit-at-a-time CRC-32 with the same seed convention as Crc32.
+uint32_t Crc32Reference(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtRandomLengthsAndOffsets) {
+  Rng rng(29);
+  const Bytes buffer = RandomBytes(&rng, 4096 + 8);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = rng.NextBelow(8);
+    const size_t length = rng.NextBelow(4097);
+    const uint8_t* data = buffer.data() + offset;
+    const uint32_t seed =
+        trial % 2 == 0 ? 0u : static_cast<uint32_t>(rng.NextU64());
+    const uint32_t expected = Crc32Reference(data, length, seed);
+    ASSERT_EQ(Crc32(data, length, seed), expected)
+        << "offset " << offset << ", length " << length << ", seed " << seed;
+
+    // Chaining: the CRC of a prefix seeds the CRC of the rest.
+    const size_t split = rng.NextBelow(length + 1);
+    ASSERT_EQ(Crc32(data + split, length - split, Crc32(data, split, seed)),
+              expected)
+        << "offset " << offset << ", length " << length << ", split " << split;
+  }
 }
 
 // --- Merkle tree ---
