@@ -3,7 +3,13 @@
 /// it, and verifying the recovered parameters — for model U3-1-3 across all
 /// architectures. The environment-check time is excluded from the table, as
 /// in the paper (it is constant across architectures).
+///
+/// `--check` gates the figure's shape: it exits non-zero unless ResNet-152
+/// (the most parameters) takes longer than MobileNetV2 (the fewest) in each
+/// of load, recover and verify.
 #include <cstdio>
+#include <cstring>
+#include <map>
 
 #include "bench/bench_common.h"
 
@@ -11,15 +17,27 @@ using namespace mmlib;
 using namespace mmlib::bench;
 using namespace mmlib::dist;
 
-int main() {
+int main(int argc, char** argv) {
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
+      return 2;
+    }
+  }
+
   PrintHeader(
       "Figure 12", "Baseline TTR breakdown for U3-1-3 per architecture",
-      "Expected shape: every step grows with the parameter count; GoogLeNet\n"
-      "shows a disproportionate 'recover' time (expensive model\n"
-      "initialization routine, paper Section 4.4).");
+      "Expected shape: every step grows with the parameter count. The\n"
+      "paper's GoogLeNet 'recover' spike comes from torchvision's model\n"
+      "initialization; restored models here are built without init draws,\n"
+      "so it does not appear (EXPERIMENTS.md, Figure 12).");
 
   TablePrinter table({"model", "#params", "load", "recover", "verify",
                       "total (excl. env check)"});
+  std::map<models::Architecture, core::RecoverBreakdown> breakdowns;
   for (models::Architecture arch : models::AllArchitectures()) {
     FlowConfig config;
     config.approach = ApproachKind::kBaseline;
@@ -34,6 +52,7 @@ int main() {
         breakdown = record.ttr_breakdown;
       }
     }
+    breakdowns[arch] = breakdown;
     auto model = models::BuildModel(config.model).value();
     const double total = breakdown.load_seconds + breakdown.recover_seconds +
                          breakdown.verify_seconds;
@@ -44,5 +63,31 @@ int main() {
                   Millis(breakdown.verify_seconds), Millis(total)});
   }
   table.Print(std::cout);
-  return 0;
+  if (!check) {
+    return 0;
+  }
+
+  const core::RecoverBreakdown& small =
+      breakdowns[models::Architecture::kMobileNetV2];
+  const core::RecoverBreakdown& large =
+      breakdowns[models::Architecture::kResNet152];
+  const struct {
+    const char* step;
+    double small_seconds;
+    double large_seconds;
+  } steps[] = {
+      {"load", small.load_seconds, large.load_seconds},
+      {"recover", small.recover_seconds, large.recover_seconds},
+      {"verify", small.verify_seconds, large.verify_seconds},
+  };
+  bool shape_holds = true;
+  std::printf("\nshape check: ResNet-152 > MobileNetV2 in every step\n");
+  for (const auto& s : steps) {
+    const bool holds = s.large_seconds > s.small_seconds;
+    shape_holds = shape_holds && holds;
+    std::printf("  %-8s %s > %s: %s\n", s.step,
+                Millis(s.large_seconds).c_str(),
+                Millis(s.small_seconds).c_str(), holds ? "yes" : "NO");
+  }
+  return shape_holds ? 0 : 1;
 }

@@ -58,8 +58,8 @@ Result<nn::Model> ImportPortable(const PortableBundle& bundle) {
   }
   MMLIB_ASSIGN_OR_RETURN(const json::Value* code,
                          bundle.manifest.GetMember("code"));
-  MMLIB_ASSIGN_OR_RETURN(nn::Model model, BuildModelFromCode(*code));
-  MMLIB_RETURN_IF_ERROR(model.LoadParams(bundle.parameters));
+  MMLIB_ASSIGN_OR_RETURN(nn::Model model,
+                         BuildModelFromCode(*code, bundle.parameters));
 
   MMLIB_ASSIGN_OR_RETURN(std::string expected_arch,
                          bundle.manifest.GetString("architecture"));

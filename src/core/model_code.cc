@@ -25,10 +25,11 @@ Result<models::ModelConfig> ConfigFromCodeDescriptor(const json::Value& doc) {
   return config;
 }
 
-Result<nn::Model> BuildModelFromCode(const json::Value& doc) {
+Result<nn::Model> BuildModelFromCode(const json::Value& doc,
+                                     const Bytes& params) {
   MMLIB_ASSIGN_OR_RETURN(models::ModelConfig config,
                          ConfigFromCodeDescriptor(doc));
-  return models::BuildModel(config);
+  return models::BuildModelWithParams(config, params);
 }
 
 }  // namespace mmlib::core

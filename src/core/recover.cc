@@ -122,8 +122,8 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
                            backends_.docs->Get(kCodeCollection, code_id));
     MMLIB_ASSIGN_OR_RETURN(const json::Value* descriptor,
                            code_doc.GetMember("descriptor"));
-    MMLIB_ASSIGN_OR_RETURN(nn::Model model, BuildModelFromCode(*descriptor));
-    MMLIB_RETURN_IF_ERROR(model.LoadParams(*snapshot));
+    MMLIB_ASSIGN_OR_RETURN(nn::Model model,
+                           BuildModelFromCode(*descriptor, *snapshot));
     breakdown->recover_seconds += recover_timer.Stop();
     return model;
   }
@@ -142,8 +142,8 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
     PhaseTimer recover_timer(backends_.network);
     MMLIB_ASSIGN_OR_RETURN(const json::Value* descriptor,
                            code_doc.GetMember("descriptor"));
-    MMLIB_ASSIGN_OR_RETURN(nn::Model model, BuildModelFromCode(*descriptor));
-    MMLIB_RETURN_IF_ERROR(model.LoadParams(params));
+    MMLIB_ASSIGN_OR_RETURN(nn::Model model,
+                           BuildModelFromCode(*descriptor, params));
     breakdown->recover_seconds += recover_timer.Stop();
     if (cache_enabled_) {
       CacheInsert(id, std::move(params));

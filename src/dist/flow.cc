@@ -184,9 +184,9 @@ Result<std::unique_ptr<core::SaveService>> EvaluationFlow::MakeService()
 }
 
 Result<nn::Model> EvaluationFlow::CloneModel(const nn::Model& source) const {
-  MMLIB_ASSIGN_OR_RETURN(nn::Model copy,
-                         models::BuildModel(config_.model));
-  MMLIB_RETURN_IF_ERROR(copy.LoadParams(source.SerializeParams()));
+  MMLIB_ASSIGN_OR_RETURN(
+      nn::Model copy,
+      models::BuildModelWithParams(config_.model, source.SerializeParams()));
   MMLIB_RETURN_IF_ERROR(ApplyRelation(&copy));
   return copy;
 }

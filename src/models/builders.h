@@ -19,7 +19,7 @@ namespace mmlib::models::internal {
 /// Shared state threaded through architecture builders.
 struct BuilderCtx {
   nn::Model* model;
-  Rng* rng;
+  Rng* rng;  // init draws; null builds zero weights (see BuildModelWithParams)
   int64_t divisor;
 
   /// Scales a full-size channel width by the configured divisor.
@@ -41,10 +41,11 @@ int64_t ConvBnRelu(BuilderCtx* ctx, const std::string& name,
                    int64_t groups = 1, float relu_clip = 0.0f);
 
 /// Architecture builders; channel widths are full-size values scaled by the
-/// config divisor inside.
-Result<nn::Model> BuildResNet(const ModelConfig& config);
-Result<nn::Model> BuildMobileNetV2(const ModelConfig& config);
-Result<nn::Model> BuildGoogLeNet(const ModelConfig& config);
+/// config divisor inside. Every initial weight is drawn from `rng` in layer
+/// order; a null `rng` draws nothing and leaves the weights zero.
+Result<nn::Model> BuildResNet(const ModelConfig& config, Rng* rng);
+Result<nn::Model> BuildMobileNetV2(const ModelConfig& config, Rng* rng);
+Result<nn::Model> BuildGoogLeNet(const ModelConfig& config, Rng* rng);
 
 }  // namespace mmlib::models::internal
 

@@ -46,13 +46,12 @@ int64_t Inception(BuilderCtx* ctx, const std::string& name, int64_t input,
 
 }  // namespace
 
-Result<nn::Model> BuildGoogLeNet(const ModelConfig& config) {
+Result<nn::Model> BuildGoogLeNet(const ModelConfig& config, Rng* rng) {
   if (config.arch != Architecture::kGoogLeNet) {
     return Status::InvalidArgument("BuildGoogLeNet: wrong architecture");
   }
   nn::Model model(std::string(ArchitectureName(config.arch)));
-  Rng rng(config.init_seed);
-  BuilderCtx ctx{&model, &rng, config.channel_divisor};
+  BuilderCtx ctx{&model, rng, config.channel_divisor};
 
   int64_t node = ConvBnRelu(&ctx, "conv1", nn::Model::kInputNode, 3,
                             ctx.Ch(64), 7, 2, 3);
@@ -92,7 +91,7 @@ Result<nn::Model> BuildGoogLeNet(const ModelConfig& config) {
   node = model.AddNode(std::make_unique<nn::Dropout>("dropout", 0.2f),
                        {node});
   model.AddNode(std::make_unique<nn::Linear>("fc", channels,
-                                             config.num_classes, &rng),
+                                             config.num_classes, rng),
                 {node});
   return model;
 }

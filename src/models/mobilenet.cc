@@ -28,13 +28,12 @@ int64_t InvertedResidual(BuilderCtx* ctx, const std::string& name,
 
 }  // namespace
 
-Result<nn::Model> BuildMobileNetV2(const ModelConfig& config) {
+Result<nn::Model> BuildMobileNetV2(const ModelConfig& config, Rng* rng) {
   if (config.arch != Architecture::kMobileNetV2) {
     return Status::InvalidArgument("BuildMobileNetV2: wrong architecture");
   }
   nn::Model model(std::string(ArchitectureName(config.arch)));
-  Rng rng(config.init_seed);
-  BuilderCtx ctx{&model, &rng, config.channel_divisor};
+  BuilderCtx ctx{&model, rng, config.channel_divisor};
 
   // Inverted residual settings: expansion t, full-width channels c, repeat
   // count n, first stride s (Sandler et al. 2018, Table 2).
@@ -70,7 +69,7 @@ Result<nn::Model> BuildMobileNetV2(const ModelConfig& config) {
                                                      0.2f),
                        {node});
   model.AddNode(std::make_unique<nn::Linear>("classifier.fc", last_ch,
-                                             config.num_classes, &rng),
+                                             config.num_classes, rng),
                 {node});
   return model;
 }

@@ -44,7 +44,7 @@ int64_t BottleneckBlock(BuilderCtx* ctx, const std::string& name,
 
 }  // namespace
 
-Result<nn::Model> BuildResNet(const ModelConfig& config) {
+Result<nn::Model> BuildResNet(const ModelConfig& config, Rng* rng) {
   bool bottleneck = false;
   int blocks[4];
   switch (config.arch) {
@@ -65,8 +65,7 @@ Result<nn::Model> BuildResNet(const ModelConfig& config) {
   }
 
   nn::Model model(std::string(ArchitectureName(config.arch)));
-  Rng rng(config.init_seed);
-  BuilderCtx ctx{&model, &rng, config.channel_divisor};
+  BuilderCtx ctx{&model, rng, config.channel_divisor};
 
   const int64_t stem = ctx.Ch(64);
   int64_t node = ConvBnRelu(&ctx, "stem", nn::Model::kInputNode, 3, stem, 7,
@@ -98,7 +97,7 @@ Result<nn::Model> BuildResNet(const ModelConfig& config) {
   node = model.AddNode(std::make_unique<nn::GlobalAvgPool>("avgpool"),
                        {node});
   model.AddNode(std::make_unique<nn::Linear>("fc", in_ch, config.num_classes,
-                                             &rng),
+                                             rng),
                 {node});
   return model;
 }

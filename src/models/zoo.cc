@@ -54,18 +54,36 @@ ModelConfig FullScaleConfig(Architecture arch) {
   return config;
 }
 
-Result<nn::Model> BuildModel(const ModelConfig& config) {
+namespace {
+
+/// Builds the architecture, drawing initial weights from `rng` (zero weights
+/// and no draws when `rng` is null).
+Result<nn::Model> BuildArchitecture(const ModelConfig& config, Rng* rng) {
   switch (config.arch) {
     case Architecture::kMobileNetV2:
-      return internal::BuildMobileNetV2(config);
+      return internal::BuildMobileNetV2(config, rng);
     case Architecture::kGoogLeNet:
-      return internal::BuildGoogLeNet(config);
+      return internal::BuildGoogLeNet(config, rng);
     case Architecture::kResNet18:
     case Architecture::kResNet50:
     case Architecture::kResNet152:
-      return internal::BuildResNet(config);
+      return internal::BuildResNet(config, rng);
   }
   return Status::InvalidArgument("unknown architecture");
+}
+
+}  // namespace
+
+Result<nn::Model> BuildModel(const ModelConfig& config) {
+  Rng rng(config.init_seed);
+  return BuildArchitecture(config, &rng);
+}
+
+Result<nn::Model> BuildModelWithParams(const ModelConfig& config,
+                                       const Bytes& params) {
+  MMLIB_ASSIGN_OR_RETURN(nn::Model model, BuildArchitecture(config, nullptr));
+  MMLIB_RETURN_IF_ERROR(model.LoadParams(params));
+  return model;
 }
 
 bool IsClassifierLayer(const nn::Layer& layer) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/model.h"
+#include "util/bytes.h"
 #include "util/result.h"
 
 namespace mmlib::models {
@@ -53,6 +54,14 @@ ModelConfig FullScaleConfig(Architecture arch);
 /// Instantiates the architecture with freshly initialized weights drawn
 /// deterministically from config.init_seed.
 Result<nn::Model> BuildModel(const ModelConfig& config);
+
+/// Instantiates the architecture with the parameters of a snapshot written
+/// by nn::Model::SerializeParams, skipping the initial weight draws that the
+/// snapshot would overwrite. Fails with Corruption, returning no model, when
+/// the snapshot does not fit the architecture (layer or parameter count,
+/// name or shape mismatch, truncation, trailing bytes).
+Result<nn::Model> BuildModelWithParams(const ModelConfig& config,
+                                       const Bytes& params);
 
 /// True for the classifier-head layers — the layers that stay trainable in
 /// the paper's *partially updated model version* setting ("only the last

@@ -38,10 +38,10 @@ Conv2d::Conv2d(std::string name, int64_t in_channels, int64_t out_channels,
   // Kaiming-normal initialization: std = sqrt(2 / fan_in).
   const int64_t fan_in = group_in_ * kernel_size * kernel_size;
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  AddParam("weight",
-           Tensor::Gaussian(
-               Shape{out_channels, group_in_, kernel_size, kernel_size},
-               stddev, rng));
+  Shape shape{out_channels, group_in_, kernel_size, kernel_size};
+  AddParam("weight", rng == nullptr
+                         ? Tensor::Zeros(std::move(shape))
+                         : Tensor::Gaussian(std::move(shape), stddev, rng));
 }
 
 void Conv2d::GatherPatch(const float* input, int64_t height, int64_t width,

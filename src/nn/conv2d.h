@@ -20,6 +20,10 @@ namespace mmlib::nn {
 /// the direct loop below; non-deterministic mode keeps its scheduler-driven
 /// reduction splits (the mechanism behind paper Figure 13's determinism
 /// overhead comparison).
+///
+/// The weight is Kaiming-normal initialized from `rng`; a null `rng` leaves
+/// it zero and draws nothing (models::BuildModelWithParams, which loads a
+/// snapshot over it straight away).
 class Conv2d : public Layer {
  public:
   Conv2d(std::string name, int64_t in_channels, int64_t out_channels,

@@ -23,10 +23,13 @@ Linear::Linear(std::string name, int64_t in_features, int64_t out_features,
       in_features_(in_features),
       out_features_(out_features) {
   const float bound = 1.0f / std::sqrt(static_cast<float>(in_features));
-  AddParam("weight",
-           Tensor::Uniform(Shape{out_features, in_features}, -bound, bound,
-                           rng));
-  AddParam("bias", Tensor::Uniform(Shape{out_features}, -bound, bound, rng));
+  auto init = [&](Shape shape) {
+    return rng == nullptr ? Tensor::Zeros(std::move(shape))
+                          : Tensor::Uniform(std::move(shape), -bound, bound,
+                                            rng);
+  };
+  AddParam("weight", init(Shape{out_features, in_features}));
+  AddParam("bias", init(Shape{out_features}));
 }
 
 Result<Tensor> Linear::Forward(const std::vector<const Tensor*>& inputs,

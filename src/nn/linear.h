@@ -9,7 +9,8 @@
 namespace mmlib::nn {
 
 /// Fully connected layer: y = x W^T + b with input [N, in] and output
-/// [N, out]. Weights are Kaiming-uniform initialized from `rng`.
+/// [N, out]. Weights are Kaiming-uniform initialized from `rng`; a null
+/// `rng` leaves them zero and draws nothing (models::BuildModelWithParams).
 ///
 /// Deterministic executions of non-trivial shapes run through a
 /// kernels::LinearPlan (packed cache-blocked GEMM); tiny shapes and all

@@ -93,15 +93,16 @@ TEST_F(SaveServiceTest, CodeDescriptorRoundtrip) {
   EXPECT_EQ(restored.image_size, config_.image_size);
   EXPECT_EQ(restored.init_seed, config_.init_seed);
 
-  auto rebuilt = BuildModelFromCode(code_).value();
+  auto rebuilt = BuildModelFromCode(code_, model_->SerializeParams()).value();
   EXPECT_EQ(rebuilt.ArchitectureFingerprint(),
             model_->ArchitectureFingerprint());
+  EXPECT_EQ(rebuilt.ParamsHash(), model_->ParamsHash());
 }
 
 TEST_F(SaveServiceTest, CodeDescriptorRejectsUnknownArchitecture) {
   json::Value bad = code_;
   bad.Set("architecture", "AlexNet");
-  EXPECT_FALSE(BuildModelFromCode(bad).ok());
+  EXPECT_FALSE(BuildModelFromCode(bad, model_->SerializeParams()).ok());
 }
 
 // --- Baseline ---

@@ -675,7 +675,11 @@ TEST(ScratchPoolTest, PlansRunningTwiceReuseScratch) {
   for (float& v : x) v = rng.NextFloat();
   for (float& v : w) v = rng.NextFloat();
   std::vector<float> y(static_cast<size_t>(2 * 16 * 14 * 14));
-  util::ThreadPool pool(2);
+  // A serial pool runs the chunks in the same order on both calls, so the
+  // first call reaches every lease the second needs. With workers, the first
+  // call may run all chunks on one thread and leave a later, more concurrent
+  // call one buffer short.
+  util::ThreadPool pool(1);
   plan.Forward(x.data(), w.data(), y.data(), &pool);
   const size_t allocated_after_first = plan.scratch()->allocated_buffers();
   plan.Forward(x.data(), w.data(), y.data(), &pool);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "models/zoo.h"
 
 namespace mmlib::models {
@@ -62,6 +65,29 @@ TEST_P(ZooForward, InitializationIsSeedDeterministic) {
   EXPECT_NE(a->ParamsHash(), c->ParamsHash());
 }
 
+TEST_P(ZooForward, BuildModelWithParamsRestoresSnapshot) {
+  ModelConfig config = DefaultConfig(GetParam());
+  config.channel_divisor = 8;
+  auto source = BuildModel(config);
+  ASSERT_TRUE(source.ok()) << source.status();
+  // Shift every parameter and buffer, so the snapshot matches no fresh
+  // initialization and zero weights could not pass for it either.
+  Rng rng(41);
+  for (size_t i = 0; i < source->node_count(); ++i) {
+    for (nn::Param& p : source->layer(i)->params()) {
+      for (int64_t j = 0; j < p.value.numel(); ++j) {
+        p.value.data()[j] += rng.NextUniform(-0.5f, 0.5f);
+      }
+    }
+  }
+
+  auto restored = BuildModelWithParams(config, source->SerializeParams());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->ParamsHash(), source->ParamsHash());
+  EXPECT_EQ(restored->ArchitectureFingerprint(),
+            source->ArchitectureFingerprint());
+}
+
 TEST_P(ZooForward, FingerprintStableAcrossInitSeeds) {
   ModelConfig config = DefaultConfig(GetParam());
   config.channel_divisor = 8;
@@ -104,6 +130,49 @@ TEST(ZooTest, FingerprintsDifferAcrossArchitectures) {
       EXPECT_NE(fingerprints[i], fingerprints[j]);
     }
   }
+}
+
+/// ParamsHash of BuildModel(DefaultConfig(arch)) at channel divisor 8. The
+/// initial weights are a pure function of init_seed and the layer order;
+/// any change to the draw order or the init distributions shows up here.
+TEST(ZooTest, InitialWeightsMatchGoldenHashes) {
+  const std::pair<Architecture, std::string> kGolden[] = {
+      {Architecture::kMobileNetV2,
+       "0901089506b7fba224e92ac4547d6a23059aea4257318bffb93a7a325ac69401"},
+      {Architecture::kGoogLeNet,
+       "42dc00e2ee483d6fb2b3302dda448d9e0e3e53c1094dee200ec462eb56431599"},
+      {Architecture::kResNet18,
+       "34c33e867cf42f0a7526e3783c7478fd363c149fab5c0d6dce04e1f37ab1e83b"},
+      {Architecture::kResNet50,
+       "2e45c06d381f44b4a0fc6df7cafec9b681ab8659a5d935321eb3101559d44289"},
+      {Architecture::kResNet152,
+       "09b6b317c440cccc4d7c180206b07fffd65233d60b49df3ba4515d4ab86e9d4a"},
+  };
+  for (const auto& [arch, hex] : kGolden) {
+    ModelConfig config = DefaultConfig(arch);
+    config.channel_divisor = 8;
+    auto model = BuildModel(config);
+    ASSERT_TRUE(model.ok()) << model.status();
+    EXPECT_EQ(model->ParamsHash().ToHex(), hex) << ArchitectureName(arch);
+  }
+}
+
+TEST(ZooTest, BuildModelWithParamsRejectsMismatchedSnapshots) {
+  ModelConfig config = DefaultConfig(Architecture::kResNet18);
+  config.channel_divisor = 8;
+  const Bytes snapshot = BuildModel(config)->SerializeParams();
+
+  ModelConfig resnet50 = config;
+  resnet50.arch = Architecture::kResNet50;
+  auto wrong_arch = BuildModelWithParams(resnet50, snapshot);
+  ASSERT_FALSE(wrong_arch.ok());
+  EXPECT_EQ(wrong_arch.status().code(), StatusCode::kCorruption);
+
+  const Bytes truncated(snapshot.begin(),
+                        snapshot.begin() + snapshot.size() / 2);
+  auto short_read = BuildModelWithParams(config, truncated);
+  ASSERT_FALSE(short_read.ok());
+  EXPECT_EQ(short_read.status().code(), StatusCode::kCorruption);
 }
 
 TEST(ZooTest, DivisorScalesParameterCount) {
