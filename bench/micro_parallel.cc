@@ -1,6 +1,7 @@
 /// Thread-pool scaling microbenchmark: sweeps MMLIB-style pool sizes over
-/// the parallelized pipelines (conv/linear forward and backward through the
-/// kernel-plan layer, Merkle-leaf hashing, chunked codec encode), verifies
+/// the parallelized pipelines (dense and depthwise conv and linear forward
+/// and backward through the kernel-plan layer, Merkle-leaf hashing, chunked
+/// codec encode), verifies
 /// that every result is bit-identical to the 1-thread run (the
 /// deterministic-chunking contract), and writes the measurements to
 /// BENCH_parallel.json.
@@ -64,14 +65,31 @@ bool SameBits(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-Section BenchConvForward() {
-  Rng rng(1);
-  nn::Conv2d conv("bench", 8, 16, 3, 1, 1, 1, &rng);
-  Rng input_rng(2);
-  const Tensor input =
-      Tensor::Gaussian(Shape{8, 8, 32, 32}, 1.0f, &input_rng);
+/// A 3x3 / stride-1 / pad-1 convolution timed by the conv sections.
+struct ConvShape {
+  int64_t in_channels;
+  int64_t out_channels;
+  int64_t groups;
+  int64_t batch;
+  int64_t size;  // input height and width
+};
 
-  Section section{"conv_forward", {}};
+/// Dense 8 -> 16 channels: the im2col + GEMM plan.
+constexpr ConvShape kDenseConv{8, 16, 1, 8, 32};
+/// MobileNetV2 depthwise (96 channels, one per group, at 28 x 28): the
+/// direct kernel.
+constexpr ConvShape kDepthwiseConv{96, 96, 96, 8, 28};
+
+Section BenchConvForward(const char* name, const ConvShape& shape) {
+  Rng rng(1);
+  nn::Conv2d conv("bench", shape.in_channels, shape.out_channels, 3, 1, 1,
+                  shape.groups, &rng);
+  Rng input_rng(2);
+  const Tensor input = Tensor::Gaussian(
+      Shape{shape.batch, shape.in_channels, shape.size, shape.size}, 1.0f,
+      &input_rng);
+
+  Section section{name, {}};
   Tensor reference;
   for (size_t threads : kThreadSweep) {
     util::ThreadPool pool(threads);
@@ -89,17 +107,20 @@ Section BenchConvForward() {
   return section;
 }
 
-Section BenchConvBackward() {
+Section BenchConvBackward(const char* name, const ConvShape& shape) {
   Rng rng(11);
-  nn::Conv2d conv("bench", 8, 16, 3, 1, 1, 1, &rng);
+  nn::Conv2d conv("bench", shape.in_channels, shape.out_channels, 3, 1, 1,
+                  shape.groups, &rng);
   Rng input_rng(12);
-  const Tensor input =
-      Tensor::Gaussian(Shape{8, 8, 32, 32}, 1.0f, &input_rng);
+  const Tensor input = Tensor::Gaussian(
+      Shape{shape.batch, shape.in_channels, shape.size, shape.size}, 1.0f,
+      &input_rng);
   Rng gout_rng(13);
-  const Tensor gout =
-      Tensor::Gaussian(Shape{8, 16, 32, 32}, 1.0f, &gout_rng);
+  const Tensor gout = Tensor::Gaussian(
+      Shape{shape.batch, shape.out_channels, shape.size, shape.size}, 1.0f,
+      &gout_rng);
 
-  Section section{"conv_backward", {}};
+  Section section{name, {}};
   Tensor ref_gin;
   Tensor ref_gw;
   for (size_t threads : kThreadSweep) {
@@ -274,8 +295,14 @@ int main(int argc, char** argv) {
               g_smoke ? " (smoke mode: 1 rep, timings not meaningful)" : "");
 
   const std::vector<Section> sections = {
-      BenchConvForward(),    BenchConvBackward(), BenchLinearForward(),
-      BenchLinearBackward(), BenchMerkleBuild(),  BenchCodecEncode()};
+      BenchConvForward("conv_forward", kDenseConv),
+      BenchConvBackward("conv_backward", kDenseConv),
+      BenchConvForward("depthwise_forward", kDepthwiseConv),
+      BenchConvBackward("depthwise_backward", kDepthwiseConv),
+      BenchLinearForward(),
+      BenchLinearBackward(),
+      BenchMerkleBuild(),
+      BenchCodecEncode()};
 
   TablePrinter table(
       {"section", "threads", "sec/op", "speedup", "bit-identical"});

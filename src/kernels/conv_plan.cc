@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "kernels/conv_direct.h"
 #include "kernels/gemm.h"
 
 namespace mmlib::kernels {
@@ -9,13 +10,8 @@ namespace mmlib::kernels {
 namespace {
 
 /// Below this many multiply-adds per (sample, group) GEMM, packing costs
-/// more than it saves; the plan keeps the direct loop.
+/// more than it saves; the plan runs the direct kernel.
 constexpr int64_t kMinGemmWork = 16384;
-
-/// Forward chunk cap, matching the layer's historical constant: enough
-/// slack for 16-way pools, small enough that per-chunk packing stays
-/// amortized. A constant so chunk boundaries never depend on the pool.
-constexpr int64_t kMaxForwardChunks = 64;
 
 /// Backward chunk cap: every chunk carries a full weight-gradient scratch
 /// buffer, so this also bounds scratch memory.
@@ -31,6 +27,9 @@ ConvPlan::ConvPlan(const ConvGeom& geom) : geom_(geom) {
   const bool depthwise = geom.group_in() == 1 && geom.group_out() == 1;
   if (depthwise || m * k * n < kMinGemmWork) {
     algo_ = ConvAlgo::kDirect;
+    backward_chunks_ = util::NumChunks(
+        geom.batch,
+        util::GrainForMaxChunks(geom.batch, kDirectMaxBackwardChunks));
     return;
   }
   algo_ = geom.is_pointwise() ? ConvAlgo::kPointwiseGemm
@@ -57,6 +56,10 @@ ConvPlan::ConvPlan(const ConvGeom& geom) : geom_(geom) {
 
 void ConvPlan::Forward(const float* input, const float* weight, float* output,
                        util::ThreadPool* pool) const {
+  if (algo_ == ConvAlgo::kDirect) {
+    DirectConvForward(geom_, input, weight, output, pool);
+    return;
+  }
   const int64_t m = geom_.group_out();
   const int64_t k = geom_.patch_size();
   const int64_t n = geom_.out_pixels();
@@ -74,7 +77,7 @@ void ConvPlan::Forward(const float* input, const float* weight, float* output,
   const float* a_pack = a_lease.data();
 
   const int64_t panel_floats = PackedPanelFloats(k, nc_);
-  const int64_t grain = util::GrainForMaxChunks(tasks, kMaxForwardChunks);
+  const int64_t grain = util::GrainForMaxChunks(tasks, kConvMaxForwardChunks);
   util::ParallelFor(
       pool, tasks, grain,
       [&](int64_t begin, int64_t end, size_t /*chunk_index*/) {
@@ -101,6 +104,11 @@ void ConvPlan::Forward(const float* input, const float* weight, float* output,
 void ConvPlan::Backward(const float* input, const float* weight,
                         const float* grad_output, float* grad_input,
                         float* grad_weight, util::ThreadPool* pool) const {
+  if (algo_ == ConvAlgo::kDirect) {
+    DirectConvBackward(geom_, input, weight, grad_output, grad_input,
+                       grad_weight, pool);
+    return;
+  }
   const int64_t m = geom_.group_out();
   const int64_t k = geom_.patch_size();
   const int64_t n = geom_.out_pixels();

@@ -10,9 +10,11 @@ namespace mmlib::kernels {
 
 /// Strategy chosen for a convolution shape.
 enum class ConvAlgo {
-  /// Keep the layer's direct loop: depthwise/tiny shapes where packing
-  /// overhead exceeds the GEMM win (and the path non-deterministic
-  /// contexts always take).
+  /// Direct convolution (kernels/conv_direct.h): depthwise and tiny
+  /// shapes, where packing overhead exceeds the GEMM win. Zero-padded
+  /// planes with taps swept over whole output rows; 1x1 convs run
+  /// pixel-vectorised serial sums. Its scratch comes from a pool shared by
+  /// all direct plans, not from scratch().
   kDirect,
   /// im2col gather into packed panels + cache-blocked GEMM.
   kIm2ColGemm,
@@ -37,20 +39,19 @@ class ConvPlan {
   int64_t nc() const { return nc_; }
   /// Reduction block (the GEMM's KC).
   int64_t kc() const { return kc_; }
-  /// Backward chunk count over (sample, group) tasks; sizes the
-  /// weight-gradient scratch and fixes the reduction order.
+  /// Backward chunk count over (sample, group) tasks (over samples for
+  /// kDirect); sizes the weight-gradient scratch and fixes the reduction
+  /// order.
   int64_t backward_chunks() const { return backward_chunks_; }
 
   util::ScratchPool* scratch() const { return &scratch_; }
 
   /// y(batch, out_channels, out_h, out_w) = conv(x, w). Overwrites y.
-  /// Requires algo() != kDirect.
   void Forward(const float* input, const float* weight, float* output,
                util::ThreadPool* pool) const;
 
   /// grad_input += col2im(W^T . gout) (expects grad_input zero-filled) and
-  /// grad_weight += gout . col^T, both in fixed order. Requires
-  /// algo() != kDirect.
+  /// grad_weight += gout . col^T, both in fixed order.
   void Backward(const float* input, const float* weight,
                 const float* grad_output, float* grad_input,
                 float* grad_weight, util::ThreadPool* pool) const;

@@ -1,6 +1,7 @@
 #include "nn/activations.h"
 
 #include "check/validators.h"
+#include "kernels/activation.h"
 #include "tensor/validate.h"
 #include <cmath>
 
@@ -12,15 +13,7 @@ Result<Tensor> ReLU::Forward(const std::vector<const Tensor*>& inputs,
   MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
   cached_input_ = *inputs[0];
   Tensor y(cached_input_.shape());
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    float v = cached_input_.data()[i];
-    if (v < 0.0f) {
-      v = 0.0f;
-    } else if (clip_ > 0.0f && v > clip_) {
-      v = clip_;
-    }
-    y.data()[i] = v;
-  }
+  kernels::ReluForward(cached_input_.data(), y.data(), y.numel(), clip_);
   return y;
 }
 
@@ -28,11 +21,8 @@ Result<std::vector<Tensor>> ReLU::Backward(const Tensor& grad_output,
                                            ExecutionContext* ctx) {
   (void)ctx;
   Tensor grad_input(cached_input_.shape());
-  for (int64_t i = 0; i < grad_input.numel(); ++i) {
-    const float v = cached_input_.data()[i];
-    const bool pass = v > 0.0f && (clip_ <= 0.0f || v < clip_);
-    grad_input.data()[i] = pass ? grad_output.data()[i] : 0.0f;
-  }
+  kernels::ReluBackward(cached_input_.data(), grad_output.data(),
+                        grad_input.data(), grad_input.numel(), clip_);
   std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
   return grads;

@@ -10,15 +10,10 @@ namespace mmlib::nn {
 
 namespace {
 
-/// Upper bound on forward chunks: enough slack for 16-way pools while
-/// keeping per-chunk setup (patch buffer allocation) negligible.
+/// Chunk caps of the non-deterministic loops: enough slack for 16-way
+/// pools while keeping per-chunk set-up negligible. Backward chunks each
+/// carry a weight-gradient scratch buffer, so its cap also bounds memory.
 constexpr int64_t kMaxForwardChunks = 64;
-
-/// Upper bound on backward chunks. Backward chunks each carry a
-/// weight-gradient scratch buffer of the full weight size, so the count
-/// also caps scratch memory. Must be a constant (never the thread count):
-/// chunk boundaries feed the fixed-order gradient reduction, and results
-/// must not change with the pool size.
 constexpr int64_t kMaxBackwardChunks = 8;
 
 }  // namespace
@@ -90,34 +85,22 @@ Result<Tensor> Conv2d::Forward(const std::vector<const Tensor*>& inputs,
 
   Tensor y(Shape{batch, out_channels_, out_h, out_w});
   const float* weight = params_[0].value.data();
-  const int64_t patch_size = group_in_ * kernel_size_ * kernel_size_;
-  const bool fast_det = kernel_size_ == 1 && padding_ == 0;
 
-  // Deterministic executions go through the kernel-plan layer: the plan's
-  // reduction order is a pure function of the shape, so any pool size
-  // produces bit-identical results. Non-deterministic executions stay on
-  // the direct loop below, which models scheduler-driven reduction splits.
+  // Deterministic executions run the shape's kernel plan: its reduction
+  // order is a pure function of the shape, so any pool size produces
+  // bit-identical results.
   if (ctx->deterministic()) {
-    const kernels::ConvGeom geom{batch,        in_channels_, out_channels_,
-                                 kernel_size_, stride_,      padding_,
-                                 groups_,      height,       width,
-                                 out_h,        out_w};
-    if (!plan_ || plan_->geom().batch != batch ||
-        plan_->geom().height != height || plan_->geom().width != width) {
-      plan_ = kernels::PlanCache::Instance().GetConvPlan(geom);
-    }
-    if (plan_->algo() != kernels::ConvAlgo::kDirect) {
-      plan_->Forward(x.data(), weight, y.data(), ctx->pool());
-      return y;
-    }
+    RefreshPlan(batch, height, width, out_h, out_w);
+    plan_->Forward(x.data(), weight, y.data(), ctx->pool());
+    return y;
   }
 
-  // Shard over (sample, group): every task writes a disjoint channel block
-  // of y, and each output element is a complete fixed-order AccumulateDot,
-  // so results are bit-identical for any chunking and any thread count.
+  // Non-deterministic executions: shard over (sample, group); every task
+  // writes a disjoint channel block of y, and each output element's dot
+  // product is split where this chunk's scheduler Rng says.
+  const int64_t patch_size = group_in_ * kernel_size_ * kernel_size_;
   const int64_t tasks = batch * groups_;
   const int64_t grain = util::GrainForMaxChunks(tasks, kMaxForwardChunks);
-  const bool deterministic = ctx->deterministic();
   const uint64_t epoch = ctx->NextParallelEpoch();
   util::ParallelFor(
       ctx->pool(), tasks, grain,
@@ -135,9 +118,10 @@ Result<Tensor> Conv2d::Forward(const std::vector<const Tensor*>& inputs,
                 const float* wrow = weight + out_channel * patch_size;
                 y.data()[((n * out_channels_ + out_channel) * out_h + oy) *
                              out_w +
-                         ox] =
-                    AccumulateDotKernel(wrow, patch.data(), patch_size,
-                                        fast_det, deterministic, &scheduler);
+                         ox] = AccumulateDotKernel(wrow, patch.data(),
+                                                   patch_size,
+                                                   /*deterministic=*/false,
+                                                   &scheduler);
               }
             }
           }
@@ -162,42 +146,28 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
       grad_output.shape(), Shape{batch, out_channels_, out_h, out_w},
       "conv2d " + name_ + " grad_output"));
   const int64_t patch_size = group_in_ * kernel_size_ * kernel_size_;
-  const bool fast_det = kernel_size_ == 1 && padding_ == 0;
 
   const float* weight = params_[0].value.data();
   float* grad_weight = params_[0].grad.data();
   const size_t gw_numel = static_cast<size_t>(params_[0].grad.numel());
   Tensor grad_input(x.shape());
+  std::vector<Tensor> grads;
 
-  const bool deterministic = ctx->deterministic();
-
-  // Mirror Forward's dispatch: deterministic executions of planned shapes
-  // run both gradient GEMMs through the plan layer.
-  if (deterministic) {
-    const kernels::ConvGeom geom{batch,        in_channels_, out_channels_,
-                                 kernel_size_, stride_,      padding_,
-                                 groups_,      height,       width,
-                                 out_h,        out_w};
-    if (!plan_ || plan_->geom().batch != batch ||
-        plan_->geom().height != height || plan_->geom().width != width) {
-      plan_ = kernels::PlanCache::Instance().GetConvPlan(geom);
-    }
-    if (plan_->algo() != kernels::ConvAlgo::kDirect) {
-      plan_->Backward(x.data(), weight, grad_output.data(), grad_input.data(),
-                      grad_weight, ctx->pool());
-      std::vector<Tensor> grads;
-      grads.push_back(std::move(grad_input));
-      return grads;
-    }
+  // Mirror Forward's dispatch: deterministic executions run both gradients
+  // through the plan.
+  if (ctx->deterministic()) {
+    RefreshPlan(batch, height, width, out_h, out_w);
+    plan_->Backward(x.data(), weight, grad_output.data(), grad_input.data(),
+                    grad_weight, ctx->pool());
+    grads.push_back(std::move(grad_input));
+    return grads;
   }
+
   // Weight gradients accumulate across every output position — on parallel
   // devices this is the classic source of convolution-backward
-  // nondeterminism (atomic reduction order). Here every chunk accumulates
-  // into its own scratch buffer (compensated for spatial kernels in
-  // deterministic mode, paper Section 4.5) and the scratch buffers are
-  // reduced in fixed chunk-index order below, so the result never depends
-  // on the thread count.
-  const bool compensated_weight_grad = deterministic && !fast_det;
+  // nondeterminism. Every chunk accumulates into its own scratch buffer,
+  // reduced in chunk-index order below; the run-to-run variation comes from
+  // the scheduler-split input-gradient dot products.
 
   // Weight transposed within each group: [patch_size][group_out]. Shared
   // read-only by all chunks.
@@ -223,10 +193,6 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
         std::vector<float> patch(patch_size);
         std::vector<float> grad_patch(patch_size);
         std::vector<float> gout_vec(group_out_);
-        std::vector<float> compensation;
-        if (compensated_weight_grad) {
-          compensation.assign(gw_numel, 0.0f);
-        }
         float* gw_chunk = weight_grad_scratch.data() + chunk_index * gw_numel;
         Rng scheduler(ctx->ChunkSchedulerSeed(epoch, chunk_index));
         for (int64_t n = n_begin; n < n_end; ++n) {
@@ -251,28 +217,17 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
                   if (gv == 0.0f) {
                     continue;
                   }
-                  const int64_t row_offset =
-                      (g * group_out_ + oc) * patch_size;
-                  float* gwrow = gw_chunk + row_offset;
-                  if (compensated_weight_grad) {
-                    float* comp = compensation.data() + row_offset;
-                    for (int64_t j = 0; j < patch_size; ++j) {
-                      const float y = gv * patch[j] - comp[j];
-                      const float t = gwrow[j] + y;
-                      comp[j] = (t - gwrow[j]) - y;
-                      gwrow[j] = t;
-                    }
-                  } else {
-                    for (int64_t j = 0; j < patch_size; ++j) {
-                      gwrow[j] += gv * patch[j];
-                    }
+                  float* gwrow =
+                      gw_chunk + (g * group_out_ + oc) * patch_size;
+                  for (int64_t j = 0; j < patch_size; ++j) {
+                    gwrow[j] += gv * patch[j];
                   }
                 }
                 // Input gradients: grad_patch[j] = W^T[j] . gout.
                 for (int64_t j = 0; j < patch_size; ++j) {
                   grad_patch[j] = AccumulateDotKernel(
                       weight_t.data() + (g * patch_size + j) * group_out_,
-                      gout_vec.data(), group_out_, fast_det, deterministic,
+                      gout_vec.data(), group_out_, /*deterministic=*/false,
                       &scheduler);
                 }
                 // Scatter grad_patch back to grad_input; sample n belongs
@@ -302,9 +257,7 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
         }
       });
 
-  // Fixed-order reduction of the per-chunk weight gradients; chunk
-  // boundaries are thread-count independent, so this sum is bit-exact for
-  // every pool size.
+  // Fixed-order reduction of the per-chunk weight gradients.
   for (size_t c = 0; c < num_chunks; ++c) {
     const float* gw_chunk = weight_grad_scratch.data() + c * gw_numel;
     for (size_t j = 0; j < gw_numel; ++j) {
@@ -312,9 +265,21 @@ Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
     }
   }
 
-  std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
   return grads;
+}
+
+void Conv2d::RefreshPlan(int64_t batch, int64_t height, int64_t width,
+                         int64_t out_h, int64_t out_w) {
+  if (plan_ && plan_->geom().batch == batch &&
+      plan_->geom().height == height && plan_->geom().width == width) {
+    return;
+  }
+  const kernels::ConvGeom geom{batch,        in_channels_, out_channels_,
+                               kernel_size_, stride_,      padding_,
+                               groups_,      height,       width,
+                               out_h,        out_w};
+  plan_ = kernels::PlanCache::Instance().GetConvPlan(geom);
 }
 
 }  // namespace mmlib::nn

@@ -13,13 +13,13 @@ namespace mmlib::nn {
 /// gives a depthwise convolution as used by MobileNetV2). No bias — all zoo
 /// architectures follow conv → batch-norm, where a bias is redundant.
 ///
-/// Determinism: in deterministic mode, non-trivial shapes run through a
-/// kernels::ConvPlan (im2col + cache-blocked GEMM) whose reduction order is
-/// a pure function of the shape, so results are bit-identical at any pool
-/// size. Depthwise/tiny shapes, and every non-deterministic execution, use
-/// the direct loop below; non-deterministic mode keeps its scheduler-driven
-/// reduction splits (the mechanism behind paper Figure 13's determinism
-/// overhead comparison).
+/// Determinism: in deterministic mode every shape runs through a
+/// kernels::ConvPlan (im2col + cache-blocked GEMM, or the direct kernel for
+/// depthwise/tiny shapes) whose reduction order is a pure function of the
+/// shape, so results are bit-identical at any pool size. Only
+/// non-deterministic executions use the layer's own loop, with its
+/// scheduler-driven reduction splits (the mechanism behind paper Figure
+/// 13's determinism overhead comparison).
 ///
 /// The weight is Kaiming-normal initialized from `rng`; a null `rng` leaves
 /// it zero and draws nothing (models::BuildModelWithParams, which loads a
@@ -47,6 +47,10 @@ class Conv2d : public Layer {
   void GatherPatch(const float* input, int64_t height, int64_t width,
                    int64_t n, int64_t g, int64_t oy, int64_t ox,
                    float* patch) const;
+
+  /// Points plan_ at the PlanCache plan for this input geometry.
+  void RefreshPlan(int64_t batch, int64_t height, int64_t width,
+                   int64_t out_h, int64_t out_w);
 
   int64_t in_channels_;
   int64_t out_channels_;

@@ -29,10 +29,10 @@ struct PhaseTimes {
 /// set, every kernel accumulates in a fixed order — layers without a cheap
 /// deterministic implementation (spatial convolutions) fall back to
 /// compensated summation, which costs extra time. With `deterministic`
-/// unset, kernels split their reductions at a point chosen from
-/// `scheduler_rng` (modeling the scheduling nondeterminism of a parallel
-/// device), so repeated runs produce slightly different floating-point
-/// results.
+/// unset, kernels split their reductions at points drawn from per-chunk
+/// scheduler Rngs (ChunkSchedulerSeed; modeling the scheduling
+/// nondeterminism of a parallel device), so repeated runs produce slightly
+/// different floating-point results.
 class ExecutionContext {
  public:
   /// Creates a deterministic context; `seed` drives intentional randomness
@@ -59,16 +59,6 @@ class ExecutionContext {
   /// PRNG for intentional randomness; reproducible across runs when seeded
   /// identically.
   Rng* rng() { return &rng_; }
-
-  /// PRNG modeling scheduler nondeterminism; only consulted when
-  /// !deterministic().
-  Rng* scheduler_rng() { return &scheduler_rng_; }
-
-  /// Returns a reduction split point in [1, n) used by non-deterministic
-  /// kernels; n must be >= 2.
-  size_t NextSplit(size_t n) {
-    return 1 + static_cast<size_t>(scheduler_rng_.NextBelow(n - 1));
-  }
 
   /// Thread pool kernels shard their work on; defaults to the process-wide
   /// pool. With deterministic chunking (see util/thread_pool.h) results are
@@ -119,13 +109,11 @@ class ExecutionContext {
   ExecutionContext(bool deterministic, uint64_t seed, uint64_t scheduler_seed)
       : deterministic_(deterministic),
         rng_(seed),
-        scheduler_rng_(scheduler_seed),
         scheduler_seed_(scheduler_seed) {}
 
   bool deterministic_;
   bool training_ = true;
   Rng rng_;
-  Rng scheduler_rng_;
   uint64_t scheduler_seed_;
   uint64_t parallel_epoch_ = 0;
   util::ThreadPool* pool_ = nullptr;

@@ -103,39 +103,12 @@ size_t Layer::AddParam(std::string name, Tensor value, bool trainable,
   return params_.size() - 1;
 }
 
-float AccumulateDot(const float* a, const float* b, size_t n,
-                    bool has_fast_det_kernel, ExecutionContext* ctx) {
-  return AccumulateDotKernel(a, b, n, has_fast_det_kernel,
-                             ctx->deterministic(), ctx->scheduler_rng());
-}
-
 float AccumulateDotKernel(const float* a, const float* b, size_t n,
-                          bool has_fast_det_kernel, bool deterministic,
-                          Rng* scheduler_rng) {
-  if (n == 0) {
-    return 0.0f;
-  }
-  if (deterministic) {
-    if (has_fast_det_kernel) {
-      // Fixed-order plain summation; cheap and reproducible.
-      return DotSerial(a, b, n);
-    }
-    // No fast deterministic kernel for this layer: fall back to compensated
-    // summation (fixed order, extra per-element work).
-    float sum = 0.0f;
-    float compensation = 0.0f;
-    for (size_t i = 0; i < n; ++i) {
-      const float y = a[i] * b[i] - compensation;
-      const float t = sum + y;
-      compensation = (t - sum) - y;
-      sum = t;
-    }
-    return sum;
-  }
+                          bool deterministic, Rng* scheduler_rng) {
   // Short reductions are not worth parallelizing on a real device; they
   // stay serial (and thus deterministic) in both modes.
   constexpr size_t kMinParallelLength = 32;
-  if (n < kMinParallelLength) {
+  if (deterministic || n < kMinParallelLength) {
     return DotSerial(a, b, n);
   }
   // Non-deterministic: the reduction is split where the scheduler happened

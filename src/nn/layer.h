@@ -97,25 +97,17 @@ class Layer {
   std::vector<Param> params_;
 };
 
-/// Deterministic-aware accumulation helper shared by Linear and Conv2d:
-/// computes sum(a[i] * b[i]) for i in [0, n).
+/// Dot product sum(a[i] * b[i]) for i in [0, n), for the layers' own
+/// loops (Linear's small shapes, and non-deterministic Conv2d).
 ///
-/// Deterministic contexts use compensated (Kahan) summation in a fixed
-/// order; non-deterministic contexts use plain summation split at a
-/// scheduler-chosen point, so results vary run to run. `has_fast_det_kernel`
-/// marks layers with a cheap deterministic implementation (accumulation
-/// short enough that fixed-order plain summation is used; models PyTorch
-/// providing deterministic kernels only for some layers, Section 2.3/4.5).
-float AccumulateDot(const float* a, const float* b, size_t n,
-                    bool has_fast_det_kernel, ExecutionContext* ctx);
-
-/// Context-free form of AccumulateDot for parallel kernels: each chunk of a
-/// ParallelFor owns a private `scheduler_rng` (seeded via
-/// ExecutionContext::ChunkSchedulerSeed), so no generator state is shared
-/// across threads. Deterministic mode never consults the Rng.
+/// Deterministic mode sums serially in index order. Non-deterministic mode
+/// splits the reduction at a point drawn from `scheduler_rng`, so the
+/// association order varies between runs. Each ParallelFor chunk owns a
+/// private `scheduler_rng` (seeded via ExecutionContext::ChunkSchedulerSeed),
+/// so no generator state is shared across threads; deterministic mode
+/// never consults it.
 float AccumulateDotKernel(const float* a, const float* b, size_t n,
-                          bool has_fast_det_kernel, bool deterministic,
-                          Rng* scheduler_rng);
+                          bool deterministic, Rng* scheduler_rng);
 
 }  // namespace mmlib::nn
 

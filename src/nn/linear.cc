@@ -78,9 +78,8 @@ Result<Tensor> Linear::Forward(const std::vector<const Tensor*>& inputs,
           const float* row = x.data() + n * in_features_;
           y.data()[n * out_features_ + o] =
               bias[o] + AccumulateDotKernel(weight + o * in_features_, row,
-                                            in_features_,
-                                            /*has_fast_det_kernel=*/true,
-                                            deterministic, &scheduler);
+                                            in_features_, deterministic,
+                                            &scheduler);
         }
       });
   return y;

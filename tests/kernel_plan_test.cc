@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "kernels/conv_plan.h"
@@ -338,6 +340,302 @@ TEST(ConvPlanTest, PlanSelectionRules) {
   const ConvPlan plan(ConvGeom{2, 8, 16, 3, 1, 1, 1, 14, 14, 14, 14});
   EXPECT_EQ(plan.nc() % kernels::kGemmNR, 0);
   EXPECT_GT(plan.kc(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The direct kernel (ConvAlgo::kDirect) on a grid of shapes the plan does not
+// GEMM: against a double reference, bit for bit against the scalar
+// deterministic loop it replaced, and bit for bit across pool sizes.
+
+struct ConvRun {
+  std::vector<float> output;
+  std::vector<float> grad_input;
+  std::vector<float> grad_weight;
+};
+
+/// The scalar deterministic convolution: per-output dot products over
+/// gathered, zero-padded patches (Kahan, or serial for kernel 1 / pad 0);
+/// weight gradients per chunk of GrainForMaxChunks(batch, 8) samples with
+/// per-chunk compensation and gout == 0 skipped, reduced in chunk order;
+/// input gradients scattered per output pixel.
+ConvRun ScalarDirectConv(const ConvGeom& g, const std::vector<float>& x,
+                         const std::vector<float>& w,
+                         const std::vector<float>& gout) {
+  const int64_t gi = g.group_in();
+  const int64_t go = g.group_out();
+  const int64_t k = g.kernel;
+  const int64_t patch_size = g.patch_size();
+  const bool serial = k == 1 && g.padding == 0;
+  auto dot = [&](const float* a, const float* b, int64_t n) {
+    float sum = 0.0f;
+    float comp = 0.0f;
+    for (int64_t i = 0; i < n; ++i) {
+      if (serial) {
+        sum += a[i] * b[i];
+      } else {
+        const float y = a[i] * b[i] - comp;
+        const float t = sum + y;
+        comp = (t - sum) - y;
+        sum = t;
+      }
+    }
+    return sum;
+  };
+  auto gather = [&](int64_t n, int64_t grp, int64_t oy, int64_t ox,
+                    std::vector<float>* patch) {
+    int64_t idx = 0;
+    for (int64_t c = 0; c < gi; ++c) {
+      for (int64_t ky = 0; ky < k; ++ky) {
+        for (int64_t kx = 0; kx < k; ++kx) {
+          const int64_t y = oy * g.stride - g.padding + ky;
+          const int64_t xx = ox * g.stride - g.padding + kx;
+          (*patch)[idx++] =
+              (y >= 0 && y < g.height && xx >= 0 && xx < g.width)
+                  ? x[((n * g.in_channels + grp * gi + c) * g.height + y) *
+                          g.width +
+                      xx]
+                  : 0.0f;
+        }
+      }
+    }
+  };
+  auto out_index = [&](int64_t n, int64_t oc, int64_t oy, int64_t ox) {
+    return ((n * g.out_channels + oc) * g.out_h + oy) * g.out_w + ox;
+  };
+
+  ConvRun run;
+  run.output.assign(static_cast<size_t>(g.batch * g.out_channels *
+                                        g.out_pixels()),
+                    0.0f);
+  run.grad_input.assign(x.size(), 0.0f);
+  run.grad_weight.assign(w.size(), 0.0f);
+  std::vector<float> patch(patch_size);
+  for (int64_t n = 0; n < g.batch; ++n) {
+    for (int64_t grp = 0; grp < g.groups; ++grp) {
+      for (int64_t oy = 0; oy < g.out_h; ++oy) {
+        for (int64_t ox = 0; ox < g.out_w; ++ox) {
+          gather(n, grp, oy, ox, &patch);
+          for (int64_t oc = grp * go; oc < (grp + 1) * go; ++oc) {
+            run.output[out_index(n, oc, oy, ox)] =
+                dot(w.data() + oc * patch_size, patch.data(), patch_size);
+          }
+        }
+      }
+    }
+  }
+
+  const int64_t grain = util::GrainForMaxChunks(g.batch, 8);
+  std::vector<float> wt(static_cast<size_t>(patch_size * go));
+  std::vector<float> gvec(static_cast<size_t>(go));
+  for (int64_t begin = 0; begin < g.batch; begin += grain) {
+    std::vector<float> gw(w.size(), 0.0f);
+    std::vector<float> comp(w.size(), 0.0f);
+    for (int64_t n = begin; n < std::min(g.batch, begin + grain); ++n) {
+      for (int64_t grp = 0; grp < g.groups; ++grp) {
+        for (int64_t oy = 0; oy < g.out_h; ++oy) {
+          for (int64_t ox = 0; ox < g.out_w; ++ox) {
+            gather(n, grp, oy, ox, &patch);
+            for (int64_t oc = 0; oc < go; ++oc) {
+              gvec[oc] = gout[out_index(n, grp * go + oc, oy, ox)];
+            }
+            for (int64_t oc = 0; oc < go; ++oc) {
+              if (gvec[oc] == 0.0f) {
+                continue;
+              }
+              const int64_t row = (grp * go + oc) * patch_size;
+              for (int64_t j = 0; j < patch_size; ++j) {
+                if (serial) {
+                  gw[row + j] += gvec[oc] * patch[j];
+                } else {
+                  const float y = gvec[oc] * patch[j] - comp[row + j];
+                  const float t = gw[row + j] + y;
+                  comp[row + j] = (t - gw[row + j]) - y;
+                  gw[row + j] = t;
+                }
+              }
+            }
+            int64_t idx = 0;
+            for (int64_t c = 0; c < gi; ++c) {
+              for (int64_t ky = 0; ky < k; ++ky) {
+                for (int64_t kx = 0; kx < k; ++kx, ++idx) {
+                  for (int64_t oc = 0; oc < go; ++oc) {
+                    wt[oc] = w[(grp * go + oc) * patch_size + idx];
+                  }
+                  const float v = dot(wt.data(), gvec.data(), go);
+                  const int64_t y = oy * g.stride - g.padding + ky;
+                  const int64_t xx = ox * g.stride - g.padding + kx;
+                  if (y >= 0 && y < g.height && xx >= 0 && xx < g.width) {
+                    run.grad_input[((n * g.in_channels + grp * gi + c) *
+                                        g.height +
+                                    y) *
+                                       g.width +
+                                   xx] += v;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    for (size_t j = 0; j < gw.size(); ++j) {
+      run.grad_weight[j] += gw[j];
+    }
+  }
+  return run;
+}
+
+ConvRun PlanDirectConv(const ConvPlan& plan, const std::vector<float>& x,
+                       const std::vector<float>& w,
+                       const std::vector<float>& gout, size_t threads) {
+  const ConvGeom& g = plan.geom();
+  util::ThreadPool pool(threads);
+  ConvRun run;
+  run.output.assign(static_cast<size_t>(g.batch * g.out_channels *
+                                        g.out_pixels()),
+                    -1.0f);
+  run.grad_input.assign(x.size(), 0.0f);
+  run.grad_weight.assign(w.size(), 0.0f);
+  plan.Forward(x.data(), w.data(), run.output.data(), &pool);
+  plan.Backward(x.data(), w.data(), gout.data(), run.grad_input.data(),
+                run.grad_weight.data(), &pool);
+  return run;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Random values with roughly one in five exactly zero (so the gout == 0
+/// skip and zero products are exercised), one of them -0.
+std::vector<float> RandomWithZeros(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(count);
+  for (float& f : v) {
+    f = rng.NextFloat() < 0.2f ? 0.0f : rng.NextFloat() * 2.0f - 1.0f;
+  }
+  if (!v.empty()) {
+    v[count / 2] = -0.0f;
+  }
+  return v;
+}
+
+void ExpectDirectKernelMatches(const ConvSpec& s) {
+  const int64_t out_h = (s.h + 2 * s.padding - s.kernel) / s.stride + 1;
+  const int64_t out_w = (s.w + 2 * s.padding - s.kernel) / s.stride + 1;
+  if (out_h <= 0 || out_w <= 0) {
+    return;
+  }
+  SCOPED_TRACE("b" + std::to_string(s.batch) + " conv " +
+               std::to_string(s.in_c) + "->" + std::to_string(s.out_c) +
+               " k" + std::to_string(s.kernel) + " s" +
+               std::to_string(s.stride) + " p" + std::to_string(s.padding) +
+               " g" + std::to_string(s.groups) + " " + std::to_string(s.h) +
+               "x" + std::to_string(s.w));
+  const ConvGeom geom{s.batch,  s.in_c, s.out_c, s.kernel, s.stride,
+                      s.padding, s.groups, s.h,   s.w,     out_h,
+                      out_w};
+  const ConvPlan plan(geom);
+  ASSERT_EQ(plan.algo(), ConvAlgo::kDirect);
+  const std::vector<float> x =
+      RandomWithZeros(static_cast<size_t>(s.batch * s.in_c * s.h * s.w), 61);
+  const std::vector<float> w = RandomWithZeros(
+      static_cast<size_t>(s.out_c * geom.patch_size()), 62);
+  const std::vector<float> gout = RandomWithZeros(
+      static_cast<size_t>(s.batch * s.out_c * out_h * out_w), 63);
+
+  const ConvRun ref = PlanDirectConv(plan, x, w, gout, 1);
+  std::vector<double> want;
+  NaiveConvForward(s, x, w, &want, out_h, out_w);
+  ExpectClose(ref.output.data(), want, 1e-5, "forward");
+
+  const ConvRun scalar = ScalarDirectConv(geom, x, w, gout);
+  EXPECT_TRUE(SameBits(ref.output, scalar.output)) << "forward";
+  EXPECT_TRUE(SameBits(ref.grad_input, scalar.grad_input)) << "grad_input";
+  EXPECT_TRUE(SameBits(ref.grad_weight, scalar.grad_weight))
+      << "grad_weight";
+
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    const ConvRun got = PlanDirectConv(plan, x, w, gout, threads);
+    EXPECT_TRUE(SameBits(got.output, ref.output)) << threads << " threads";
+    EXPECT_TRUE(SameBits(got.grad_input, ref.grad_input))
+        << threads << " threads";
+    EXPECT_TRUE(SameBits(got.grad_weight, ref.grad_weight))
+        << threads << " threads";
+  }
+}
+
+TEST(DirectConvTest, InfiniteInputsMatchScalarLoopBitForBit) {
+  // gout == 0 skips matter here: 0 * inf would add NaN. Every NaN these
+  // inputs can make is the default NaN, so the bits compare exactly.
+  for (const ConvSpec& s : {ConvSpec{3, 12, 3, 1, 1, 0, 1, 7, 7},
+                            ConvSpec{3, 6, 6, 3, 1, 1, 6, 7, 7},
+                            ConvSpec{3, 4, 6, 3, 1, 1, 1, 6, 6}}) {
+    const int64_t out = (s.h + 2 * s.padding - s.kernel) / s.stride + 1;
+    const ConvGeom geom{s.batch, s.in_c, s.out_c, s.kernel, s.stride,
+                        s.padding, s.groups, s.h, s.w, out, out};
+    std::vector<float> x = RandomWithZeros(
+        static_cast<size_t>(s.batch * s.in_c * s.h * s.w), 71);
+    for (size_t i = 0; i < x.size(); i += 37) {
+      x[i] = std::numeric_limits<float>::infinity();
+    }
+    const std::vector<float> w = RandomWithZeros(
+        static_cast<size_t>(s.out_c * geom.patch_size()), 72);
+    const std::vector<float> gout = RandomWithZeros(
+        static_cast<size_t>(s.batch * s.out_c * out * out), 73);
+    const ConvRun got = PlanDirectConv(ConvPlan(geom), x, w, gout, 2);
+    const ConvRun want = ScalarDirectConv(geom, x, w, gout);
+    EXPECT_TRUE(SameBits(got.output, want.output)) << s.in_c << "->" << s.out_c;
+    EXPECT_TRUE(SameBits(got.grad_input, want.grad_input))
+        << s.in_c << "->" << s.out_c;
+    EXPECT_TRUE(SameBits(got.grad_weight, want.grad_weight))
+        << s.in_c << "->" << s.out_c;
+  }
+}
+
+TEST(DirectConvTest, DepthwiseGrid) {
+  // Kernel 1 with padding 0 sums serially, unlike every other depthwise
+  // shape.
+  for (int64_t batch : {1, 3, 9}) {
+    for (int64_t kernel : {1, 3, 5}) {
+      for (int64_t stride : {1, 2}) {
+        for (int64_t pad : {0, 1}) {
+          for (auto [h, w] : {std::pair<int64_t, int64_t>{1, 1},
+                              {2, 2},
+                              {7, 7},
+                              {5, 9},
+                              {11, 6}}) {
+            ExpectDirectKernelMatches(
+                {batch, 6, 6, kernel, stride, pad, 6, h, w});
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DirectConvTest, PointwiseBelowGemmThreshold) {
+  for (int64_t batch : {1, 3, 9}) {
+    ExpectDirectKernelMatches({batch, 40, 160, 1, 1, 0, 1, 1, 1});
+    ExpectDirectKernelMatches({batch, 12, 3, 1, 1, 0, 1, 7, 7});
+    ExpectDirectKernelMatches({batch, 2, 12, 1, 1, 0, 1, 14, 14});
+    ExpectDirectKernelMatches({batch, 8, 12, 1, 1, 0, 1, 3, 5});
+    ExpectDirectKernelMatches({batch, 8, 8, 1, 1, 0, 2, 5, 5});
+    // Strided and padded 1x1 convs take the general loop.
+    ExpectDirectKernelMatches({batch, 8, 16, 1, 2, 0, 1, 4, 4});
+    ExpectDirectKernelMatches({batch, 4, 6, 1, 1, 1, 1, 3, 3});
+  }
+}
+
+TEST(DirectConvTest, GroupedAndSmallDense) {
+  for (int64_t batch : {1, 3, 9}) {
+    ExpectDirectKernelMatches({batch, 8, 12, 3, 2, 1, 4, 6, 6});
+    ExpectDirectKernelMatches({batch, 6, 3, 3, 1, 1, 3, 5, 7});
+    ExpectDirectKernelMatches({batch, 2, 3, 3, 1, 1, 1, 5, 5});
+    ExpectDirectKernelMatches({batch, 4, 6, 3, 1, 1, 1, 6, 6});
+    ExpectDirectKernelMatches({batch, 3, 4, 5, 2, 2, 1, 9, 8});
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@
 #include <utility>
 
 #include "models/zoo.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
+#include "util/thread_pool.h"
 
 namespace mmlib::models {
 namespace {
@@ -154,6 +157,82 @@ TEST(ZooTest, InitialWeightsMatchGoldenHashes) {
     auto model = BuildModel(config);
     ASSERT_TRUE(model.ok()) << model.status();
     EXPECT_EQ(model->ParamsHash().ToHex(), hex) << ArchitectureName(arch);
+  }
+}
+
+/// ParamsHash after three deterministic SGD steps at channel divisor 8.
+/// Every conv, BN, activation and pooling kernel feeds these values, so
+/// any change to a deterministic reduction order shows up here; the hashes
+/// must also hold at every pool size. The inputs carry exact zeros.
+std::string TrainedParamsHash(Architecture arch, int64_t image_size,
+                              size_t threads) {
+  ModelConfig config = DefaultConfig(arch);
+  config.channel_divisor = 8;
+  config.image_size = image_size;
+  config.num_classes = 10;
+  auto model = BuildModel(config);
+  EXPECT_TRUE(model.ok()) << model.status();
+  util::ThreadPool pool(threads);
+  nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(5);
+  ctx.set_pool(&pool);
+  ctx.set_training(true);
+  nn::SgdOptimizer sgd(&model.value(), nn::SgdOptions{});
+  Rng rng(17);
+  for (int step = 0; step < 3; ++step) {
+    Tensor input =
+        Tensor::Gaussian(Shape{3, 3, image_size, image_size}, 1.0f, &rng);
+    for (int64_t i = 0; i < input.numel(); ++i) {
+      if (input.data()[i] < -0.5f) {
+        input.data()[i] = 0.0f;
+      }
+    }
+    const std::vector<int64_t> labels = {step % 10, (step + 3) % 10, 7};
+    sgd.ZeroGrad();
+    auto logits = model->Forward(input, &ctx);
+    EXPECT_TRUE(logits.ok()) << logits.status();
+    auto loss = nn::SoftmaxCrossEntropy(*logits, labels);
+    EXPECT_TRUE(loss.ok()) << loss.status();
+    auto grad = model->Backward(loss->grad_logits, &ctx);
+    EXPECT_TRUE(grad.ok()) << grad.status();
+    sgd.Step();
+  }
+  return model->ParamsHash().ToHex();
+}
+
+TEST(ZooTest, TrainingStepsMatchGoldenHashes) {
+  struct Golden {
+    Architecture arch;
+    int64_t image_size;
+    std::string hex;
+  };
+  const Golden kGolden[] = {
+      {Architecture::kMobileNetV2, 28,
+       "bc9412d40bc52e53a1b3897a57043435d0533fea30bbca6df00e55ad51432716"},
+      {Architecture::kMobileNetV2, 33,
+       "f89352b28f539a1325eb3a3a9f83a4d00b4dd8a8e56e243be0bc8d247df4ba64"},
+      {Architecture::kGoogLeNet, 28,
+       "9666ffb16fe343ea09a23cf51c0167c2eac54f985cbeb7ac80aa36f94b0414ba"},
+      {Architecture::kGoogLeNet, 33,
+       "082e6ceda33e0d5dc5268ed1d2737aec39320c6f6b07d2157b090ba041c4d62c"},
+      {Architecture::kResNet18, 28,
+       "561b2349a3137f7ede079fb1fb748ff03572038caee8a0e8b32a0b7b2bfc3480"},
+      {Architecture::kResNet18, 33,
+       "4b80f4fe1f0b4891cf0b5d7a661dcd937196cdc7178bd9b4a2bf43aaed9de327"},
+      {Architecture::kResNet50, 28,
+       "fa6b8da992a03d6d310689fb83db35f8ed5a6b5035eae1fdbaafd6fa79b41f62"},
+      {Architecture::kResNet50, 33,
+       "eeb3bd44ee7d6acb7d03be343f2ecb53dbfbf6a7211b9d874aa4b4795780e39c"},
+      {Architecture::kResNet152, 28,
+       "bc7dfac10273800594d5e9d8f61a74a23bf9c444b40fe2d2c5c4e46376a99a79"},
+      {Architecture::kResNet152, 33,
+       "25f942cd5ee9774b21effdfcc9a761900f34e3a7652e4b61de4e1a23d9cbf3cc"},
+  };
+  for (const Golden& g : kGolden) {
+    for (size_t threads : {1, 3}) {
+      EXPECT_EQ(TrainedParamsHash(g.arch, g.image_size, threads), g.hex)
+          << ArchitectureName(g.arch) << " at " << g.image_size << " px, "
+          << threads << " threads";
+    }
   }
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -420,6 +424,59 @@ TEST(ReLUTest, Relu6Clips) {
   EXPECT_FLOAT_EQ(grads[0].at(0), 0.0f);
   EXPECT_FLOAT_EQ(grads[0].at(1), 1.0f);
   EXPECT_FLOAT_EQ(grads[0].at(2), 0.0f);
+}
+
+/// Scalar ReLU/ReLU6 with explicit branches: the reference semantics the
+/// branch-free kernel must reproduce bit for bit.
+float ReferenceReluForward(float v, float clip) {
+  if (v < 0.0f) {
+    v = 0.0f;
+  } else if (clip > 0.0f && v > clip) {
+    v = clip;
+  }
+  return v;
+}
+
+float ReferenceReluBackward(float v, float g, float clip) {
+  const bool pass = v > 0.0f && (clip <= 0.0f || v < clip);
+  return pass ? g : 0.0f;
+}
+
+TEST(ReLUTest, BranchFreeKernelMatchesScalarSemanticsBitForBit) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> values = {
+      0.0f, -0.0f, nan, -nan, inf, -inf, 6.0f, std::nextafter(6.0f, 0.0f),
+      std::nextafter(6.0f, 7.0f), std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(), 1.0f, -1.0f};
+  Rng rng(23);
+  // Random signs and magnitudes around the clip, past any vector width.
+  while (values.size() < 1037) {
+    values.push_back(rng.NextUniform(-9.0f, 9.0f));
+  }
+  const int64_t n = static_cast<int64_t>(values.size());
+  Tensor input(Shape{n}, values);
+  std::vector<float> gvals(values.size());
+  for (size_t i = 0; i < gvals.size(); ++i) {
+    gvals[i] = i % 7 == 0 ? -0.0f : rng.NextUniform(-2.0f, 2.0f);
+  }
+  gvals[2] = nan;
+  const Tensor grad_out(Shape{n}, gvals);
+  auto bits = [](float f) { return std::bit_cast<uint32_t>(f); };
+  for (float clip : {0.0f, 6.0f}) {
+    ReLU relu("r", clip);
+    ExecutionContext ctx = DetCtx();
+    const Tensor output = relu.Forward({&input}, &ctx).value();
+    const Tensor grad_in = relu.Backward(grad_out, &ctx).value()[0];
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(bits(output.at(i)),
+                bits(ReferenceReluForward(values[i], clip)))
+          << "forward, clip " << clip << ", input " << values[i];
+      ASSERT_EQ(bits(grad_in.at(i)),
+                bits(ReferenceReluBackward(values[i], gvals[i], clip)))
+          << "backward, clip " << clip << ", input " << values[i];
+    }
+  }
 }
 
 TEST(DropoutTest, IdentityWhenNotTraining) {
