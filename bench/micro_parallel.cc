@@ -1,7 +1,8 @@
 /// Thread-pool scaling microbenchmark: sweeps MMLIB-style pool sizes over
 /// the parallelized pipelines (dense and depthwise conv and linear forward
-/// and backward through the kernel-plan layer, Merkle-leaf hashing, chunked
-/// codec encode), verifies
+/// and backward through the kernel-plan layer, batch-norm forward and
+/// backward, the SGD step after a pooled training pass, Merkle-leaf
+/// hashing, chunked codec encode), verifies
 /// that every result is bit-identical to the 1-thread run (the
 /// deterministic-chunking contract), and writes the measurements to
 /// BENCH_parallel.json.
@@ -18,8 +19,11 @@
 #include "compress/chunked.h"
 #include "json/json.h"
 #include "models/zoo.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
 #include "util/clock.h"
 #include "util/thread_pool.h"
 
@@ -206,6 +210,114 @@ Section BenchLinearBackward() {
   return section;
 }
 
+/// MobileNetV2's widest batch norm at 28 x 28 (the depthwise sections'
+/// shape), in training mode.
+const Shape kBatchNormShape{8, 96, 28, 28};
+
+Section BenchBatchNormForward() {
+  Rng input_rng(41);
+  const Tensor input = Tensor::Gaussian(kBatchNormShape, 1.0f, &input_rng);
+
+  Section section{"batchnorm_forward", {}};
+  Tensor ref_output;
+  Tensor ref_mean;
+  Tensor ref_var;
+  for (size_t threads : kThreadSweep) {
+    util::ThreadPool pool(threads);
+    nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(3);
+    ctx.set_pool(&pool);
+    // A fresh layer per pool: every sweep updates the running statistics
+    // the same number of times.
+    nn::BatchNorm2d bn("bench", kBatchNormShape.dim(1));
+    Tensor output;
+    const double seconds = TimeOp(10, [&] {
+      output = bn.Forward({&input}, &ctx).value();
+    });
+    const Tensor& running_mean = bn.params()[2].value;
+    const Tensor& running_var = bn.params()[3].value;
+    if (threads == 1) {
+      ref_output = output;
+      ref_mean = running_mean;
+      ref_var = running_var;
+    }
+    section.results.push_back({threads, seconds,
+                               SameBits(output, ref_output) &&
+                                   SameBits(running_mean, ref_mean) &&
+                                   SameBits(running_var, ref_var)});
+  }
+  return section;
+}
+
+Section BenchBatchNormBackward() {
+  Rng input_rng(51);
+  const Tensor input = Tensor::Gaussian(kBatchNormShape, 1.0f, &input_rng);
+  Rng gout_rng(52);
+  const Tensor gout = Tensor::Gaussian(kBatchNormShape, 1.0f, &gout_rng);
+  nn::BatchNorm2d bn("bench", kBatchNormShape.dim(1));
+
+  Section section{"batchnorm_backward", {}};
+  Tensor ref_gin;
+  Tensor ref_gamma;
+  Tensor ref_beta;
+  for (size_t threads : kThreadSweep) {
+    util::ThreadPool pool(threads);
+    nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(3);
+    ctx.set_pool(&pool);
+    (void)bn.Forward({&input}, &ctx).value();
+    Tensor grad_input;
+    const double seconds = TimeOp(10, [&] {
+      bn.ZeroGrad();
+      grad_input = std::move(bn.Backward(gout, &ctx).value()[0]);
+    });
+    const Tensor& grad_gamma = bn.params()[0].grad;
+    const Tensor& grad_beta = bn.params()[1].grad;
+    if (threads == 1) {
+      ref_gin = grad_input;
+      ref_gamma = grad_gamma;
+      ref_beta = grad_beta;
+    }
+    section.results.push_back({threads, seconds,
+                               SameBits(grad_input, ref_gin) &&
+                                   SameBits(grad_gamma, ref_gamma) &&
+                                   SameBits(grad_beta, ref_beta)});
+  }
+  return section;
+}
+
+/// Times the SGD update (momentum and weight decay) of the `mpa_replay`
+/// MobileNetV2 after one deterministic forward and backward on the pool;
+/// the updated parameters must hash alike at every pool size.
+Section BenchSgdStep() {
+  const models::ModelConfig config =
+      bench::TrainScaleModel(models::Architecture::kMobileNetV2);
+  Rng input_rng(61);
+  const Tensor input = Tensor::Gaussian(
+      Shape{4, 3, config.image_size, config.image_size}, 1.0f, &input_rng);
+  const std::vector<int64_t> labels = {3, 1, 4, 1};
+
+  Section section{"sgd_step", {}};
+  Digest reference;
+  for (size_t threads : kThreadSweep) {
+    util::ThreadPool pool(threads);
+    nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(3);
+    ctx.set_pool(&pool);
+    nn::Model model = models::BuildModel(config).value();
+    nn::SgdOptimizer sgd(&model, nn::SgdOptions{0.001f, 0.9f, 1e-4f});
+    sgd.ZeroGrad();
+    const Tensor logits = model.Forward(input, &ctx).value();
+    const nn::LossResult loss =
+        nn::SoftmaxCrossEntropy(logits, labels).value();
+    (void)model.Backward(loss.grad_logits, &ctx).value();
+    const double seconds = TimeOp(20, [&] { sgd.Step(); });
+    const Digest digest = model.ParamsHash();
+    if (threads == 1) {
+      reference = digest;
+    }
+    section.results.push_back({threads, seconds, digest == reference});
+  }
+  return section;
+}
+
 Section BenchMerkleBuild() {
   models::ModelConfig config =
       models::DefaultConfig(models::Architecture::kMobileNetV2);
@@ -301,6 +413,9 @@ int main(int argc, char** argv) {
       BenchConvBackward("depthwise_backward", kDepthwiseConv),
       BenchLinearForward(),
       BenchLinearBackward(),
+      BenchBatchNormForward(),
+      BenchBatchNormBackward(),
+      BenchSgdStep(),
       BenchMerkleBuild(),
       BenchCodecEncode()};
 

@@ -1,5 +1,6 @@
 #include "compress/codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "compress/huffman.h"
@@ -19,21 +20,32 @@ void WriteVarint(Bytes* out, uint64_t v) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-Result<uint64_t> ReadVarint(const Bytes& in, size_t* pos) {
+/// Reads a varint at *pos into *value; false when it runs past the input
+/// or past 64 bits. Inline, without a Result, for the LZ77 token loop.
+inline bool NextVarint(const Bytes& in, size_t* pos, uint64_t* value) {
   uint64_t v = 0;
   int shift = 0;
   while (*pos < in.size()) {
     const uint8_t byte = in[(*pos)++];
     v |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
-      return v;
+      *value = v;
+      return true;
     }
     shift += 7;
     if (shift > 63) {
       break;
     }
   }
-  return Status::Corruption("truncated varint");
+  return false;
+}
+
+Result<uint64_t> ReadVarint(const Bytes& in, size_t* pos) {
+  uint64_t v = 0;
+  if (!NextVarint(in, pos, &v)) {
+    return Status::Corruption("truncated varint");
+  }
+  return v;
 }
 
 }  // namespace
@@ -185,6 +197,22 @@ constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 1024;
 constexpr size_t kHashBits = 16;
 constexpr size_t kMaxChainDepth = 32;
+/// Most output bytes per stream byte a well-formed stream decodes to: a
+/// kMaxMatch match in a four-byte token.
+constexpr size_t kMaxExpansion = kMaxMatch / 4;
+
+/// memcpy of two ranges that do not overlap; tokens are mostly a few
+/// bytes, which a plain loop copies without a call.
+inline void CopyBytes(const uint8_t* __restrict src, uint8_t* __restrict dst,
+                      size_t len) {
+  if (len > 32) {
+    std::memcpy(dst, src, len);
+    return;
+  }
+  for (size_t k = 0; k < len; ++k) {
+    dst[k] = src[k];
+  }
+}
 
 inline uint32_t HashQuad(const uint8_t* p) {
   uint32_t v;
@@ -274,38 +302,69 @@ Result<Bytes> Lz77Codec::Compress(const Bytes& input) const {
 
 Result<Bytes> Lz77Codec::Decompress(const Bytes& input,
                                     size_t max_output) const {
+  // A bounded call (Unframe passes the header's size) writes into an
+  // output sized up front: the bound, capped at the most a well-formed
+  // stream of this length can expand to, so a corrupted size field cannot
+  // reserve memory the stream could never fill. Unbounded calls start
+  // empty. Either way the output doubles when a token needs more room.
   Bytes out;
+  if (max_output < kDefaultMaxOutput) {
+    out.resize(std::min(max_output, input.size() * kMaxExpansion));
+  }
+  size_t size = 0;
+  auto room = [&](uint64_t len) {
+    if (len > out.size() - size) {
+      out.resize(std::min(max_output,
+                          std::max<size_t>(size + len, 2 * out.size())));
+    }
+  };
   size_t pos = 0;
+  uint64_t len = 0;
+  uint64_t dist = 0;
   while (pos < input.size()) {
     const uint8_t tag = input[pos++];
     if (tag == 0x00) {
-      MMLIB_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(input, &pos));
+      if (!NextVarint(input, &pos, &len)) {
+        return Status::Corruption("truncated varint");
+      }
       if (pos + len > input.size()) {
         return Status::Corruption("LZ77 literal run truncated");
       }
-      if (len > max_output - out.size()) {
+      if (len > max_output - size) {
         return Status::Corruption("LZ77 output exceeds limit");
       }
-      out.insert(out.end(), input.begin() + pos, input.begin() + pos + len);
+      room(len);
+      CopyBytes(input.data() + pos, out.data() + size, len);
+      size += len;
       pos += len;
     } else if (tag == 0x01) {
-      MMLIB_ASSIGN_OR_RETURN(uint64_t len, ReadVarint(input, &pos));
-      MMLIB_ASSIGN_OR_RETURN(uint64_t dist, ReadVarint(input, &pos));
-      if (dist == 0 || dist > out.size()) {
+      if (!NextVarint(input, &pos, &len) ||
+          !NextVarint(input, &pos, &dist)) {
+        return Status::Corruption("truncated varint");
+      }
+      if (dist == 0 || dist > size) {
         return Status::Corruption("LZ77 match distance out of range");
       }
-      if (len > max_output - out.size()) {
+      if (len > max_output - size) {
         return Status::Corruption("LZ77 output exceeds limit");
       }
-      // Byte-by-byte copy: matches may overlap their own output.
-      size_t src = out.size() - dist;
-      for (uint64_t k = 0; k < len; ++k) {
-        out.push_back(out[src + k]);
+      room(len);
+      uint8_t* dst = out.data() + size;
+      const uint8_t* src = dst - dist;
+      if (dist >= len) {
+        CopyBytes(src, dst, len);
+      } else {
+        // Byte by byte: the match overlaps its own output.
+        for (uint64_t k = 0; k < len; ++k) {
+          dst[k] = src[k];
+        }
       }
+      size += len;
     } else {
       return Status::Corruption("invalid LZ77 token tag");
     }
   }
+  out.resize(size);
   return out;
 }
 

@@ -1,9 +1,18 @@
 #include "nn/batchnorm.h"
 
+#include "kernels/batchnorm.h"
 #include "tensor/validate.h"
-#include <cmath>
 
 namespace mmlib::nn {
+
+namespace {
+
+kernels::BatchNormDims Dims(const Tensor& x) {
+  return {x.shape().dim(0), x.shape().dim(1),
+          x.shape().dim(2) * x.shape().dim(3)};
+}
+
+}  // namespace
 
 BatchNorm2d::BatchNorm2d(std::string name, int64_t channels, float momentum,
                          float epsilon)
@@ -29,115 +38,31 @@ Result<Tensor> BatchNorm2d::Forward(const std::vector<const Tensor*>& inputs,
                                    x.shape().ToString());
   }
   cached_input_ = x;
-  const int64_t batch = x.shape().dim(0);
-  const int64_t height = x.shape().dim(2);
-  const int64_t width = x.shape().dim(3);
-  const int64_t plane = height * width;
-  const int64_t count = batch * plane;
-
-  const float* gamma = params_[0].value.data();
-  const float* beta = params_[1].value.data();
-  float* running_mean = params_[2].value.data();
-  float* running_var = params_[3].value.data();
-
-  batch_mean_.assign(channels_, 0.0f);
-  batch_inv_std_.assign(channels_, 0.0f);
-
+  batch_mean_.resize(channels_);
+  batch_inv_std_.resize(channels_);
   Tensor y(x.shape());
-  for (int64_t c = 0; c < channels_; ++c) {
-    float mean;
-    float var;
-    // A frozen batch-norm layer (fine-tuning a partially updated model
-    // version) behaves as in eval mode: it uses its running statistics and
-    // does not update its buffers, so frozen layers stay bit-identical
-    // across training — the property the PUA's layer diff relies on.
-    const bool use_batch_stats = ctx->training() && params_[0].trainable;
-    if (use_batch_stats) {
-      // Batch statistics in fixed (n, y, x) order: deterministic given the
-      // same input batch.
-      double sum = 0.0;
-      for (int64_t n = 0; n < batch; ++n) {
-        const float* p = x.data() + ((n * channels_ + c) * plane);
-        for (int64_t i = 0; i < plane; ++i) {
-          sum += p[i];
-        }
-      }
-      mean = static_cast<float>(sum / count);
-      double var_sum = 0.0;
-      for (int64_t n = 0; n < batch; ++n) {
-        const float* p = x.data() + ((n * channels_ + c) * plane);
-        for (int64_t i = 0; i < plane; ++i) {
-          const double d = p[i] - mean;
-          var_sum += d * d;
-        }
-      }
-      var = static_cast<float>(var_sum / count);
-      running_mean[c] = (1.0f - momentum_) * running_mean[c] + momentum_ * mean;
-      running_var[c] = (1.0f - momentum_) * running_var[c] + momentum_ * var;
-    } else {
-      mean = running_mean[c];
-      var = running_var[c];
-    }
-    const float inv_std = 1.0f / std::sqrt(var + epsilon_);
-    batch_mean_[c] = mean;
-    batch_inv_std_[c] = inv_std;
-    const float scale = gamma[c] * inv_std;
-    const float shift = beta[c] - mean * scale;
-    for (int64_t n = 0; n < batch; ++n) {
-      const float* p = x.data() + ((n * channels_ + c) * plane);
-      float* q = y.data() + ((n * channels_ + c) * plane);
-      for (int64_t i = 0; i < plane; ++i) {
-        q[i] = p[i] * scale + shift;
-      }
-    }
-  }
+  // A frozen batch-norm layer (fine-tuning a partially updated model
+  // version) behaves as in eval mode: it uses its running statistics and
+  // does not update its buffers, so frozen layers stay bit-identical
+  // across training — the property the PUA's layer diff relies on.
+  const bool batch_stats = ctx->training() && params_[0].trainable;
+  kernels::BatchNormForward(
+      Dims(x), x.data(), params_[0].value.data(), params_[1].value.data(),
+      batch_stats, momentum_, epsilon_, params_[2].value.data(),
+      params_[3].value.data(), y.data(), batch_mean_.data(),
+      batch_inv_std_.data(), ctx->pool());
   return y;
 }
 
 Result<std::vector<Tensor>> BatchNorm2d::Backward(const Tensor& grad_output,
                                                   ExecutionContext* ctx) {
-  (void)ctx;
   const Tensor& x = cached_input_;
-  const int64_t batch = x.shape().dim(0);
-  const int64_t plane = x.shape().dim(2) * x.shape().dim(3);
-  const int64_t count = batch * plane;
-
-  const float* gamma = params_[0].value.data();
-  float* grad_gamma = params_[0].grad.data();
-  float* grad_beta = params_[1].grad.data();
-
   Tensor grad_input(x.shape());
-  for (int64_t c = 0; c < channels_; ++c) {
-    const float mean = batch_mean_[c];
-    const float inv_std = batch_inv_std_[c];
-    // Accumulate per-channel sums of grad and grad*xhat.
-    double sum_g = 0.0;
-    double sum_gx = 0.0;
-    for (int64_t n = 0; n < batch; ++n) {
-      const float* p = x.data() + ((n * channels_ + c) * plane);
-      const float* g = grad_output.data() + ((n * channels_ + c) * plane);
-      for (int64_t i = 0; i < plane; ++i) {
-        const float xhat = (p[i] - mean) * inv_std;
-        sum_g += g[i];
-        sum_gx += g[i] * xhat;
-      }
-    }
-    grad_beta[c] += static_cast<float>(sum_g);
-    grad_gamma[c] += static_cast<float>(sum_gx);
-
-    const float mean_g = static_cast<float>(sum_g / count);
-    const float mean_gx = static_cast<float>(sum_gx / count);
-    const float scale = gamma[c] * inv_std;
-    for (int64_t n = 0; n < batch; ++n) {
-      const float* p = x.data() + ((n * channels_ + c) * plane);
-      const float* g = grad_output.data() + ((n * channels_ + c) * plane);
-      float* q = grad_input.data() + ((n * channels_ + c) * plane);
-      for (int64_t i = 0; i < plane; ++i) {
-        const float xhat = (p[i] - mean) * inv_std;
-        q[i] = scale * (g[i] - mean_g - xhat * mean_gx);
-      }
-    }
-  }
+  kernels::BatchNormBackward(Dims(x), x.data(), grad_output.data(),
+                             params_[0].value.data(), batch_mean_.data(),
+                             batch_inv_std_.data(), grad_input.data(),
+                             params_[0].grad.data(), params_[1].grad.data(),
+                             ctx->pool());
   std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
   return grads;

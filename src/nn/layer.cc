@@ -1,5 +1,7 @@
 #include "nn/layer.h"
 
+#include "kernels/sgd.h"
+
 namespace mmlib::nn {
 
 int64_t Layer::TrainableParamCount() const {
@@ -39,7 +41,7 @@ bool Layer::HasTrainableParams() const {
 
 void Layer::ZeroGrad() {
   for (Param& p : params_) {
-    p.grad.Fill(0.0f);
+    kernels::ZeroFill(p.grad.data(), p.grad.numel());
   }
 }
 

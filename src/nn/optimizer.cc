@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "kernels/sgd.h"
+
 namespace mmlib::nn {
 
 SgdOptimizer::SgdOptimizer(Model* model, SgdOptions options)
@@ -28,18 +30,10 @@ void SgdOptimizer::Step() {
     if (!param.trainable) {
       continue;
     }
-    float* value = param.value.data();
-    const float* grad = param.grad.data();
-    float* velocity = slot.velocity.data();
-    const int64_t n = param.value.numel();
-    const float lr = options_.learning_rate;
-    const float mu = options_.momentum;
-    const float wd = options_.weight_decay;
-    for (int64_t i = 0; i < n; ++i) {
-      const float g = grad[i] + wd * value[i];
-      velocity[i] = mu * velocity[i] + g;
-      value[i] -= lr * velocity[i];
-    }
+    kernels::SgdStep(param.value.data(), param.grad.data(),
+                     slot.velocity.data(), param.value.numel(),
+                     options_.learning_rate, options_.momentum,
+                     options_.weight_decay);
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "compress/codec.h"
 #include "compress/huffman.h"
 #include "util/random.h"
@@ -119,6 +122,131 @@ TEST(CodecTest, Lz77HandlesOverlappingMatches) {
   const Bytes compressed = codec->Compress(payload).value();
   EXPECT_LT(compressed.size(), 100u);
   EXPECT_EQ(codec->Decompress(compressed).value(), payload);
+}
+
+/// The LZ77 decoder as it was before its fast path: append byte by byte.
+/// Returns nullopt where it returned an error.
+std::optional<Bytes> ReferenceLz77Decode(const Bytes& input,
+                                         size_t max_output) {
+  auto read_varint = [&](size_t* pos) -> std::optional<uint64_t> {
+    uint64_t v = 0;
+    int shift = 0;
+    while (*pos < input.size()) {
+      const uint8_t byte = input[(*pos)++];
+      v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        return v;
+      }
+      shift += 7;
+      if (shift > 63) {
+        break;
+      }
+    }
+    return std::nullopt;
+  };
+  Bytes out;
+  size_t pos = 0;
+  while (pos < input.size()) {
+    const uint8_t tag = input[pos++];
+    if (tag == 0x00) {
+      const std::optional<uint64_t> len = read_varint(&pos);
+      if (!len || pos + *len > input.size() ||
+          *len > max_output - out.size()) {
+        return std::nullopt;
+      }
+      out.insert(out.end(), input.begin() + pos, input.begin() + pos + *len);
+      pos += *len;
+    } else if (tag == 0x01) {
+      const std::optional<uint64_t> len = read_varint(&pos);
+      if (!len) {
+        return std::nullopt;
+      }
+      const std::optional<uint64_t> dist = read_varint(&pos);
+      if (!dist || *dist == 0 || *dist > out.size() ||
+          *len > max_output - out.size()) {
+        return std::nullopt;
+      }
+      const size_t src = out.size() - *dist;
+      for (uint64_t k = 0; k < *len; ++k) {
+        out.push_back(out[src + k]);
+      }
+    } else {
+      return std::nullopt;
+    }
+  }
+  return out;
+}
+
+/// Smooth rows with noise and flat patches, like the synthetic images the
+/// dataset archives hold.
+Bytes PhotoLikePayload(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(size);
+  for (size_t i = 0; i < size; ++i) {
+    const size_t x = i % 96;
+    const size_t y = i / 96;
+    const int base = static_cast<int>((x * 2 + y) % 200) +
+                     ((y / 8) % 3 == 0 ? 40 : 0);
+    data[i] = static_cast<uint8_t>(base + static_cast<int>(rng.NextBelow(6)));
+  }
+  return data;
+}
+
+TEST(CodecTest, Lz77DecoderMatchesByteByByteReference) {
+  const Codec* codec = Codec::ForKind(CodecKind::kLz77);
+  std::vector<Bytes> payloads = {
+      MakePayload("random", 50000, 31), PhotoLikePayload(141000, 32),
+      MakePayload("zeros", 70000, 33),  MakePayload("text", 60000, 34),
+      MakePayload("periodic", 5000, 35), MakePayload("runs", 9000, 36),
+      Bytes()};
+  for (const Bytes& payload : payloads) {
+    SCOPED_TRACE(payload.size());
+    const Bytes compressed = codec->Compress(payload).value();
+    // Unbounded, bounded by the exact size (as Unframe calls it), and
+    // bounded with room to spare.
+    for (size_t max_output : {Codec::kDefaultMaxOutput, payload.size(),
+                              payload.size() * 3 + 7}) {
+      const std::optional<Bytes> want =
+          ReferenceLz77Decode(compressed, max_output);
+      ASSERT_TRUE(want.has_value());
+      EXPECT_EQ(*want, payload);
+      EXPECT_EQ(codec->Decompress(compressed, max_output).value(), *want);
+    }
+    EXPECT_EQ(Codec::Unframe(codec->Frame(payload).value()).value(), payload);
+    // A bound one byte short fails in both.
+    if (!payload.empty()) {
+      EXPECT_FALSE(ReferenceLz77Decode(compressed, payload.size() - 1));
+      EXPECT_EQ(codec->Decompress(compressed, payload.size() - 1)
+                    .status()
+                    .code(),
+                StatusCode::kCorruption);
+    }
+  }
+}
+
+TEST(CodecTest, Lz77DecoderRejectsWhatReferenceRejects) {
+  const Codec* codec = Codec::ForKind(CodecKind::kLz77);
+  const Bytes compressed =
+      codec->Compress(MakePayload("text", 4000, 37)).value();
+  Rng rng(38);
+  for (int trial = 0; trial < 300; ++trial) {
+    Bytes damaged = compressed;
+    const size_t at = rng.NextBelow(damaged.size());
+    damaged[at] = static_cast<uint8_t>(rng.NextBelow(256));
+    if (trial % 3 == 0) {
+      damaged.resize(rng.NextBelow(damaged.size()));
+    }
+    for (size_t max_output : {Codec::kDefaultMaxOutput, size_t{4000}}) {
+      const std::optional<Bytes> want = ReferenceLz77Decode(damaged, max_output);
+      const Result<Bytes> got = codec->Decompress(damaged, max_output);
+      ASSERT_EQ(got.ok(), want.has_value()) << trial;
+      if (want) {
+        EXPECT_EQ(got.value(), *want) << trial;
+      } else {
+        EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << trial;
+      }
+    }
+  }
 }
 
 TEST(CodecTest, UnframeDetectsPayloadCorruption) {

@@ -131,6 +131,11 @@ TEST(DeterminismAuditorTest, ResetStartsANewReference) {
 }
 
 TEST(DeterminismAuditorDeathTest, FatalModeAbortsOnDivergence) {
+  // The runs below start the process-wide pool's worker threads. A plain
+  // fork() can copy a pool mutex that a worker holds at that instant, and
+  // the child then blocks on it; the threadsafe style re-executes the
+  // binary for the death statement instead.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   nn::Model model = SmallMlp();
   const Tensor input = SmallInput();
   DeterminismAuditOptions options;

@@ -615,6 +615,20 @@ TEST(DirectConvTest, DepthwiseGrid) {
   }
 }
 
+TEST(DirectConvTest, DepthwiseChannelCounts) {
+  // Depthwise backward rounds the channel lanes up to a multiple of four;
+  // counts around that boundary, and MobileNetV2's, keep the extra lanes
+  // out of every result.
+  for (int64_t channels : {1, 3, 4, 5, 9, 12, 18, 72}) {
+    for (int64_t stride : {1, 2}) {
+      ExpectDirectKernelMatches(
+          {4, channels, channels, 3, stride, 1, channels, 7, 7});
+      ExpectDirectKernelMatches(
+          {2, channels, channels, 3, stride, 1, channels, 2, 2});
+    }
+  }
+}
+
 TEST(DirectConvTest, PointwiseBelowGemmThreshold) {
   for (int64_t batch : {1, 3, 9}) {
     ExpectDirectKernelMatches({batch, 40, 160, 1, 1, 0, 1, 1, 1});

@@ -1,4 +1,4 @@
-"""Token-layer rules: the nine legacy tools/lint.py rules, re-run on the
+"""Token-layer rules: the nine rules of the old regex lint, re-run on the
 real token stream from mmlint.lexer so they can never fire inside a comment,
 string literal, raw string, or macro definition body.
 

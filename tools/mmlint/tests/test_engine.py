@@ -4,8 +4,6 @@ repo-lints-clean invariant, output formats, and the legacy shim."""
 import contextlib
 import io
 import json
-import subprocess
-import sys
 import tempfile
 import unittest
 from pathlib import Path
@@ -178,17 +176,6 @@ class CliTest(unittest.TestCase):
     def test_nonexistent_path_is_usage_error(self):
         code, _, _ = run_cli(["no/such/path.cc"])
         self.assertEqual(code, 2)
-
-
-class LegacyShimTest(unittest.TestCase):
-    def test_tools_lint_py_still_runs(self):
-        proc = subprocess.run(
-            [sys.executable, str(engine.REPO_ROOT / "tools" / "lint.py"),
-             "--list-rules"],
-            capture_output=True, text=True, cwd=engine.REPO_ROOT)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("no-assert", proc.stdout)
-        self.assertIn("deprecated", proc.stderr.lower())
 
 
 if __name__ == "__main__":
