@@ -2,7 +2,13 @@
 /// and approaches. Panels follow the paper: (a) MobileNetV2 fully updated,
 /// (b) MobileNetV2 partially updated, (c) ResNet-152 partially updated.
 /// All U3 models are trained on CO-512.
+///
+/// `--check` gates the figure's shape on the mean U3 TTS: it exits non-zero
+/// unless PUA saves faster than BA in panels (b) and (c), where only part
+/// of each model changes, and MPA saves slower than BA in panels (a) and
+/// (b), where MobileNetV2's dataset outweighs its parameters.
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_common.h"
 
@@ -14,7 +20,14 @@ namespace {
 
 constexpr int kRuns = 5;  // median of five runs, as in the paper
 
-void Panel(const char* panel_id, models::Architecture arch,
+/// Mean U3 TTS of each approach in one panel, in seconds.
+struct PanelMeans {
+  double ba = 0;
+  double pua = 0;
+  double mpa = 0;
+};
+
+PanelMeans Panel(const char* panel_id, models::Architecture arch,
            ModelRelation relation) {
   std::printf("--- Figure 10(%s): %s, %s versions, CO-512 ---\n", panel_id,
               std::string(models::ArchitectureName(arch)).c_str(),
@@ -65,37 +78,71 @@ void Panel(const char* panel_id, models::Architecture arch,
   }
   table.Print(std::cout);
 
-  double ba = 0;
-  double pua = 0;
-  double mpa = 0;
+  PanelMeans means;
   int count = 0;
   for (const std::string& label : results[0][0].Labels()) {
     if (label == "U1" || label == "U2") {
       continue;
     }
-    ba += median_tts(results[0], label);
-    pua += median_tts(results[1], label);
-    mpa += median_tts(results[2], label);
+    means.ba += median_tts(results[0], label);
+    means.pua += median_tts(results[1], label);
+    means.mpa += median_tts(results[2], label);
     ++count;
   }
+  means.ba /= count;
+  means.pua /= count;
+  means.mpa /= count;
   std::printf("mean U3 TTS vs BA:  PUA %s   MPA %s\n\n",
-              Pct(pua / ba - 1.0).c_str(), Pct(mpa / ba - 1.0).c_str());
+              Pct(means.pua / means.ba - 1.0).c_str(),
+              Pct(means.mpa / means.ba - 1.0).c_str());
+  return means;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
+      return 2;
+    }
+  }
+
   PrintHeader(
       "Figure 10", "Median time-to-save (TTS) across approaches",
       "Paper headline numbers: PUA beats BA by up to 28.5% (MobileNetV2)\n"
       "and 51.7% (ResNet-152) for partially updated versions; MPA can beat\n"
       "both by up to 15.8% when its payload is small, and loses badly when\n"
       "the dataset dominates.");
-  Panel("a", models::Architecture::kMobileNetV2,
-        ModelRelation::kFullyUpdated);
-  Panel("b", models::Architecture::kMobileNetV2,
-        ModelRelation::kPartiallyUpdated);
-  Panel("c", models::Architecture::kResNet152,
-        ModelRelation::kPartiallyUpdated);
-  return 0;
+  const PanelMeans a = Panel("a", models::Architecture::kMobileNetV2,
+                             ModelRelation::kFullyUpdated);
+  const PanelMeans b = Panel("b", models::Architecture::kMobileNetV2,
+                             ModelRelation::kPartiallyUpdated);
+  const PanelMeans c = Panel("c", models::Architecture::kResNet152,
+                             ModelRelation::kPartiallyUpdated);
+  if (!check) {
+    return 0;
+  }
+
+  const struct {
+    const char* claim;
+    double lower_seconds;
+    double higher_seconds;
+  } claims[] = {
+      {"(b) PUA < BA", b.pua, b.ba},
+      {"(c) PUA < BA", c.pua, c.ba},
+      {"(a) MPA > BA", a.ba, a.mpa},
+      {"(b) MPA > BA", b.ba, b.mpa},
+  };
+  bool shape_holds = true;
+  std::printf("shape check: mean U3 TTS\n");
+  for (const auto& claim : claims) {
+    const bool holds = claim.lower_seconds < claim.higher_seconds;
+    shape_holds = shape_holds && holds;
+    std::printf("  %s: %s\n", claim.claim, holds ? "yes" : "NO");
+  }
+  return shape_holds ? 0 : 1;
 }

@@ -3,6 +3,8 @@
 /// deterministic-vs-plain convolution kernels.
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_common.h"
+#include "compress/chunked.h"
 #include "compress/codec.h"
 #include "docstore/document_store.h"
 #include "hash/merkle_tree.h"
@@ -11,6 +13,7 @@
 #include "nn/conv2d.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace mmlib {
 namespace {
@@ -41,6 +44,51 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Range(1 << 10, 1 << 22);
+
+/// Chunked framing of a 4 MiB snapshot-sized payload with the identity
+/// codec (the parameter codec of every save) in default 1 MiB chunks, on a
+/// one-thread pool like perfbench's.
+constexpr size_t kFramePayload = size_t{4} << 20;
+
+void BM_ChunkedFrame(benchmark::State& state) {
+  const Bytes data = RandomBytes(kFramePayload, 7);
+  util::ThreadPool pool(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ChunkedFrame(data, CodecKind::kIdentity, kDefaultChunkSize, &pool));
+  }
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_ChunkedFrame);
+
+void BM_ChunkedUnframe(benchmark::State& state) {
+  util::ThreadPool pool(1);
+  const Bytes frame = ChunkedFrame(RandomBytes(kFramePayload, 8),
+                                   CodecKind::kIdentity, kDefaultChunkSize,
+                                   &pool)
+                          .value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ChunkedUnframe(frame, &pool));
+  }
+  state.SetBytesProcessed(state.iterations() * kFramePayload);
+}
+BENCHMARK(BM_ChunkedUnframe);
+
+void BM_SerializeParams(benchmark::State& state) {
+  // ResNet-152 at the retraining figures' scale: ~4 MB of parameters.
+  const nn::Model model =
+      models::BuildModel(
+          bench::TrainScaleModel(models::Architecture::kResNet152))
+          .value();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const Bytes params = model.SerializeParams();
+    bytes = params.size();
+    benchmark::DoNotOptimize(params.data());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_SerializeParams);
 
 void BM_TensorSerialize(benchmark::State& state) {
   Rng rng(3);

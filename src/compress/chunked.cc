@@ -1,7 +1,7 @@
 #include "compress/chunked.h"
 
 #include <algorithm>
-#include <cstring>
+#include <span>
 
 #include "hash/sha256.h"
 
@@ -10,6 +10,23 @@ namespace mmlib {
 namespace {
 
 constexpr uint32_t kChunkedMagic = 0x4d4d4c43;  // "MMLC"
+/// Magic, codec kind, original size, chunk size, chunk count.
+constexpr size_t kHeaderSize = 4 + 1 + 8 + 8 + 8;
+/// Per chunk: CRC-32 and the length prefix of its encoded bytes.
+constexpr size_t kChunkHeaderSize = 4 + 8;
+
+/// Chunks a payload of `size` bytes splits into. Phrased without
+/// `size + chunk_size - 1`, which wraps for a chunk size near 2^64.
+uint64_t ChunkCount(uint64_t size, uint64_t chunk_size) {
+  return size == 0 ? 0 : (size - 1) / chunk_size + 1;
+}
+
+/// Chunk `c` of a payload cut at `chunk_size` boundaries.
+template <typename T>
+std::span<T> ChunkOf(std::span<T> payload, size_t c, size_t chunk_size) {
+  const size_t offset = c * chunk_size;
+  return payload.subspan(offset, std::min(chunk_size, payload.size() - offset));
+}
 
 }  // namespace
 
@@ -22,9 +39,13 @@ Result<Bytes> ChunkedFrame(const Bytes& input, CodecKind kind,
     pool = util::ThreadPool::Global();
   }
   const Codec* codec = Codec::ForKind(kind);
-  const size_t num_chunks = (input.size() + chunk_size - 1) / chunk_size;
+  const std::span<const uint8_t> payload(input);
+  const size_t num_chunks = ChunkCount(input.size(), chunk_size);
 
-  std::vector<Bytes> compressed(num_chunks);
+  // Identity chunks are framed verbatim, straight from the input; other
+  // codecs encode each chunk into a buffer of its own.
+  const bool verbatim = kind == CodecKind::kIdentity;
+  std::vector<Bytes> compressed(verbatim ? 0 : num_chunks);
   std::vector<uint32_t> crcs(num_chunks, 0);
   std::vector<Status> statuses(num_chunks);
   util::ParallelFor(
@@ -32,11 +53,12 @@ Result<Bytes> ChunkedFrame(const Bytes& input, CodecKind kind,
       [&](int64_t begin, int64_t end, size_t /*chunk_index*/) {
         for (int64_t i = begin; i < end; ++i) {
           const size_t c = static_cast<size_t>(i);
-          const size_t offset = c * chunk_size;
-          const size_t len = std::min(chunk_size, input.size() - offset);
-          const Bytes chunk(input.begin() + offset,
-                            input.begin() + offset + len);
-          crcs[c] = Crc32(chunk);
+          const std::span<const uint8_t> chunk =
+              ChunkOf(payload, c, chunk_size);
+          crcs[c] = Crc32(chunk.data(), chunk.size());
+          if (verbatim) {
+            continue;
+          }
           Result<Bytes> encoded = codec->Compress(chunk);
           if (!encoded.ok()) {
             statuses[c] = encoded.status();
@@ -48,16 +70,26 @@ Result<Bytes> ChunkedFrame(const Bytes& input, CodecKind kind,
   for (const Status& status : statuses) {
     MMLIB_RETURN_IF_ERROR(status);
   }
+  auto encoded = [&](size_t c) {
+    return verbatim ? ChunkOf(payload, c, chunk_size)
+                    : std::span<const uint8_t>(compressed[c]);
+  };
 
+  size_t frame_size = kHeaderSize;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    frame_size += kChunkHeaderSize + encoded(c).size();
+  }
   BytesWriter writer;
+  writer.Reserve(frame_size);
   writer.WriteU32(kChunkedMagic);
   writer.WriteU8(static_cast<uint8_t>(kind));
   writer.WriteU64(input.size());
   writer.WriteU64(chunk_size);
   writer.WriteU64(num_chunks);
   for (size_t c = 0; c < num_chunks; ++c) {
+    const std::span<const uint8_t> bytes = encoded(c);
     writer.WriteU32(crcs[c]);
-    writer.WriteBlob(compressed[c]);
+    writer.WriteBlob(bytes.data(), bytes.size());
   }
   return writer.TakeBytes();
 }
@@ -84,18 +116,18 @@ Result<Bytes> ChunkedUnframe(const Bytes& frame, util::ThreadPool* pool) {
   if (chunk_size == 0) {
     return Status::Corruption("chunked frame chunk size is zero");
   }
-  const uint64_t expected_chunks = (original_size + chunk_size - 1) / chunk_size;
-  if (num_chunks != expected_chunks) {
+  if (num_chunks != ChunkCount(original_size, chunk_size)) {
     return Status::Corruption("chunked frame chunk count mismatch");
   }
 
-  // Chunk payloads are length-prefixed, so offsets must be collected in one
-  // serial scan; decompression below runs in parallel.
+  // Chunk payloads are length-prefixed, so they must be located in one
+  // serial scan; decoding below runs in parallel, each chunk reading its
+  // view of the frame and writing its own region of the output.
   std::vector<uint32_t> crcs(num_chunks, 0);
-  std::vector<Bytes> compressed(num_chunks);
+  std::vector<std::span<const uint8_t>> encoded(num_chunks);
   for (uint64_t c = 0; c < num_chunks; ++c) {
     MMLIB_ASSIGN_OR_RETURN(crcs[c], reader.ReadU32());
-    MMLIB_ASSIGN_OR_RETURN(compressed[c], reader.ReadBlob());
+    MMLIB_ASSIGN_OR_RETURN(encoded[c], reader.ReadBlobView());
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after chunked frame");
@@ -109,30 +141,23 @@ Result<Bytes> ChunkedUnframe(const Bytes& frame, util::ThreadPool* pool) {
       [&](int64_t begin, int64_t end, size_t /*chunk_index*/) {
         for (int64_t i = begin; i < end; ++i) {
           const size_t c = static_cast<size_t>(i);
-          const size_t offset = c * chunk_size;
-          const size_t len =
-              std::min<size_t>(chunk_size, original_size - offset);
-          Result<Bytes> decoded = codec->Decompress(compressed[c], len);
-          if (!decoded.ok()) {
-            statuses[c] = decoded.status();
+          const std::span<uint8_t> region =
+              ChunkOf(std::span<uint8_t>(out), c, chunk_size);
+          Result<size_t> written = codec->DecompressInto(encoded[c], region);
+          if (!written.ok()) {
+            statuses[c] = written.status();
             continue;
           }
-          const Bytes& payload = decoded.value();
-          if (payload.size() != len) {
+          if (written.value() != region.size()) {
             statuses[c] = Status::Corruption(
                 "chunked frame: chunk " + std::to_string(c) +
                 " decompressed size mismatch");
             continue;
           }
-          if (Crc32(payload) != crcs[c]) {
+          if (Crc32(region.data(), region.size()) != crcs[c]) {
             statuses[c] = Status::Corruption(
                 "chunked frame: chunk " + std::to_string(c) +
                 " checksum mismatch");
-            continue;
-          }
-          // Each chunk writes a disjoint region of the output buffer.
-          if (len > 0) {
-            std::memcpy(out.data() + offset, payload.data(), len);
           }
         }
       });

@@ -22,7 +22,8 @@ void WriteVarint(Bytes* out, uint64_t v) {
 
 /// Reads a varint at *pos into *value; false when it runs past the input
 /// or past 64 bits. Inline, without a Result, for the LZ77 token loop.
-inline bool NextVarint(const Bytes& in, size_t* pos, uint64_t* value) {
+inline bool NextVarint(std::span<const uint8_t> in, size_t* pos,
+                       uint64_t* value) {
   uint64_t v = 0;
   int shift = 0;
   while (*pos < in.size()) {
@@ -40,7 +41,7 @@ inline bool NextVarint(const Bytes& in, size_t* pos, uint64_t* value) {
   return false;
 }
 
-Result<uint64_t> ReadVarint(const Bytes& in, size_t* pos) {
+Result<uint64_t> ReadVarint(std::span<const uint8_t> in, size_t* pos) {
   uint64_t v = 0;
   if (!NextVarint(in, pos, &v)) {
     return Status::Corruption("truncated varint");
@@ -73,7 +74,8 @@ Result<Bytes> Codec::Unframe(const Bytes& frame) {
   }
   MMLIB_ASSIGN_OR_RETURN(uint64_t original_size, reader.ReadU64());
   MMLIB_ASSIGN_OR_RETURN(uint32_t expected_crc, reader.ReadU32());
-  MMLIB_ASSIGN_OR_RETURN(Bytes compressed, reader.ReadBlob());
+  MMLIB_ASSIGN_OR_RETURN(std::span<const uint8_t> compressed,
+                         reader.ReadBlobView());
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after frame");
   }
@@ -125,19 +127,39 @@ Result<const Codec*> Codec::ForName(std::string_view name) {
   return Status::NotFound("unknown codec: " + std::string(name));
 }
 
-Result<Bytes> IdentityCodec::Compress(const Bytes& input) const {
-  return input;
+Result<size_t> Codec::DecompressInto(std::span<const uint8_t> input,
+                                     std::span<uint8_t> out) const {
+  MMLIB_ASSIGN_OR_RETURN(Bytes decoded, Decompress(input, out.size()));
+  if (!decoded.empty()) {
+    std::memcpy(out.data(), decoded.data(), decoded.size());
+  }
+  return decoded.size();
 }
 
-Result<Bytes> IdentityCodec::Decompress(const Bytes& input,
+Result<Bytes> IdentityCodec::Compress(std::span<const uint8_t> input) const {
+  return Bytes(input.begin(), input.end());
+}
+
+Result<Bytes> IdentityCodec::Decompress(std::span<const uint8_t> input,
                                         size_t max_output) const {
   if (input.size() > max_output) {
     return Status::Corruption("identity payload exceeds output limit");
   }
-  return input;
+  return Bytes(input.begin(), input.end());
 }
 
-Result<Bytes> RleCodec::Compress(const Bytes& input) const {
+Result<size_t> IdentityCodec::DecompressInto(std::span<const uint8_t> input,
+                                             std::span<uint8_t> out) const {
+  if (input.size() > out.size()) {
+    return Status::Corruption("identity payload exceeds output limit");
+  }
+  if (!input.empty()) {
+    std::memcpy(out.data(), input.data(), input.size());
+  }
+  return input.size();
+}
+
+Result<Bytes> RleCodec::Compress(std::span<const uint8_t> input) const {
   // Format: sequence of (varint count, byte) pairs.
   Bytes out;
   size_t i = 0;
@@ -154,7 +176,7 @@ Result<Bytes> RleCodec::Compress(const Bytes& input) const {
   return out;
 }
 
-Result<Bytes> RleCodec::Decompress(const Bytes& input,
+Result<Bytes> RleCodec::Decompress(std::span<const uint8_t> input,
                                    size_t max_output) const {
   Bytes out;
   size_t pos = 0;
@@ -171,13 +193,14 @@ Result<Bytes> RleCodec::Decompress(const Bytes& input,
   return out;
 }
 
-Result<Bytes> Lz77HuffmanCodec::Compress(const Bytes& input) const {
+Result<Bytes> Lz77HuffmanCodec::Compress(
+    std::span<const uint8_t> input) const {
   MMLIB_ASSIGN_OR_RETURN(Bytes tokens,
                          Codec::ForKind(CodecKind::kLz77)->Compress(input));
   return huffman::Encode(tokens);
 }
 
-Result<Bytes> Lz77HuffmanCodec::Decompress(const Bytes& input,
+Result<Bytes> Lz77HuffmanCodec::Decompress(std::span<const uint8_t> input,
                                            size_t max_output) const {
   // The LZ77 token stream is at most a small constant factor larger than
   // the decompressed payload (literal runs carry their bytes verbatim).
@@ -222,7 +245,7 @@ inline uint32_t HashQuad(const uint8_t* p) {
 
 }  // namespace
 
-Result<Bytes> Lz77Codec::Compress(const Bytes& input) const {
+Result<Bytes> Lz77Codec::Compress(std::span<const uint8_t> input) const {
   Bytes out;
   const size_t n = input.size();
   if (n == 0) {
@@ -300,7 +323,7 @@ Result<Bytes> Lz77Codec::Compress(const Bytes& input) const {
   return out;
 }
 
-Result<Bytes> Lz77Codec::Decompress(const Bytes& input,
+Result<Bytes> Lz77Codec::Decompress(std::span<const uint8_t> input,
                                     size_t max_output) const {
   // A bounded call (Unframe passes the header's size) writes into an
   // output sized up front: the bound, capped at the most a well-formed

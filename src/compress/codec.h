@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -37,12 +38,20 @@ class Codec {
   virtual std::string_view name() const = 0;
 
   /// Compresses `input` into a codec-specific representation.
-  virtual Result<Bytes> Compress(const Bytes& input) const = 0;
+  virtual Result<Bytes> Compress(std::span<const uint8_t> input) const = 0;
 
   /// Inverse of Compress. Fails with Corruption if the output would exceed
   /// `max_output` bytes (corrupted streams must not exhaust memory).
   virtual Result<Bytes> Decompress(
-      const Bytes& input, size_t max_output = kDefaultMaxOutput) const = 0;
+      std::span<const uint8_t> input,
+      size_t max_output = kDefaultMaxOutput) const = 0;
+
+  /// Decompress into a caller buffer: decodes `input` into the front of
+  /// `out`, bounded by its size, and returns the number of bytes written.
+  /// Fails as Decompress(input, out.size()) does. The default decodes with
+  /// Decompress and copies; a codec that can write in place overrides it.
+  virtual Result<size_t> DecompressInto(std::span<const uint8_t> input,
+                                        std::span<uint8_t> out) const;
 
   /// Compresses and wraps in a verifiable frame.
   Result<Bytes> Frame(const Bytes& input) const;
@@ -64,9 +73,12 @@ class IdentityCodec : public Codec {
  public:
   CodecKind kind() const override { return CodecKind::kIdentity; }
   std::string_view name() const override { return "identity"; }
-  Result<Bytes> Compress(const Bytes& input) const override;
-  Result<Bytes> Decompress(const Bytes& input,
+  Result<Bytes> Compress(std::span<const uint8_t> input) const override;
+  Result<Bytes> Decompress(std::span<const uint8_t> input,
                            size_t max_output) const override;
+  /// One memcpy of `input` into `out`.
+  Result<size_t> DecompressInto(std::span<const uint8_t> input,
+                                std::span<uint8_t> out) const override;
 };
 
 /// Byte-level run-length encoding. Effective on synthetic images with flat
@@ -75,8 +87,8 @@ class RleCodec : public Codec {
  public:
   CodecKind kind() const override { return CodecKind::kRle; }
   std::string_view name() const override { return "rle"; }
-  Result<Bytes> Compress(const Bytes& input) const override;
-  Result<Bytes> Decompress(const Bytes& input,
+  Result<Bytes> Compress(std::span<const uint8_t> input) const override;
+  Result<Bytes> Decompress(std::span<const uint8_t> input,
                            size_t max_output) const override;
 };
 
@@ -86,8 +98,8 @@ class Lz77Codec : public Codec {
  public:
   CodecKind kind() const override { return CodecKind::kLz77; }
   std::string_view name() const override { return "lz77"; }
-  Result<Bytes> Compress(const Bytes& input) const override;
-  Result<Bytes> Decompress(const Bytes& input,
+  Result<Bytes> Compress(std::span<const uint8_t> input) const override;
+  Result<Bytes> Decompress(std::span<const uint8_t> input,
                            size_t max_output) const override;
 };
 
@@ -98,8 +110,8 @@ class Lz77HuffmanCodec : public Codec {
  public:
   CodecKind kind() const override { return CodecKind::kLz77Huffman; }
   std::string_view name() const override { return "lz77-huffman"; }
-  Result<Bytes> Compress(const Bytes& input) const override;
-  Result<Bytes> Decompress(const Bytes& input,
+  Result<Bytes> Compress(std::span<const uint8_t> input) const override;
+  Result<Bytes> Decompress(std::span<const uint8_t> input,
                            size_t max_output) const override;
 };
 

@@ -178,8 +178,8 @@ Result<Bytes> Encode(const Bytes& input) {
   return out;
 }
 
-Result<Bytes> Decode(const Bytes& input, size_t max_output) {
-  BytesReader reader(input);
+Result<Bytes> Decode(std::span<const uint8_t> input, size_t max_output) {
+  BytesReader reader(input.data(), input.size());
   MMLIB_ASSIGN_OR_RETURN(uint64_t original_size, reader.ReadU64());
   if (original_size > max_output) {
     return Status::Corruption("Huffman payload size out of range");

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <span>
+
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -18,7 +20,7 @@ Result<Bytes> Encode(const Bytes& input);
 
 /// Inverse of Encode. Fails with Corruption when the header claims more
 /// than `max_output` bytes (corrupted sizes must not exhaust memory).
-Result<Bytes> Decode(const Bytes& input,
+Result<Bytes> Decode(std::span<const uint8_t> input,
                      size_t max_output = 1ULL << 35);
 
 }  // namespace huffman

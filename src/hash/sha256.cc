@@ -278,59 +278,4 @@ Digest Sha256::HashPair(const Digest& left, const Digest& right) {
   return hasher.Finish();
 }
 
-namespace {
-
-/// Slicing-by-8 tables: entries[0] is the classic byte-at-a-time table and
-/// entries[k][b] is the CRC of byte b followed by k zero bytes, so eight
-/// input bytes fold into the register with eight independent lookups.
-struct Crc32Tables {
-  uint32_t entries[8][256];
-  Crc32Tables() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
-      }
-      entries[0][i] = c;
-    }
-    for (int k = 1; k < 8; ++k) {
-      for (uint32_t i = 0; i < 256; ++i) {
-        const uint32_t prev = entries[k - 1][i];
-        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xff];
-      }
-    }
-  }
-};
-
-const Crc32Tables& GetCrc32Tables() {
-  static const Crc32Tables* tables = new Crc32Tables();
-  return *tables;
-}
-
-inline uint32_t LoadLe32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
-
-uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
-  const auto& t = GetCrc32Tables().entries;
-  uint32_t c = seed ^ 0xffffffffu;
-  for (; size >= 8; size -= 8, data += 8) {
-    const uint32_t lo = LoadLe32(data) ^ c;
-    const uint32_t hi = LoadLe32(data + 4);
-    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
-        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
-  }
-  for (; size > 0; --size, ++data) {
-    c = t[0][(c ^ *data) & 0xff] ^ (c >> 8);
-  }
-  return c ^ 0xffffffffu;
-}
-
-uint32_t Crc32(const Bytes& data) { return Crc32(data.data(), data.size()); }
-
 }  // namespace mmlib

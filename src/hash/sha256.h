@@ -61,7 +61,10 @@ class Sha256 {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). Used for cheap
-/// frame checksums in the compression codec and file store.
+/// frame checksums in the compression codec and file store. `seed` is a
+/// previous result, so Crc32(b, Crc32(a)) is the CRC of a followed by b.
+/// Runs on PCLMULQDQ when the CPU has it and on slicing-by-8 otherwise
+/// (hash/crc32.cc); both give the same CRC.
 uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed = 0);
 uint32_t Crc32(const Bytes& data);
 

@@ -72,6 +72,14 @@ void Layer::SerializeParams(BytesWriter* writer) const {
   }
 }
 
+size_t Layer::SerializedParamsSize() const {
+  size_t size = 8;
+  for (const Param& p : params_) {
+    size += 8 + p.name.size() + p.value.SerializedSize();
+  }
+  return size;
+}
+
 Status Layer::DeserializeParams(BytesReader* reader) {
   MMLIB_ASSIGN_OR_RETURN(uint64_t count, reader->ReadU64());
   if (count != params_.size()) {

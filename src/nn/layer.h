@@ -84,6 +84,8 @@ class Layer {
 
   /// Serializes all parameter and buffer values (not gradients).
   void SerializeParams(BytesWriter* writer) const;
+  /// Bytes SerializeParams writes.
+  size_t SerializedParamsSize() const;
 
   /// Restores parameter and buffer values; shapes must match.
   Status DeserializeParams(BytesReader* reader);

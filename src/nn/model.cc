@@ -294,8 +294,22 @@ Digest Model::ArchitectureFingerprint() const {
   return hasher.Finish();
 }
 
+namespace {
+
+/// Bytes a snapshot spends on one layer: its name and its parameters.
+size_t SerializedLayerSize(const Layer& layer) {
+  return 8 + layer.name().size() + layer.SerializedParamsSize();
+}
+
+}  // namespace
+
 Bytes Model::SerializeParams() const {
+  size_t size = 8;
+  for (const Node& node : nodes_) {
+    size += SerializedLayerSize(*node.layer);
+  }
   BytesWriter writer;
+  writer.Reserve(size);
   writer.WriteU64(nodes_.size());
   for (const Node& node : nodes_) {
     writer.WriteString(node.layer->name());
@@ -328,10 +342,15 @@ Status Model::LoadParams(const Bytes& data) {
 
 Bytes Model::SerializeLayerSubset(
     const std::vector<size_t>& layer_indices) const {
-  BytesWriter writer;
-  writer.WriteU64(layer_indices.size());
+  size_t size = 8;
   for (size_t i : layer_indices) {
     MMLIB_CHECK_LT(i, nodes_.size()) << "SerializeLayerSubset: bad node index";
+    size += SerializedLayerSize(*nodes_[i].layer);
+  }
+  BytesWriter writer;
+  writer.Reserve(size);
+  writer.WriteU64(layer_indices.size());
+  for (size_t i : layer_indices) {
     writer.WriteString(nodes_[i].layer->name());
     nodes_[i].layer->SerializeParams(&writer);
   }

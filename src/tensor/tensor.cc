@@ -139,6 +139,7 @@ void Tensor::SerializeTo(BytesWriter* writer) const {
 
 Bytes Tensor::Serialize() const {
   BytesWriter writer;
+  writer.Reserve(SerializedSize());
   SerializeTo(&writer);
   return writer.TakeBytes();
 }

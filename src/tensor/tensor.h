@@ -78,6 +78,10 @@ class Tensor {
   static Result<Tensor> Deserialize(const Bytes& data);
   static Result<Tensor> Deserialize(BytesReader* reader);
   void SerializeTo(BytesWriter* writer) const;
+  /// Bytes SerializeTo writes.
+  size_t SerializedSize() const {
+    return 8 + 8 * shape_.rank() + 8 + data_.size() * sizeof(float);
+  }
 
  private:
   Shape shape_;

@@ -2,7 +2,37 @@
 
 #include <cstring>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace mmlib {
+
+namespace {
+
+/// Snapshot payloads and their frames are buffers of several MiB that every
+/// save and recover allocates and frees. glibc's adaptive malloc sets its
+/// trim threshold to twice the largest block it has unmapped, and two
+/// snapshot-sized blocks freed next to each other land right at that edge:
+/// now and then the heap top goes back to the OS, and the next save faults
+/// its buffers in again (about 1000 page faults per 4 MB, a third of a BA
+/// save). Pinning the thresholds at the ceiling the adaptive rule moves
+/// towards (a 32 MiB mmap threshold, twice that for trimming) keeps such
+/// buffers recycled through the heap.
+bool PinMallocThresholds() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+  return true;
+}
+
+}  // namespace
+
+void BytesWriter::Reserve(size_t size) {
+  [[maybe_unused]] static const bool pinned = PinMallocThresholds();
+  buffer_.reserve(buffer_.size() + size);
+}
 
 void BytesWriter::WriteU32(uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -109,11 +139,16 @@ Result<std::string> BytesReader::ReadString() {
 }
 
 Result<Bytes> BytesReader::ReadBlob() {
+  MMLIB_ASSIGN_OR_RETURN(std::span<const uint8_t> view, ReadBlobView());
+  return Bytes(view.begin(), view.end());
+}
+
+Result<std::span<const uint8_t>> BytesReader::ReadBlobView() {
   MMLIB_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
   MMLIB_RETURN_IF_ERROR(CheckAvailable(size));
-  Bytes b(data_ + offset_, data_ + offset_ + size);
+  const std::span<const uint8_t> view(data_ + offset_, size);
   offset_ += size;
-  return b;
+  return view;
 }
 
 Status BytesReader::ReadRaw(uint8_t* out, size_t size) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,10 @@ class BytesWriter {
   void WriteBlob(const Bytes& data) { WriteBlob(data.data(), data.size()); }
   /// Writes raw bytes without a length prefix.
   void WriteRaw(const uint8_t* data, size_t size);
+  /// Makes room for `size` more bytes at once, so writes up to that total
+  /// neither reallocate nor copy what is already written. The first call
+  /// in a process also pins glibc's malloc thresholds (bytes.cc).
+  void Reserve(size_t size);
 
   const Bytes& bytes() const { return buffer_; }
   Bytes TakeBytes() { return std::move(buffer_); }
@@ -58,6 +63,9 @@ class BytesReader {
   Result<double> ReadF64();
   Result<std::string> ReadString();
   Result<Bytes> ReadBlob();
+  /// Like ReadBlob, but returns a view into the buffer instead of a copy;
+  /// the view is valid as long as the buffer is.
+  Result<std::span<const uint8_t>> ReadBlobView();
   /// Copies `size` raw bytes into `out`.
   Status ReadRaw(uint8_t* out, size_t size);
 

@@ -3,8 +3,10 @@
 #include <optional>
 #include <vector>
 
+#include "compress/chunked.h"
 #include "compress/codec.h"
 #include "compress/huffman.h"
+#include "hash/sha256.h"
 #include "util/random.h"
 
 namespace mmlib {
@@ -368,6 +370,136 @@ TEST(HuffmanTest, DecodeRejectsEmptyTableWithPayload) {
     writer.WriteU8(0);
   }
   EXPECT_FALSE(huffman::Decode(writer.bytes()).ok());
+}
+
+
+// --- Chunked frames ---
+
+/// 3 MiB + 5: three whole default-size chunks and a 5-byte tail.
+constexpr size_t kLargePayload = (size_t{3} << 20) + 5;
+
+struct GoldenFrame {
+  CodecKind kind;
+  size_t payload_size;
+  size_t chunk_size;
+  const char* sha256;
+};
+
+TEST(ChunkedFrameTest, FramesMatchGoldenDigests) {
+  // SHA-256 of frames of MakePayload("random", size, 41), recorded before
+  // the framing path went copy-free. LZ77 with 1- and 7-byte chunks of the
+  // large payload is left out: the compressor sets up its 512 KiB hash
+  // table for every chunk, which takes seconds at those chunk counts.
+  const GoldenFrame kGolden[] = {
+      {CodecKind::kIdentity, 0, 1,
+       "77f57b38d66086776c6d3574697516249126d7009aa4e42f5b6fed08a466e0ed"},
+      {CodecKind::kIdentity, 0, 7,
+       "57ada4d851d5428e108987ca2375ac4468ddce4fa3f5c66a0a0518cbf155b322"},
+      {CodecKind::kIdentity, 0, 4096,
+       "9d74bb0cab87398d1090c8d061944322bf083f6ecf73ea75163b5319ebaaecfc"},
+      {CodecKind::kIdentity, 0, kDefaultChunkSize,
+       "c52b55bbdf45d124217b25634ae5cf2277af69412f3863931e5d03b582f985a0"},
+      {CodecKind::kLz77, 0, 1,
+       "75b5e6dd16c5ef93850d5a551fbae943be2ef26901adbec3e1ecb137896b557b"},
+      {CodecKind::kLz77, 0, 7,
+       "5f206cbae9f27256137c448148aef6bd7da50effe9537c3e3c79b27b246dcb84"},
+      {CodecKind::kLz77, 0, 4096,
+       "fcf88d5c13c3cb2294524221bb8f60db4bba0143e71fd56873b9e826cfd2e60c"},
+      {CodecKind::kLz77, 0, kDefaultChunkSize,
+       "370e1c6dc951d69c2de7be898ec4544a4554899e84a95408ee65cc890d430f91"},
+      {CodecKind::kIdentity, 1, 1,
+       "aa187d7dd83c16b3bea677cc18fe5fbe06c17bb5c581660bdeee0e295597110f"},
+      {CodecKind::kIdentity, 1, 7,
+       "804a42565ee4ea925e8ad242fc33a7082c2e4989ac993e29731bc8fb1cccd88c"},
+      {CodecKind::kIdentity, 1, 4096,
+       "0932ebd964e42d54d9c63508a3c754b502550b6105e76db2e9086735a1ee4ff5"},
+      {CodecKind::kIdentity, 1, kDefaultChunkSize,
+       "3793ec1b2c0a9fabe289a7ab25ee946684278de2122d331c9ad222648fdd11a0"},
+      {CodecKind::kLz77, 1, 1,
+       "9d9a83c9984e8e5029a7566482602700f213d1199ae1e20eda9bdd116fac5f9c"},
+      {CodecKind::kLz77, 1, 7,
+       "7a17281647186eca351391a4c6ad02cfe6c2fabb4bd31ebd2e91448a7a46bca5"},
+      {CodecKind::kLz77, 1, 4096,
+       "deac2b3c0e3c8221d4c61efc5e28c9265f8abe5e07df8b03fabe0d512dfd7d31"},
+      {CodecKind::kLz77, 1, kDefaultChunkSize,
+       "a81ede4f5e21be649a965d0a0f61892b409021b6532a6e041ce29ab6f8457d8a"},
+      {CodecKind::kIdentity, kLargePayload, 1,
+       "cb5cbc1fcce43291d801a7927659b32924e6a7770653719aa88e10419a92cc6f"},
+      {CodecKind::kIdentity, kLargePayload, 7,
+       "14ecb32fc7ea31ab9791a0898c88efe5e15d243faf8314544cc342ed0b06cd9f"},
+      {CodecKind::kIdentity, kLargePayload, 4096,
+       "8be81cbc620d78e6ec71e65d33c98f812166880489d5d6b8b23074b3ca551452"},
+      {CodecKind::kIdentity, kLargePayload, kDefaultChunkSize,
+       "f722746b42674e0df1af13cfe221bc4013bcf1b898a5e9a5f5a7f49e45d5020d"},
+      {CodecKind::kLz77, kLargePayload, 4096,
+       "64e4a7dcb57ca49ca00392f66e8a72005e8c1a700cc3ac7235edb587176cb172"},
+      {CodecKind::kLz77, kLargePayload, kDefaultChunkSize,
+       "0163cd4138a75d62339b837c37ed99fed778f1daeb0a0c45a5ec3cb81f6eaad8"},
+  };
+  for (const GoldenFrame& g : kGolden) {
+    const Bytes payload = MakePayload("random", g.payload_size, 41);
+    const Bytes frame = ChunkedFrame(payload, g.kind, g.chunk_size).value();
+    EXPECT_EQ(Sha256::Hash(frame).ToHex(), g.sha256)
+        << Codec::ForKind(g.kind)->name() << ", payload " << g.payload_size
+        << ", chunk " << g.chunk_size;
+    EXPECT_EQ(ChunkedUnframe(frame).value(), payload)
+        << Codec::ForKind(g.kind)->name() << ", payload " << g.payload_size
+        << ", chunk " << g.chunk_size;
+  }
+}
+
+TEST(ChunkedFrameTest, WrappingChunkCountIsCorruption) {
+  // original_size 100 in chunks of 2^64 - 50 is one chunk; a chunk count
+  // computed as (100 + chunk_size - 1) / chunk_size wraps to 0 and let
+  // this chunkless frame decode to 100 unchecked zero bytes.
+  BytesWriter writer;
+  writer.WriteU32(0x4d4d4c43);  // "MMLC"
+  writer.WriteU8(static_cast<uint8_t>(CodecKind::kIdentity));
+  writer.WriteU64(100);
+  writer.WriteU64(~uint64_t{0} - 49);
+  writer.WriteU64(0);
+  ASSERT_EQ(writer.size(), 29u);
+  EXPECT_EQ(ChunkedUnframe(writer.bytes()).status().code(),
+            StatusCode::kCorruption);
+}
+
+/// Frames of 100 random bytes in 7-byte chunks, one per codec that saves
+/// snapshots or datasets.
+std::vector<Bytes> SmallFrames() {
+  const Bytes payload = MakePayload("random", 100, 43);
+  return {ChunkedFrame(payload, CodecKind::kIdentity, 7).value(),
+          ChunkedFrame(payload, CodecKind::kLz77, 7).value()};
+}
+
+TEST(ChunkedFrameTest, EveryHeaderByteFlipIsCorruption) {
+  // The 29-byte frame header and the first chunk's 12-byte header (CRC
+  // and length prefix), each byte XORed with every nonzero value.
+  constexpr size_t kHeaderBytes = 29 + 12;
+  for (const Bytes& frame : SmallFrames()) {
+    ASSERT_TRUE(ChunkedUnframe(frame).ok());
+    for (size_t pos = 0; pos < kHeaderBytes; ++pos) {
+      for (int flip = 1; flip < 256; ++flip) {
+        Bytes damaged = frame;
+        damaged[pos] ^= static_cast<uint8_t>(flip);
+        ASSERT_EQ(ChunkedUnframe(damaged).status().code(),
+                  StatusCode::kCorruption)
+            << "codec byte " << int{frame[4]} << ", byte " << pos
+            << " ^ " << flip;
+      }
+    }
+  }
+}
+
+TEST(ChunkedFrameTest, EveryTruncationIsCorruption) {
+  for (const Bytes& frame : SmallFrames()) {
+    ASSERT_GT(frame.size(), 64u);
+    for (size_t size = 0; size < 64; ++size) {
+      const Bytes truncated(frame.begin(), frame.begin() + size);
+      ASSERT_EQ(ChunkedUnframe(truncated).status().code(),
+                StatusCode::kCorruption)
+          << "codec byte " << int{frame[4]} << ", " << size << " bytes";
+    }
+  }
 }
 
 }  // namespace

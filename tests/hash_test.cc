@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "hash/crc32_paths.h"
 #include "hash/merkle_tree.h"
 #include "hash/sha256.h"
 #include "hash/sha256_blocks.h"
@@ -208,24 +209,69 @@ uint32_t Crc32Reference(const uint8_t* data, size_t size, uint32_t seed) {
   return c ^ 0xffffffffu;
 }
 
-TEST(Crc32Test, MatchesBytewiseReferenceAtRandomLengthsAndOffsets) {
-  Rng rng(29);
-  const Bytes buffer = RandomBytes(&rng, 4096 + 8);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const size_t offset = rng.NextBelow(8);
-    const size_t length = rng.NextBelow(4097);
-    const uint8_t* data = buffer.data() + offset;
-    const uint32_t seed =
-        trial % 2 == 0 ? 0u : static_cast<uint32_t>(rng.NextU64());
-    const uint32_t expected = Crc32Reference(data, length, seed);
-    ASSERT_EQ(Crc32(data, length, seed), expected)
-        << "offset " << offset << ", length " << length << ", seed " << seed;
+TEST(Crc32Test, SelectedCrcPathIsClmulExactlyWhenCpuHasIt) {
+#if defined(__x86_64__)
+  EXPECT_EQ(crc32_internal::SelectedCrc32() == crc32_internal::Crc32Clmul,
+            crc32_internal::CpuHasClmul());
+#else
+  EXPECT_FALSE(crc32_internal::CpuHasClmul());
+  EXPECT_EQ(crc32_internal::SelectedCrc32(), crc32_internal::Crc32Slicing8);
+#endif
+}
 
-    // Chaining: the CRC of a prefix seeds the CRC of the rest.
-    const size_t split = rng.NextBelow(length + 1);
-    ASSERT_EQ(Crc32(data + split, length - split, Crc32(data, split, seed)),
+// Runs Crc32 and every CRC path this CPU has on data[0, length) from
+// `seed` and checks each against `expected`, whole and chained at `split`
+// (the CRC of the prefix seeds the CRC of the rest).
+void ExpectAllPathsGive(const uint8_t* data, size_t length, uint32_t seed,
+                        size_t split, uint32_t expected) {
+  std::vector<std::pair<const char*, crc32_internal::Crc32Fn>> paths = {
+      {"Crc32", [](const uint8_t* d, size_t n, uint32_t s) {
+         return Crc32(d, n, s);
+       }},
+      {"slicing-by-8", crc32_internal::Crc32Slicing8}};
+#if defined(__x86_64__)
+  if (crc32_internal::CpuHasClmul()) {
+    paths.push_back({"clmul", crc32_internal::Crc32Clmul});
+  }
+#endif
+  for (const auto& [name, crc] : paths) {
+    ASSERT_EQ(crc(data, length, seed), expected)
+        << name << ", length " << length << ", seed " << seed;
+    ASSERT_EQ(crc(data + split, length - split, crc(data, split, seed)),
               expected)
-        << "offset " << offset << ", length " << length << ", split " << split;
+        << name << ", length " << length << ", split " << split;
+  }
+}
+
+TEST(Crc32Test, PathsMatchBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(31);
+  const Bytes buffer = RandomBytes(&rng, 4096 + 16);
+  for (size_t align = 0; align < 16; ++align) {
+    const uint8_t* data = buffer.data() + align;
+    for (const uint32_t seed : {0u, static_cast<uint32_t>(rng.NextU64())}) {
+      // The reference CRC of each prefix, extended one byte at a time.
+      uint32_t expected = seed;
+      for (size_t length = 0; length <= 4096; ++length) {
+        if (length > 0) {
+          expected = Crc32Reference(data + length - 1, 1, expected);
+        }
+        ASSERT_NO_FATAL_FAILURE(ExpectAllPathsGive(
+            data, length, seed, rng.NextBelow(length + 1), expected));
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, PathsMatchBytewiseReferenceOnLargeInputs) {
+  Rng rng(37);
+  for (const size_t length : {size_t{64} << 10, size_t{1} << 20,
+                              (size_t{1} << 20) + 15}) {
+    const Bytes data = RandomBytes(&rng, length);
+    for (const uint32_t seed : {0u, static_cast<uint32_t>(rng.NextU64())}) {
+      ASSERT_NO_FATAL_FAILURE(ExpectAllPathsGive(
+          data.data(), length, seed, rng.NextBelow(length + 1),
+          Crc32Reference(data.data(), length, seed)));
+    }
   }
 }
 

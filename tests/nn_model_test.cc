@@ -122,6 +122,18 @@ TEST(ModelTest, SerializeLoadRoundtrip) {
   EXPECT_EQ(a.ParamsHash(), b.ParamsHash());
 }
 
+TEST(ModelTest, SerializedPayloadsAreAllocatedAtTheirExactSize) {
+  // Serialization reserves the size it computes from the shapes, so each
+  // payload is one allocation: a size off either way would leave spare
+  // capacity behind (too large, or a regrowth when too small).
+  const Model model = MakeResidualNet();
+  const Bytes params = model.SerializeParams();
+  EXPECT_EQ(params.capacity(), params.size());
+  const Bytes subset =
+      model.SerializeLayerSubset({0, model.FindLayerIndex("fc").value()});
+  EXPECT_EQ(subset.capacity(), subset.size());
+}
+
 TEST(ModelTest, LoadRejectsWrongLayerCount) {
   Model a = MakeResidualNet();
   Model small("small");
