@@ -22,8 +22,7 @@ int main() {
   TablePrinter table({"codec", "archive size", "ratio", "archive time",
                       "extract time"});
   for (CodecKind kind :
-       {CodecKind::kIdentity, CodecKind::kRle, CodecKind::kLz77,
-        CodecKind::kLz77Huffman}) {
+       {CodecKind::kIdentity, CodecKind::kLz77, CodecKind::kLz77Huffman}) {
     const Codec* codec = Codec::ForKind(kind);
     data::DatasetArchiver archiver(codec);
 

@@ -6,6 +6,8 @@
 #include "bench/bench_common.h"
 #include "compress/chunked.h"
 #include "compress/codec.h"
+#include "data/archive.h"
+#include "data/dataset.h"
 #include "docstore/document_store.h"
 #include "hash/merkle_tree.h"
 #include "hash/sha256.h"
@@ -129,6 +131,20 @@ void BM_Lz77Compress(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * data.size());
 }
 BENCHMARK(BM_Lz77Compress)->Range(1 << 14, 1 << 20);
+
+void BM_DatasetArchive(benchmark::State& state) {
+  // Photo-like payload: the LZ77 archive of CO-512 at byte divisor 512
+  // (140,832 payload bytes) that every MPA save of perfbench's mpa_replay
+  // writes.
+  const auto dataset = data::Materialize(data::SyntheticImageDataset(
+      data::PaperDatasetId::kCocoOutdoor512, 512));
+  const data::DatasetArchiver archiver(Codec::ForKind(CodecKind::kLz77));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(archiver.Archive(*dataset));
+  }
+  state.SetBytesProcessed(state.iterations() * dataset->TotalByteSize());
+}
+BENCHMARK(BM_DatasetArchive)->Unit(benchmark::kMillisecond);
 
 void BM_JsonParse(benchmark::State& state) {
   json::Value doc = json::Value::MakeObject();

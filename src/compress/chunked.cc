@@ -104,9 +104,7 @@ Result<Bytes> ChunkedUnframe(const Bytes& frame, util::ThreadPool* pool) {
     return Status::Corruption("bad chunked frame magic");
   }
   MMLIB_ASSIGN_OR_RETURN(uint8_t kind_byte, reader.ReadU8());
-  if (kind_byte > static_cast<uint8_t>(CodecKind::kLz77Huffman)) {
-    return Status::Corruption("unknown codec id " + std::to_string(kind_byte));
-  }
+  MMLIB_ASSIGN_OR_RETURN(const Codec* codec, Codec::ForId(kind_byte));
   MMLIB_ASSIGN_OR_RETURN(uint64_t original_size, reader.ReadU64());
   MMLIB_ASSIGN_OR_RETURN(uint64_t chunk_size, reader.ReadU64());
   MMLIB_ASSIGN_OR_RETURN(uint64_t num_chunks, reader.ReadU64());
@@ -133,7 +131,6 @@ Result<Bytes> ChunkedUnframe(const Bytes& frame, util::ThreadPool* pool) {
     return Status::Corruption("trailing bytes after chunked frame");
   }
 
-  const Codec* codec = Codec::ForKind(static_cast<CodecKind>(kind_byte));
   Bytes out(original_size);
   std::vector<Status> statuses(num_chunks);
   util::ParallelFor(

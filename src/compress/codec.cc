@@ -1,7 +1,9 @@
 #include "compress/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <memory>
 
 #include "compress/huffman.h"
 #include "hash/sha256.h"
@@ -12,13 +14,9 @@ namespace {
 
 constexpr uint32_t kFrameMagic = 0x4d4d4c46;  // "MMLF"
 
-void WriteVarint(Bytes* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out->push_back(static_cast<uint8_t>(v));
-}
+/// Every codec, in id order (id 1 is retired, see CodecKind).
+constexpr CodecKind kCodecKinds[] = {CodecKind::kIdentity, CodecKind::kLz77,
+                                     CodecKind::kLz77Huffman};
 
 /// Reads a varint at *pos into *value; false when it runs past the input
 /// or past 64 bits. Inline, without a Result, for the LZ77 token loop.
@@ -41,14 +39,6 @@ inline bool NextVarint(std::span<const uint8_t> in, size_t* pos,
   return false;
 }
 
-Result<uint64_t> ReadVarint(std::span<const uint8_t> in, size_t* pos) {
-  uint64_t v = 0;
-  if (!NextVarint(in, pos, &v)) {
-    return Status::Corruption("truncated varint");
-  }
-  return v;
-}
-
 }  // namespace
 
 Result<Bytes> Codec::Frame(const Bytes& input) const {
@@ -69,9 +59,7 @@ Result<Bytes> Codec::Unframe(const Bytes& frame) {
     return Status::Corruption("bad frame magic");
   }
   MMLIB_ASSIGN_OR_RETURN(uint8_t kind_byte, reader.ReadU8());
-  if (kind_byte > static_cast<uint8_t>(CodecKind::kLz77Huffman)) {
-    return Status::Corruption("unknown codec id " + std::to_string(kind_byte));
-  }
+  MMLIB_ASSIGN_OR_RETURN(const Codec* codec, ForId(kind_byte));
   MMLIB_ASSIGN_OR_RETURN(uint64_t original_size, reader.ReadU64());
   MMLIB_ASSIGN_OR_RETURN(uint32_t expected_crc, reader.ReadU32());
   MMLIB_ASSIGN_OR_RETURN(std::span<const uint8_t> compressed,
@@ -82,7 +70,6 @@ Result<Bytes> Codec::Unframe(const Bytes& frame) {
   if (original_size > kDefaultMaxOutput) {
     return Status::Corruption("frame original size out of range");
   }
-  const Codec* codec = ForKind(static_cast<CodecKind>(kind_byte));
   // The header's size field bounds decompression, so a corrupted stream
   // cannot expand past the expected payload.
   MMLIB_ASSIGN_OR_RETURN(
@@ -99,14 +86,11 @@ Result<Bytes> Codec::Unframe(const Bytes& frame) {
 
 const Codec* Codec::ForKind(CodecKind kind) {
   static const IdentityCodec* identity = new IdentityCodec();
-  static const RleCodec* rle = new RleCodec();
   static const Lz77Codec* lz77 = new Lz77Codec();
   static const Lz77HuffmanCodec* lz77_huffman = new Lz77HuffmanCodec();
   switch (kind) {
     case CodecKind::kIdentity:
       return identity;
-    case CodecKind::kRle:
-      return rle;
     case CodecKind::kLz77:
       return lz77;
     case CodecKind::kLz77Huffman:
@@ -115,10 +99,17 @@ const Codec* Codec::ForKind(CodecKind kind) {
   return identity;
 }
 
+Result<const Codec*> Codec::ForId(uint8_t id) {
+  for (CodecKind kind : kCodecKinds) {
+    if (static_cast<uint8_t>(kind) == id) {
+      return ForKind(kind);
+    }
+  }
+  return Status::Corruption("unknown codec id " + std::to_string(id));
+}
+
 Result<const Codec*> Codec::ForName(std::string_view name) {
-  for (CodecKind kind :
-       {CodecKind::kIdentity, CodecKind::kRle, CodecKind::kLz77,
-        CodecKind::kLz77Huffman}) {
+  for (CodecKind kind : kCodecKinds) {
     const Codec* codec = ForKind(kind);
     if (codec->name() == name) {
       return codec;
@@ -157,40 +148,6 @@ Result<size_t> IdentityCodec::DecompressInto(std::span<const uint8_t> input,
     std::memcpy(out.data(), input.data(), input.size());
   }
   return input.size();
-}
-
-Result<Bytes> RleCodec::Compress(std::span<const uint8_t> input) const {
-  // Format: sequence of (varint count, byte) pairs.
-  Bytes out;
-  size_t i = 0;
-  while (i < input.size()) {
-    const uint8_t value = input[i];
-    size_t run = 1;
-    while (i + run < input.size() && input[i + run] == value) {
-      ++run;
-    }
-    WriteVarint(&out, run);
-    out.push_back(value);
-    i += run;
-  }
-  return out;
-}
-
-Result<Bytes> RleCodec::Decompress(std::span<const uint8_t> input,
-                                   size_t max_output) const {
-  Bytes out;
-  size_t pos = 0;
-  while (pos < input.size()) {
-    MMLIB_ASSIGN_OR_RETURN(uint64_t run, ReadVarint(input, &pos));
-    if (pos >= input.size()) {
-      return Status::Corruption("RLE stream truncated");
-    }
-    if (run == 0 || run > max_output - out.size()) {
-      return Status::Corruption("invalid RLE run length");
-    }
-    out.insert(out.end(), run, input[pos++]);
-  }
-  return out;
 }
 
 Result<Bytes> Lz77HuffmanCodec::Compress(
@@ -243,83 +200,145 @@ inline uint32_t HashQuad(const uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+/// Length of the common prefix of `a` and `b`, at most `limit`: eight
+/// bytes a step, the first differing byte found from the XOR's trailing
+/// (little-endian) or leading (big-endian) zero bits.
+inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    const uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + (std::countr_zero(diff) >> 3);
+      } else {
+        return len + (std::countl_zero(diff) >> 3);
+      }
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) {
+    ++len;
+  }
+  return len;
+}
+
+inline uint8_t* PutVarint(uint8_t* dst, uint64_t v) {
+  while (v >= 0x80) {
+    *dst++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *dst++ = static_cast<uint8_t>(v);
+  return dst;
+}
+
+/// Most bytes Compress writes for `n` input bytes. Every literal run but
+/// the last is followed by a match, and the costliest pair per input
+/// byte is a 1-byte run (tag, length, byte: 3 bytes) before a 4-byte
+/// match at distance >= 16 KiB (tag, length, 3-byte distance: 5 bytes),
+/// 8 bytes for 5; longer runs and matches cost less per byte, and a match
+/// alone at most 6 bytes for 4. The last run adds its tag and a length
+/// of up to 10 bytes to its own bytes.
+size_t MaxCompressedSize(size_t n) { return n + n / 5 * 3 + 3 + 11; }
+
+/// The hash chains of one thread, allocated on its first Compress and
+/// reused by every later one (ChunkedFrame compresses chunks on a pool).
+/// `head` holds the newest position of each quad hash; `prev` is a ring
+/// over the window holding, for each position, the one before it with
+/// the same hash. Positions are stored as `base + offset`, each call
+/// taking a base more than a window past every position stored before,
+/// so entries left from earlier calls fail the window test and nothing
+/// is cleared between calls. 64-bit entries never wrap.
+struct MatchTables {
+  static_assert((kWindowSize & (kWindowSize - 1)) == 0, "ring is masked");
+  std::unique_ptr<uint64_t[]> head =
+      std::make_unique<uint64_t[]>(size_t{1} << kHashBits);
+  std::unique_ptr<uint64_t[]> prev = std::make_unique<uint64_t[]>(kWindowSize);
+  uint64_t next_base = kWindowSize + 1;
+};
+
 }  // namespace
 
 Result<Bytes> Lz77Codec::Compress(std::span<const uint8_t> input) const {
-  Bytes out;
   const size_t n = input.size();
-  if (n == 0) {
-    return out;
-  }
-
-  std::vector<int64_t> head(1 << kHashBits, -1);
-  std::vector<int64_t> prev(n, -1);
+  const uint8_t* src = input.data();
+  Bytes out(MaxCompressedSize(n));
+  uint8_t* dst = out.data();
 
   size_t literal_start = 0;
   auto flush_literals = [&](size_t end) {
     if (end > literal_start) {
-      out.push_back(0x00);
-      WriteVarint(&out, end - literal_start);
-      out.insert(out.end(), input.begin() + literal_start,
-                 input.begin() + end);
+      *dst++ = 0x00;
+      dst = PutVarint(dst, end - literal_start);
+      std::memcpy(dst, src + literal_start, end - literal_start);
+      dst += end - literal_start;
     }
   };
 
-  size_t i = 0;
-  while (i < n) {
-    size_t best_len = 0;
-    size_t best_dist = 0;
-    if (i + kMinMatch <= n) {
-      const uint32_t h = HashQuad(input.data() + i);
-      int64_t candidate = head[h];
-      size_t depth = 0;
-      while (candidate >= 0 && depth < kMaxChainDepth &&
-             i - static_cast<size_t>(candidate) <= kWindowSize) {
-        const size_t cand = static_cast<size_t>(candidate);
-        const size_t limit = std::min(kMaxMatch, n - i);
-        size_t len = 0;
-        while (len < limit && input[cand + len] == input[i + len]) {
-          ++len;
-        }
-        if (len >= kMinMatch && len > best_len) {
-          best_len = len;
-          best_dist = i - cand;
-          if (len == kMaxMatch) {
-            break;
-          }
-        }
-        candidate = prev[cand];
-        ++depth;
-      }
-    }
+  if (n >= kMinMatch) {
+    thread_local MatchTables tables;
+    const uint64_t base = tables.next_base;
+    tables.next_base = base + n + kWindowSize + 1;
+    uint64_t* head = tables.head.get();
+    uint64_t* prev = tables.prev.get();
+    auto insert = [&](size_t pos, uint32_t h) {
+      prev[(base + pos) & (kWindowSize - 1)] = head[h];
+      head[h] = base + pos;
+    };
 
-    if (best_len >= kMinMatch) {
-      flush_literals(i);
-      out.push_back(0x01);
-      WriteVarint(&out, best_len);
-      WriteVarint(&out, best_dist);
-      // Insert hash entries for all covered positions so later matches can
-      // reference inside this match.
-      const size_t match_end = i + best_len;
-      while (i < match_end) {
-        if (i + kMinMatch <= n) {
-          const uint32_t h = HashQuad(input.data() + i);
-          prev[i] = head[h];
-          head[h] = static_cast<int64_t>(i);
+    // Positions up to `last` start a full quad: they are searched and
+    // inserted. The bytes after them can only be literals.
+    const size_t last = n - kMinMatch;
+    size_t i = 0;
+    while (i <= last) {
+      // Walk the chain nearest first; a strictly longer match replaces the
+      // best, so the nearest wins ties. A candidate within the window was
+      // inserted by this call, and its ring slot not yet reused.
+      const uint64_t cur = base + i;
+      const uint32_t h = HashQuad(src + i);
+      const size_t limit = std::min(kMaxMatch, n - i);
+      size_t best_len = kMinMatch - 1;
+      size_t best_dist = 0;
+      uint64_t candidate = head[h];
+      for (size_t depth = 0;
+           depth < kMaxChainDepth && cur - candidate <= kWindowSize;
+           ++depth) {
+        const size_t dist = cur - candidate;
+        const size_t len = MatchLength(src + i - dist, src + i, limit);
+        const bool longer = len > best_len;
+        best_len = longer ? len : best_len;
+        best_dist = longer ? dist : best_dist;
+        if (best_len == limit) {
+          break;
         }
+        candidate = prev[candidate & (kWindowSize - 1)];
+      }
+      insert(i, h);
+      if (best_len < kMinMatch) {
         ++i;
+        continue;
       }
+      flush_literals(i);
+      *dst++ = 0x01;
+      dst = PutVarint(dst, best_len);
+      dst = PutVarint(dst, best_dist);
+      // Insert the positions the match covers so later matches can
+      // reference inside it.
+      const size_t match_end = i + best_len;
+      for (++i; i < match_end && i <= last; ++i) {
+        insert(i, HashQuad(src + i));
+      }
+      i = match_end;
       literal_start = i;
-    } else {
-      if (i + kMinMatch <= n) {
-        const uint32_t h = HashQuad(input.data() + i);
-        prev[i] = head[h];
-        head[h] = static_cast<int64_t>(i);
-      }
-      ++i;
     }
   }
   flush_literals(n);
+  out.resize(static_cast<size_t>(dst - out.data()));
   return out;
 }
 

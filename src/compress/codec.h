@@ -10,10 +10,10 @@
 
 namespace mmlib {
 
-/// Identifies a compression codec inside a frame header.
+/// Identifies a compression codec inside a frame header. Id 1 is retired
+/// (it was run-length encoding) and must not be reused.
 enum class CodecKind : uint8_t {
   kIdentity = 0,
-  kRle = 1,
   kLz77 = 2,
   kLz77Huffman = 3,
 };
@@ -64,7 +64,11 @@ class Codec {
   /// Returns the codec instance for `kind` (process-wide singletons).
   static const Codec* ForKind(CodecKind kind);
 
-  /// Looks up a codec by name ("identity", "rle", "lz77", "lz77-huffman").
+  /// Returns the codec for a codec id read from a frame header; Corruption
+  /// for an id no codec has.
+  static Result<const Codec*> ForId(uint8_t id);
+
+  /// Looks up a codec by name ("identity", "lz77", "lz77-huffman").
   static Result<const Codec*> ForName(std::string_view name);
 };
 
@@ -79,17 +83,6 @@ class IdentityCodec : public Codec {
   /// One memcpy of `input` into `out`.
   Result<size_t> DecompressInto(std::span<const uint8_t> input,
                                 std::span<uint8_t> out) const override;
-};
-
-/// Byte-level run-length encoding. Effective on synthetic images with flat
-/// regions; cheap to run.
-class RleCodec : public Codec {
- public:
-  CodecKind kind() const override { return CodecKind::kRle; }
-  std::string_view name() const override { return "rle"; }
-  Result<Bytes> Compress(std::span<const uint8_t> input) const override;
-  Result<Bytes> Decompress(std::span<const uint8_t> input,
-                           size_t max_output) const override;
 };
 
 /// LZ77 with a 64 KiB sliding window and hash-chain match finding; the

@@ -72,7 +72,7 @@ TEST(DatasetTest, LabelsInImageNetRange) {
 
 TEST(DatasetTest, ImagesArePartiallyCompressible) {
   // The synthetic images have smooth structure plus noise, like photos:
-  // LZ77 should compress them somewhat but nowhere near RLE-on-zeros.
+  // LZ77 should compress them somewhat but nowhere near 10:1.
   SyntheticImageDataset dataset(PaperDatasetId::kCocoFood512, kTestDivisor);
   Bytes pixels;
   for (size_t i = 0; i < 16; ++i) {
@@ -286,7 +286,6 @@ TEST_P(ArchiverRoundtrip, ExtractReproducesDataset) {
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, ArchiverRoundtrip,
                          ::testing::Values(CodecKind::kIdentity,
-                                           CodecKind::kRle,
                                            CodecKind::kLz77,
                                            CodecKind::kLz77Huffman));
 

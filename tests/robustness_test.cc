@@ -47,8 +47,7 @@ TEST_P(FuzzSeeds, CodecUnframeSurvivesBitFlips) {
   // Build a valid frame, then flip random bytes: Unframe must either fail
   // or (if the flip missed every meaningful bit) return the exact payload.
   Bytes payload = RandomBytes(500 + rng.NextBelow(2000), &rng);
-  for (CodecKind kind : {CodecKind::kRle, CodecKind::kLz77,
-                         CodecKind::kLz77Huffman}) {
+  for (CodecKind kind : {CodecKind::kLz77, CodecKind::kLz77Huffman}) {
     const Bytes frame = Codec::ForKind(kind)->Frame(payload).value();
     for (int round = 0; round < 50; ++round) {
       Bytes corrupted = frame;
@@ -69,8 +68,7 @@ TEST_P(FuzzSeeds, CodecDecompressSurvivesGarbage) {
   constexpr size_t kLimit = 1 << 20;
   for (int round = 0; round < 100; ++round) {
     const Bytes garbage = RandomBytes(rng.NextBelow(500), &rng);
-    for (CodecKind kind : {CodecKind::kRle, CodecKind::kLz77,
-                           CodecKind::kLz77Huffman}) {
+    for (CodecKind kind : {CodecKind::kLz77, CodecKind::kLz77Huffman}) {
       auto result = Codec::ForKind(kind)->Decompress(garbage, kLimit);
       if (result.ok()) {
         EXPECT_LE(result->size(), kLimit);
