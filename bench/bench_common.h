@@ -109,6 +109,23 @@ inline models::ModelConfig TrainScaleModel(models::Architecture arch) {
   return config;
 }
 
+/// Training recipe of the figures that replay real training for recovery
+/// (Fig 11): the one perfbench's `mpa_replay` workload trains with (its
+/// Workload::TrainConfigFor), i.e. the paper's reduced schedule (two
+/// epochs of two batches of 4, Section 4.4) with momentum-free SGD at
+/// lr 0.001. At the flows' default lr of 0.01, MobileNetV2 at 28 px
+/// diverges to non-finite logits (EXPERIMENTS.md). The flow sets the
+/// loader's image size and class count from the model.
+inline core::TrainConfig ReplayTrainRecipe() {
+  core::TrainConfig train;
+  train.epochs = 2;
+  train.max_batches_per_epoch = 2;
+  train.sgd.momentum = 0.0f;
+  train.sgd.learning_rate = 0.001f;
+  train.loader.batch_size = 4;
+  return train;
+}
+
 /// Dataset divisor that preserves the paper's dataset-to-model byte ratio:
 /// parameter counts scale with the square of the channel divisor, so the
 /// dataset must shrink by the same factor (DESIGN.md Section 1).

@@ -55,7 +55,7 @@ ConvPlan::ConvPlan(const ConvGeom& geom) : geom_(geom) {
 }
 
 void ConvPlan::Forward(const float* input, const float* weight, float* output,
-                       util::ThreadPool* pool) const {
+                       util::ThreadPool* pool, Rng* scheduler) const {
   if (algo_ == ConvAlgo::kDirect) {
     DirectConvForward(geom_, input, weight, output, pool);
     return;
@@ -65,6 +65,7 @@ void ConvPlan::Forward(const float* input, const float* weight, float* output,
   const int64_t n = geom_.out_pixels();
   const int64_t tiles = forward_col_tiles_;
   const int64_t tasks = geom_.batch * geom_.groups * tiles;
+  const int64_t kc = DrawKc(kc_, scheduler);
 
   // Weights packed once per call, shared read-only by every chunk.
   const int64_t strip_floats = PackedStripFloats(m, k);
@@ -95,7 +96,7 @@ void ConvPlan::Forward(const float* input, const float* weight, float* output,
           float* c = output + (n_idx * geom_.out_channels + g * m) * n +
                      col_begin;
           GemmPacked(a_pack + g * strip_floats, b_lease.data(), m, ncols, k,
-                     kc_, c, n, /*accumulate=*/false, forward_rows_outer_,
+                     kc, c, n, /*accumulate=*/false, forward_rows_outer_,
                      /*bias=*/nullptr);
         }
       });
@@ -103,7 +104,8 @@ void ConvPlan::Forward(const float* input, const float* weight, float* output,
 
 void ConvPlan::Backward(const float* input, const float* weight,
                         const float* grad_output, float* grad_input,
-                        float* grad_weight, util::ThreadPool* pool) const {
+                        float* grad_weight, util::ThreadPool* pool,
+                        Rng* scheduler) const {
   if (algo_ == ConvAlgo::kDirect) {
     DirectConvBackward(geom_, input, weight, grad_output, grad_input,
                        grad_weight, pool);
@@ -143,7 +145,10 @@ void ConvPlan::Backward(const float* input, const float* weight,
   const int64_t patch_panel_floats = PackedPanelFloats(nc_, k);
   const int64_t chunk_floats = gout_panel_floats + gout_strip_floats +
                                colgrad_floats + patch_panel_floats;
-  const int64_t kc_m = std::min<int64_t>(kGemmKC, m);
+  // Reduction blocks: the data gradient reduces over output channels, the
+  // weight gradient over each pixel tile (at most nc_ <= kGemmKC long).
+  const int64_t kc_m = DrawKc(std::min<int64_t>(kGemmKC, m), scheduler);
+  const int64_t kc_pixels = DrawKc(nc_, scheduler);
 
   util::ParallelFor(
       pool, tasks, grain,
@@ -181,8 +186,7 @@ void ConvPlan::Backward(const float* input, const float* weight,
             PackStrips(gout_base, m, n, col_begin, ncols, gout_strips);
             Im2ColPatchPanels(geom_, input, n_idx, g, col_begin, ncols,
                               patch_panels);
-            GemmPacked(gout_strips, patch_panels, m, k, ncols,
-                       std::min<int64_t>(kGemmKC, ncols),
+            GemmPacked(gout_strips, patch_panels, m, k, ncols, kc_pixels,
                        gw_chunk + g * m * k, k, /*accumulate=*/true,
                        weight_grad_rows_outer_, /*bias=*/nullptr);
           }

@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "kernels/im2col.h"
+#include "util/random.h"
 #include "util/scratch_pool.h"
 #include "util/thread_pool.h"
 
@@ -47,14 +48,21 @@ class ConvPlan {
   util::ScratchPool* scratch() const { return &scratch_; }
 
   /// y(batch, out_channels, out_h, out_w) = conv(x, w). Overwrites y.
+  ///
+  /// `scheduler` is null for deterministic execution. Otherwise each GEMM
+  /// role (forward; data gradient; weight gradient) draws its split-K
+  /// point from it (DrawKc, kernels/gemm.h); the direct kernel draws
+  /// nothing and gives the same bits either way.
   void Forward(const float* input, const float* weight, float* output,
-               util::ThreadPool* pool) const;
+               util::ThreadPool* pool, Rng* scheduler) const;
 
   /// grad_input += col2im(W^T . gout) (expects grad_input zero-filled) and
-  /// grad_weight += gout . col^T, both in fixed order.
+  /// grad_weight += gout . col^T, both in fixed order when `scheduler` is
+  /// null (see Forward).
   void Backward(const float* input, const float* weight,
                 const float* grad_output, float* grad_input,
-                float* grad_weight, util::ThreadPool* pool) const;
+                float* grad_weight, util::ThreadPool* pool,
+                Rng* scheduler) const;
 
  private:
   ConvGeom geom_;

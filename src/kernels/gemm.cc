@@ -56,6 +56,15 @@ inline void WriteBack(const float acc[MR][NR], float* c, int64_t ldc,
 
 }  // namespace
 
+int64_t DrawKc(int64_t kc, Rng* scheduler) {
+  if (scheduler == nullptr || kc < 2) {
+    return kc;
+  }
+  const int64_t low = (kc + 1) / 2;
+  return low + static_cast<int64_t>(
+                   scheduler->NextBelow(static_cast<uint64_t>(kc - low)));
+}
+
 void PackStrips(const float* src, int64_t rows, int64_t ld, int64_t k_begin,
                 int64_t nk, float* dst) {
   const int64_t strips = CeilDiv(rows, MR);

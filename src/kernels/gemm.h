@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "util/random.h"
+
 namespace mmlib::kernels {
 
 /// Cache-blocked single-precision GEMM on packed operands.
@@ -18,6 +20,11 @@ namespace mmlib::kernels {
 /// shapes and the plan's KC block size. It does not depend on the thread
 /// count, the chunking, the compiler's vector width, or the ISA, which is
 /// what keeps planned kernels bit-identical at any pool size.
+///
+/// Non-deterministic executions take exactly one freedom: split-K. Each
+/// GEMM role of a plan call runs with a reduction block drawn by DrawKc,
+/// which changes where the register tile is flushed into C (and so the
+/// association order) and nothing else.
 
 /// Microkernel register tile: MR rows x NR columns of C.
 inline constexpr int64_t kGemmMR = 4;
@@ -26,6 +33,14 @@ inline constexpr int64_t kGemmNR = 8;
 /// Default reduction block: a KC x NR B panel slice (kKC * kNR * 4 bytes =
 /// 32 KiB) stays L1-resident while every row strip streams past it.
 inline constexpr int64_t kGemmKC = 1024;
+
+/// Reduction block for one GEMM role of a plan call. A null `scheduler`
+/// returns `kc`: the plan's fixed order. Otherwise, for kc >= 2, it returns
+/// a split point drawn from [ceil(kc/2), kc-1], so each kc-long block runs
+/// as exactly two partial sums. Call it on the launching thread, once per
+/// role and call, never inside a chunk: a scheduler seed then yields the
+/// same bits at every pool size.
+int64_t DrawKc(int64_t kc, Rng* scheduler);
 
 inline constexpr int64_t CeilDiv(int64_t a, int64_t b) {
   return (a + b - 1) / b;

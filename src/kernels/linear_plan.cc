@@ -33,10 +33,11 @@ LinearPlan::LinearPlan(int64_t batch, int64_t in_features,
 
 void LinearPlan::Forward(const float* x, const float* weight,
                          const float* bias, float* y,
-                         util::ThreadPool* pool) const {
+                         util::ThreadPool* pool, Rng* scheduler) const {
   const int64_t b = batch_;
   const int64_t in = in_features_;
   const int64_t out = out_features_;
+  const int64_t kc = DrawKc(kc_forward_, scheduler);
 
   // Call-level packs, shared read-only by all chunks:
   //   A = x strips (batch rows, k dim = in)
@@ -59,7 +60,7 @@ void LinearPlan::Forward(const float* x, const float* weight,
           const int64_t col_begin = tile * nc_;
           const int64_t ncols = std::min(nc_, out - col_begin);
           GemmPacked(a_pack, b_pack + (col_begin / kGemmNR) * in * kGemmNR,
-                     b, ncols, in, kc_forward_, y + col_begin, out,
+                     b, ncols, in, kc, y + col_begin, out,
                      /*accumulate=*/false, rows_outer_, bias + col_begin);
         }
       });
@@ -68,7 +69,7 @@ void LinearPlan::Forward(const float* x, const float* weight,
 void LinearPlan::Backward(const float* x, const float* weight,
                           const float* grad_output, float* grad_input,
                           float* grad_weight, float* grad_bias,
-                          util::ThreadPool* pool) const {
+                          util::ThreadPool* pool, Rng* scheduler) const {
   const int64_t b = batch_;
   const int64_t in = in_features_;
   const int64_t out = out_features_;
@@ -99,8 +100,8 @@ void LinearPlan::Backward(const float* x, const float* weight,
   // result is bit-identical at any pool size.
   const int64_t tiles = CeilDiv(in, nc_);
   const int64_t grain = util::GrainForMaxChunks(tiles, kMaxChunks);
-  const int64_t kc_out = std::min<int64_t>(kGemmKC, out);
-  const int64_t kc_b = std::min<int64_t>(kGemmKC, b);
+  const int64_t kc_out = DrawKc(std::min<int64_t>(kGemmKC, out), scheduler);
+  const int64_t kc_b = DrawKc(std::min<int64_t>(kGemmKC, b), scheduler);
   util::ParallelFor(
       pool, tiles, grain,
       [&](int64_t begin, int64_t end, size_t /*chunk_index*/) {

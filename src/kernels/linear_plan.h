@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "util/random.h"
 #include "util/scratch_pool.h"
 #include "util/thread_pool.h"
 
@@ -9,8 +10,8 @@ namespace mmlib::kernels {
 
 /// Strategy chosen for a Linear (fully connected) shape.
 enum class LinearAlgo {
-  /// Keep the layer's direct dot-product loop (tiny shapes, and the path
-  /// non-deterministic contexts always take).
+  /// Keep the layer's direct dot-product loop (tiny shapes, where packing
+  /// costs more than it saves). Serial sums in both execution modes.
   kDirect,
   /// Packed cache-blocked GEMM over output-feature tiles.
   kGemm,
@@ -36,15 +37,17 @@ class LinearPlan {
   util::ScratchPool* scratch() const { return &scratch_; }
 
   /// y(batch, out) = x(batch, in) . W^T(in, out) + bias. Overwrites y.
-  /// Requires algo() == kGemm.
+  /// Requires algo() == kGemm. A non-null `scheduler` gives each GEMM role
+  /// (forward; data gradient; weight gradient) a drawn split-K point
+  /// (DrawKc, kernels/gemm.h); null keeps the fixed order.
   void Forward(const float* x, const float* weight, const float* bias,
-               float* y, util::ThreadPool* pool) const;
+               float* y, util::ThreadPool* pool, Rng* scheduler) const;
 
   /// grad_input = gout . W (overwritten), grad_weight += gout^T . x,
   /// grad_bias += column sums of gout. Requires algo() == kGemm.
   void Backward(const float* x, const float* weight, const float* grad_output,
                 float* grad_input, float* grad_weight, float* grad_bias,
-                util::ThreadPool* pool) const;
+                util::ThreadPool* pool, Rng* scheduler) const;
 
  private:
   int64_t batch_;

@@ -13,13 +13,12 @@ namespace mmlib::nn {
 /// gives a depthwise convolution as used by MobileNetV2). No bias — all zoo
 /// architectures follow conv → batch-norm, where a bias is redundant.
 ///
-/// Determinism: in deterministic mode every shape runs through a
-/// kernels::ConvPlan (im2col + cache-blocked GEMM, or the direct kernel for
-/// depthwise/tiny shapes) whose reduction order is a pure function of the
-/// shape, so results are bit-identical at any pool size. Only
-/// non-deterministic executions use the layer's own loop, with its
-/// scheduler-driven reduction splits (the mechanism behind paper Figure
-/// 13's determinism overhead comparison).
+/// Both execution modes run every shape through a kernels::ConvPlan
+/// (im2col + cache-blocked GEMM, or the direct kernel for depthwise/tiny
+/// shapes). Deterministic mode keeps the plan's fixed reduction order, so
+/// results are bit-identical at any pool size; non-deterministic mode lets
+/// the GEMMs split their reductions at scheduler-drawn points (split-K,
+/// the CPU counterpart of the GPU kernels paper Figure 13 measures).
 ///
 /// The weight is Kaiming-normal initialized from `rng`; a null `rng` leaves
 /// it zero and draws nothing (models::BuildModelWithParams, which loads a
@@ -42,12 +41,6 @@ class Conv2d : public Layer {
   int64_t kernel_size() const { return kernel_size_; }
 
  private:
-  /// Copies the receptive field at (oy, ox) for group `g` of sample `n`
-  /// into `patch` (zero-padded borders).
-  void GatherPatch(const float* input, int64_t height, int64_t width,
-                   int64_t n, int64_t g, int64_t oy, int64_t ox,
-                   float* patch) const;
-
   /// Points plan_ at the PlanCache plan for this input geometry.
   void RefreshPlan(int64_t batch, int64_t height, int64_t width,
                    int64_t out_h, int64_t out_w);
@@ -58,14 +51,9 @@ class Conv2d : public Layer {
   int64_t stride_;
   int64_t padding_;
   int64_t groups_;
-  int64_t group_in_;   // in channels per group
-  int64_t group_out_;  // out channels per group
   Tensor cached_input_;
-  int64_t cached_out_h_ = 0;  // output extent of the last Forward
-  int64_t cached_out_w_ = 0;
-  bool has_forward_ = false;
   /// Plan for the last Forward geometry; refreshed from the PlanCache when
-  /// the input shape changes. Null until the first deterministic Forward.
+  /// the input shape changes. Null until the first Forward.
   std::shared_ptr<const kernels::ConvPlan> plan_;
 };
 

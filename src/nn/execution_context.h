@@ -25,14 +25,14 @@ struct PhaseTimes {
 
 /// Execution configuration and per-run state for forward/backward passes.
 ///
-/// Determinism model (paper Sections 2.3 and 4.5): with `deterministic`
-/// set, every kernel accumulates in a fixed order — layers without a cheap
-/// deterministic implementation (spatial convolutions) fall back to
-/// compensated summation, which costs extra time. With `deterministic`
-/// unset, kernels split their reductions at points drawn from per-chunk
-/// scheduler Rngs (ChunkSchedulerSeed; modeling the scheduling
-/// nondeterminism of a parallel device), so repeated runs produce slightly
-/// different floating-point results.
+/// Determinism model (paper Sections 2.3 and 4.5): both modes run the same
+/// kernel plans. With `deterministic` set, every reduction runs in an order
+/// fixed by the shape, so results are bit-identical at any pool size. With
+/// it unset, the plans' GEMMs split their reductions (split-K) at points
+/// drawn from scheduler(), a generator seeded from `scheduler_seed` that
+/// models the scheduling nondeterminism of a parallel device: runs with
+/// different scheduler seeds produce slightly different floating-point
+/// results, while one seed reproduces its result at every pool size.
 class ExecutionContext {
  public:
   /// Creates a deterministic context; `seed` drives intentional randomness
@@ -49,8 +49,6 @@ class ExecutionContext {
                                            uint64_t scheduler_seed) {
     return ExecutionContext(/*deterministic=*/false, seed, scheduler_seed);
   }
-
-  bool deterministic() const { return deterministic_; }
 
   /// True while training (dropout active, batch-norm uses batch statistics).
   bool training() const { return training_; }
@@ -69,26 +67,10 @@ class ExecutionContext {
   }
   void set_pool(util::ThreadPool* pool) { pool_ = pool; }
 
-  /// Marks the start of one parallel kernel region; kernels call this on
-  /// the launching thread (never from inside a chunk) and feed the value to
-  /// ChunkSchedulerSeed.
-  uint64_t NextParallelEpoch() { return parallel_epoch_++; }
-
-  /// Seed for the per-chunk scheduler Rng of chunk `chunk_index` in region
-  /// `epoch`. Each chunk owns a private Rng seeded from this value, so
-  /// non-deterministic kernels never share generator state across threads;
-  /// deterministic kernels ignore it entirely.
-  uint64_t ChunkSchedulerSeed(uint64_t epoch, size_t chunk_index) const {
-    uint64_t x = scheduler_seed_ ^ ((epoch + 1) * 0x9e3779b97f4a7c15ULL) ^
-                 ((static_cast<uint64_t>(chunk_index) + 1) *
-                  0xbf58476d1ce4e5b9ULL);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-  }
+  /// Split-K scheduler the kernel plans draw their reduction blocks from
+  /// (kernels::DrawKc): null when deterministic, otherwise seeded from
+  /// `scheduler_seed`. Plans draw on the launching thread only.
+  Rng* scheduler() { return deterministic_ ? nullptr : &scheduler_; }
 
   PhaseTimes* times() { return &times_; }
   const PhaseTimes& times() const { return times_; }
@@ -109,13 +91,12 @@ class ExecutionContext {
   ExecutionContext(bool deterministic, uint64_t seed, uint64_t scheduler_seed)
       : deterministic_(deterministic),
         rng_(seed),
-        scheduler_seed_(scheduler_seed) {}
+        scheduler_(scheduler_seed) {}
 
   bool deterministic_;
   bool training_ = true;
   Rng rng_;
-  uint64_t scheduler_seed_;
-  uint64_t parallel_epoch_ = 0;
+  Rng scheduler_;
   util::ThreadPool* pool_ = nullptr;
   PhaseTimes times_;
   std::shared_ptr<util::ScratchPool> scratch_;

@@ -113,18 +113,4 @@ size_t Layer::AddParam(std::string name, Tensor value, bool trainable,
   return params_.size() - 1;
 }
 
-float AccumulateDotKernel(const float* a, const float* b, size_t n,
-                          bool deterministic, Rng* scheduler_rng) {
-  // Short reductions are not worth parallelizing on a real device; they
-  // stay serial (and thus deterministic) in both modes.
-  constexpr size_t kMinParallelLength = 32;
-  if (deterministic || n < kMinParallelLength) {
-    return DotSerial(a, b, n);
-  }
-  // Non-deterministic: the reduction is split where the scheduler happened
-  // to partition the work, so association order varies between runs.
-  const size_t split = 1 + static_cast<size_t>(scheduler_rng->NextBelow(n - 1));
-  return DotSerial(a, b, split) + DotSerial(a + split, b + split, n - split);
-}
-
 }  // namespace mmlib::nn

@@ -99,17 +99,5 @@ class Layer {
   std::vector<Param> params_;
 };
 
-/// Dot product sum(a[i] * b[i]) for i in [0, n), for the layers' own
-/// loops (Linear's small shapes, and non-deterministic Conv2d).
-///
-/// Deterministic mode sums serially in index order. Non-deterministic mode
-/// splits the reduction at a point drawn from `scheduler_rng`, so the
-/// association order varies between runs. Each ParallelFor chunk owns a
-/// private `scheduler_rng` (seeded via ExecutionContext::ChunkSchedulerSeed),
-/// so no generator state is shared across threads; deterministic mode
-/// never consults it.
-float AccumulateDotKernel(const float* a, const float* b, size_t n,
-                          bool deterministic, Rng* scheduler_rng);
-
 }  // namespace mmlib::nn
 

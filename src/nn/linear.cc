@@ -9,7 +9,7 @@ namespace mmlib::nn {
 
 namespace {
 
-/// Chunk caps mirroring conv2d.cc: constants (never the thread count) so
+/// Chunk caps of the direct loop: constants (never the thread count) so
 /// chunk boundaries — and with them the fixed-order gradient reduction —
 /// are identical for every pool size.
 constexpr int64_t kMaxForwardChunks = 64;
@@ -41,45 +41,38 @@ Result<Tensor> Linear::Forward(const std::vector<const Tensor*>& inputs,
                                    x.shape().ToString());
   }
   cached_input_ = x;
-  has_forward_ = true;
   const int64_t batch = x.shape().dim(0);
+  if (!plan_ || plan_->batch() != batch) {
+    plan_ = kernels::PlanCache::Instance().GetLinearPlan(batch, in_features_,
+                                                         out_features_);
+  }
   Tensor y(Shape{batch, out_features_});
   const float* weight = params_[0].value.data();
   const float* bias = params_[1].value.data();
 
-  // Deterministic executions of non-trivial shapes go through the kernel
-  // plan layer; non-deterministic executions keep the direct loop and its
-  // scheduler-driven reduction splits.
-  if (ctx->deterministic()) {
-    if (!plan_ || plan_->batch() != batch) {
-      plan_ = kernels::PlanCache::Instance().GetLinearPlan(batch, in_features_,
-                                                           out_features_);
-    }
-    if (plan_->algo() != kernels::LinearAlgo::kDirect) {
-      plan_->Forward(x.data(), weight, bias, y.data(), ctx->pool());
-      return y;
-    }
+  // Both execution modes run the plan's GEMM (a non-deterministic context
+  // only hands it a split-K scheduler); tiny shapes take the direct loop.
+  if (plan_->algo() == kernels::LinearAlgo::kGemm) {
+    plan_->Forward(x.data(), weight, bias, y.data(), ctx->pool(),
+                   ctx->scheduler());
+    return y;
   }
 
   // Shard over (sample, output row): every task writes exactly one output
-  // element via a complete fixed-order dot product, so results are
+  // element via a complete serial dot product, so results are
   // bit-identical for any chunking and any thread count.
   const int64_t tasks = batch * out_features_;
   const int64_t grain = util::GrainForMaxChunks(tasks, kMaxForwardChunks);
-  const bool deterministic = ctx->deterministic();
-  const uint64_t epoch = ctx->NextParallelEpoch();
   util::ParallelFor(
       ctx->pool(), tasks, grain,
-      [&](int64_t begin, int64_t end, size_t chunk_index) {
-        Rng scheduler(ctx->ChunkSchedulerSeed(epoch, chunk_index));
+      [&](int64_t begin, int64_t end, size_t /*chunk_index*/) {
         for (int64_t t = begin; t < end; ++t) {
           const int64_t n = t / out_features_;
           const int64_t o = t % out_features_;
-          const float* row = x.data() + n * in_features_;
           y.data()[n * out_features_ + o] =
-              bias[o] + AccumulateDotKernel(weight + o * in_features_, row,
-                                            in_features_, deterministic,
-                                            &scheduler);
+              bias[o] + DotSerial(weight + o * in_features_,
+                                  x.data() + n * in_features_,
+                                  static_cast<size_t>(in_features_));
         }
       });
   return y;
@@ -87,37 +80,30 @@ Result<Tensor> Linear::Forward(const std::vector<const Tensor*>& inputs,
 
 Result<std::vector<Tensor>> Linear::Backward(const Tensor& grad_output,
                                              ExecutionContext* ctx) {
-  if (!has_forward_) {
+  if (plan_ == nullptr) {
     return Status::InvalidArgument("linear " + name_ +
                                    ": Backward called before Forward");
   }
-  const int64_t batch = cached_input_.shape().dim(0);
+  const int64_t batch = plan_->batch();
   MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
       grad_output.shape(), Shape{batch, out_features_},
       "linear " + name_ + " grad_output"));
   const float* weight = params_[0].value.data();
   float* grad_weight = params_[0].grad.data();
   float* grad_bias = params_[1].grad.data();
+  Tensor grad_input(cached_input_.shape());
+  std::vector<Tensor> grads;
+
+  if (plan_->algo() == kernels::LinearAlgo::kGemm) {
+    plan_->Backward(cached_input_.data(), weight, grad_output.data(),
+                    grad_input.data(), grad_weight, grad_bias, ctx->pool(),
+                    ctx->scheduler());
+    grads.push_back(std::move(grad_input));
+    return grads;
+  }
+
   const size_t gw_numel = static_cast<size_t>(params_[0].grad.numel());
   const size_t gb_numel = static_cast<size_t>(params_[1].grad.numel());
-
-  Tensor grad_input(cached_input_.shape());
-
-  // Mirror Forward's dispatch: planned shapes run the data-gradient and
-  // weight-gradient GEMMs through the plan layer.
-  if (ctx->deterministic()) {
-    if (!plan_ || plan_->batch() != batch) {
-      plan_ = kernels::PlanCache::Instance().GetLinearPlan(batch, in_features_,
-                                                           out_features_);
-    }
-    if (plan_->algo() != kernels::LinearAlgo::kDirect) {
-      plan_->Backward(cached_input_.data(), weight, grad_output.data(),
-                      grad_input.data(), grad_weight, grad_bias, ctx->pool());
-      std::vector<Tensor> grads;
-      grads.push_back(std::move(grad_input));
-      return grads;
-    }
-  }
 
   // Shard over samples. grad_input rows are disjoint per sample; weight and
   // bias gradients go into per-chunk scratch buffers reduced in fixed
@@ -161,7 +147,6 @@ Result<std::vector<Tensor>> Linear::Backward(const Tensor& grad_output,
     }
   }
 
-  std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
   return grads;
 }

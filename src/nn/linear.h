@@ -12,9 +12,10 @@ namespace mmlib::nn {
 /// [N, out]. Weights are Kaiming-uniform initialized from `rng`; a null
 /// `rng` leaves them zero and draws nothing (models::BuildModelWithParams).
 ///
-/// Deterministic executions of non-trivial shapes run through a
-/// kernels::LinearPlan (packed cache-blocked GEMM); tiny shapes and all
-/// non-deterministic executions keep the direct dot-product loop.
+/// Non-trivial shapes run through a kernels::LinearPlan (packed
+/// cache-blocked GEMM) in both execution modes; non-deterministic mode only
+/// adds the plan's split-K freedom. Tiny shapes (LinearAlgo::kDirect) keep
+/// the direct loop of serial dot products in both modes.
 class Linear : public Layer {
  public:
   Linear(std::string name, int64_t in_features, int64_t out_features,
@@ -34,9 +35,8 @@ class Linear : public Layer {
   int64_t in_features_;
   int64_t out_features_;
   Tensor cached_input_;
-  bool has_forward_ = false;
   /// Plan for the last Forward batch size; refreshed from the PlanCache
-  /// when the batch changes. Null until the first deterministic Forward.
+  /// when the batch changes. Null until the first Forward.
   std::shared_ptr<const kernels::LinearPlan> plan_;
 };
 

@@ -138,6 +138,29 @@ TEST(GemmPackedTest, KcSplitIsDeterministicAndClose) {
   }
 }
 
+TEST(GemmPackedTest, DrawKcSplitsEachBlockInTwo) {
+  // No scheduler: the plan's own kc. With one, a split point in
+  // [ceil(kc/2), kc-1], so a kc-long block runs as exactly two partial
+  // sums; a one-element block has nothing to split.
+  Rng scheduler(5);
+  EXPECT_EQ(kernels::DrawKc(72, nullptr), 72);
+  EXPECT_EQ(kernels::DrawKc(1, &scheduler), 1);
+  EXPECT_EQ(kernels::DrawKc(2, &scheduler), 1);
+  for (int64_t kc : {3, 16, 72, 1024}) {
+    std::vector<bool> seen(static_cast<size_t>(kc), false);
+    for (int i = 0; i < 4000; ++i) {
+      const int64_t split = kernels::DrawKc(kc, &scheduler);
+      ASSERT_GE(split, (kc + 1) / 2) << "kc=" << kc;
+      ASSERT_LT(split, kc) << "kc=" << kc;
+      seen[static_cast<size_t>(split)] = true;
+    }
+    EXPECT_TRUE(seen[static_cast<size_t>((kc + 1) / 2)]) << "kc=" << kc;
+    if (kc <= 72) {
+      EXPECT_TRUE(seen[static_cast<size_t>(kc - 1)]) << "kc=" << kc;
+    }
+  }
+}
+
 TEST(GemmPackedTest, LoopOrdersBitIdentical) {
   // rows_outer only reorders whole register tiles; every element's
   // accumulation is unchanged.
@@ -496,9 +519,10 @@ ConvRun PlanDirectConv(const ConvPlan& plan, const std::vector<float>& x,
                     -1.0f);
   run.grad_input.assign(x.size(), 0.0f);
   run.grad_weight.assign(w.size(), 0.0f);
-  plan.Forward(x.data(), w.data(), run.output.data(), &pool);
+  plan.Forward(x.data(), w.data(), run.output.data(), &pool,
+               /*scheduler=*/nullptr);
   plan.Backward(x.data(), w.data(), gout.data(), run.grad_input.data(),
-                run.grad_weight.data(), &pool);
+                run.grad_weight.data(), &pool, /*scheduler=*/nullptr);
   return run;
 }
 
@@ -721,6 +745,173 @@ TEST(KernelPlanDeterminismTest, LinearBitIdenticalAcrossPools) {
                                static_cast<size_t>(ref[i].numel()) *
                                    sizeof(float)))
           << "tensor " << i << " diverged at " << threads << " threads";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Execution modes. Both run the same plans; a non-deterministic context only
+// hands the plan a scheduler, from which each GEMM role (forward; data
+// gradient; weight gradient) draws its split-K point on the launching
+// thread. A scheduler seed therefore fixes the bits at every pool size,
+// different seeds move them, and the direct kernel takes no freedom.
+
+/// One forward and backward pass of `layer` on `input` with a fixed
+/// upstream gradient: {output, grad_input, one gradient per parameter}.
+std::vector<Tensor> RunLayer(nn::Layer* layer, const Tensor& input,
+                             nn::ExecutionContext ctx, size_t threads) {
+  util::ThreadPool pool(threads);
+  ctx.set_pool(&pool);
+  Tensor y = layer->Forward({&input}, &ctx).value();
+  Tensor grad_out(y.shape());
+  Rng grad_rng(9);
+  for (int64_t i = 0; i < grad_out.numel(); ++i) {
+    grad_out.data()[i] = grad_rng.NextFloat() * 2.0f - 1.0f;
+  }
+  layer->ZeroGrad();
+  std::vector<Tensor> run = {std::move(y)};
+  run.push_back(std::move(layer->Backward(grad_out, &ctx).value()[0]));
+  for (const nn::Param& p : layer->params()) {
+    run.push_back(p.grad);
+  }
+  return run;
+}
+
+/// Output and gradient roles RunLayer returns that a GEMM computes (a
+/// Linear's bias gradient is a serial column sum, so it takes no freedom).
+constexpr size_t kGemmRoles = 3;
+const char* const kRoleNames[] = {"output", "grad_input", "grad_weight",
+                                  "grad_bias"};
+
+void ExpectSameBits(const std::vector<Tensor>& got,
+                    const std::vector<Tensor>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(got[i].Equals(want[i])) << kRoleNames[i] << ": " << what;
+  }
+}
+
+/// Checks both modes on `layer`: each mode is bit-identical at pools
+/// 1/2/8 for a fixed scheduler seed; the non-deterministic run differs from
+/// another seed's in every GEMM role and stays close to the deterministic
+/// run.
+void ExpectModesBehave(nn::Layer* layer, const Tensor& input) {
+  const auto det = [] { return nn::ExecutionContext::Deterministic(7); };
+  const auto nondet = [](uint64_t scheduler_seed) {
+    return nn::ExecutionContext::NonDeterministic(7, scheduler_seed);
+  };
+  const std::vector<Tensor> det_ref = RunLayer(layer, input, det(), 1);
+  const std::vector<Tensor> seed_a = RunLayer(layer, input, nondet(101), 1);
+  const std::vector<Tensor> seed_b = RunLayer(layer, input, nondet(202), 1);
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    const std::string pool = std::to_string(threads) + " threads";
+    ExpectSameBits(RunLayer(layer, input, det(), threads), det_ref,
+                   "deterministic, " + pool);
+    ExpectSameBits(RunLayer(layer, input, nondet(101), threads), seed_a,
+                   "scheduler seed 101, " + pool);
+    ExpectSameBits(RunLayer(layer, input, nondet(202), threads), seed_b,
+                   "scheduler seed 202, " + pool);
+  }
+  for (size_t i = 0; i < det_ref.size(); ++i) {
+    if (i < kGemmRoles) {
+      EXPECT_FALSE(seed_a[i].Equals(seed_b[i]))
+          << kRoleNames[i] << ": scheduler seeds 101 and 202 agree";
+    }
+    EXPECT_TRUE(seed_a[i].AllClose(det_ref[i], 1e-3f))
+        << kRoleNames[i] << ": max diff "
+        << seed_a[i].MaxAbsDiff(det_ref[i]);
+  }
+}
+
+TEST(ExecutionModeTest, Im2ColConvSplitsKOnlyWhenNonDeterministic) {
+  ASSERT_EQ(ConvPlan(ConvGeom{3, 8, 16, 3, 1, 1, 1, 14, 14, 14, 14}).algo(),
+            ConvAlgo::kIm2ColGemm);
+  Rng rng(80);
+  nn::Conv2d conv("t", 8, 16, 3, 1, 1, 1, &rng);
+  ExpectModesBehave(&conv, Tensor::Gaussian(Shape{3, 8, 14, 14}, 1.0f, &rng));
+}
+
+TEST(ExecutionModeTest, PointwiseConvSplitsKOnlyWhenNonDeterministic) {
+  ASSERT_EQ(ConvPlan(ConvGeom{2, 16, 24, 1, 1, 0, 1, 14, 14, 14, 14}).algo(),
+            ConvAlgo::kPointwiseGemm);
+  Rng rng(81);
+  nn::Conv2d conv("t", 16, 24, 1, 1, 0, 1, &rng);
+  ExpectModesBehave(&conv,
+                    Tensor::Gaussian(Shape{2, 16, 14, 14}, 1.0f, &rng));
+}
+
+TEST(ExecutionModeTest, LinearGemmSplitsKOnlyWhenNonDeterministic) {
+  ASSERT_EQ(kernels::LinearPlan(32, 64, 96).algo(), LinearAlgo::kGemm);
+  Rng rng(82);
+  nn::Linear fc("t", 64, 96, &rng);
+  const Tensor input = Tensor::Gaussian(Shape{32, 64}, 1.0f, &rng);
+  ExpectModesBehave(&fc, input);
+  // The bias gradient is a serial column sum in both modes.
+  EXPECT_TRUE(
+      RunLayer(&fc, input, nn::ExecutionContext::NonDeterministic(7, 101), 1)
+          .back()
+          .Equals(RunLayer(&fc, input, nn::ExecutionContext::Deterministic(7),
+                           1)
+                      .back()));
+}
+
+TEST(ExecutionModeTest, ConvSplitPointIsDrawnOncePerCall) {
+  // Every chunk of a call uses the same split point, so the identical
+  // samples of a batch come out with identical bits; a split drawn per
+  // chunk would give them different association orders.
+  for (int64_t kernel : {3, 1}) {
+    SCOPED_TRACE("kernel " + std::to_string(kernel));
+    const int64_t batch = 8;
+    const int64_t sample_floats = 8 * 14 * 14;
+    Rng rng(84);
+    nn::Conv2d conv("t", 8, 16, kernel, 1, kernel / 2, 1, &rng);
+    const Tensor sample = Tensor::Gaussian(Shape{1, 8, 14, 14}, 1.0f, &rng);
+    Tensor input(Shape{batch, 8, 14, 14});
+    for (int64_t n = 0; n < batch; ++n) {
+      std::memcpy(input.data() + n * sample_floats, sample.data(),
+                  sample_floats * sizeof(float));
+    }
+    util::ThreadPool pool(8);
+    nn::ExecutionContext ctx = nn::ExecutionContext::NonDeterministic(7, 101);
+    ctx.set_pool(&pool);
+    const Tensor y = conv.Forward({&input}, &ctx).value();
+    const int64_t out_floats = y.numel() / batch;
+    Tensor grad_out(y.shape());
+    for (int64_t i = 0; i < out_floats; ++i) {
+      const float v = rng.NextFloat() * 2.0f - 1.0f;
+      for (int64_t n = 0; n < batch; ++n) {
+        grad_out.data()[n * out_floats + i] = v;
+      }
+    }
+    const Tensor gin = conv.Backward(grad_out, &ctx).value()[0];
+    for (int64_t n = 1; n < batch; ++n) {
+      EXPECT_EQ(0, std::memcmp(y.data() + n * out_floats, y.data(),
+                               out_floats * sizeof(float)))
+          << "output of sample " << n;
+      EXPECT_EQ(0, std::memcmp(gin.data() + n * sample_floats, gin.data(),
+                               sample_floats * sizeof(float)))
+          << "grad_input of sample " << n;
+    }
+  }
+}
+
+TEST(ExecutionModeTest, DepthwiseConvIsIdenticalInBothModes) {
+  ASSERT_EQ(ConvPlan(ConvGeom{2, 16, 16, 3, 1, 1, 16, 14, 14, 14, 14}).algo(),
+            ConvAlgo::kDirect);
+  Rng rng(83);
+  nn::Conv2d conv("t", 16, 16, 3, 1, 1, 16, &rng);
+  const Tensor input = Tensor::Gaussian(Shape{2, 16, 14, 14}, 1.0f, &rng);
+  const std::vector<Tensor> det =
+      RunLayer(&conv, input, nn::ExecutionContext::Deterministic(7), 1);
+  for (uint64_t scheduler_seed : {101, 202}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      ExpectSameBits(
+          RunLayer(&conv, input,
+                   nn::ExecutionContext::NonDeterministic(7, scheduler_seed),
+                   threads),
+          det,
+          "scheduler seed " + std::to_string(scheduler_seed) + ", " +
+              std::to_string(threads) + " threads");
     }
   }
 }
@@ -992,9 +1183,9 @@ TEST(ScratchPoolTest, PlansRunningTwiceReuseScratch) {
   // call may run all chunks on one thread and leave a later, more concurrent
   // call one buffer short.
   util::ThreadPool pool(1);
-  plan.Forward(x.data(), w.data(), y.data(), &pool);
+  plan.Forward(x.data(), w.data(), y.data(), &pool, /*scheduler=*/nullptr);
   const size_t allocated_after_first = plan.scratch()->allocated_buffers();
-  plan.Forward(x.data(), w.data(), y.data(), &pool);
+  plan.Forward(x.data(), w.data(), y.data(), &pool, /*scheduler=*/nullptr);
   EXPECT_EQ(plan.scratch()->allocated_buffers(), allocated_after_first);
   EXPECT_GT(plan.scratch()->reused_acquires(), 0u);
 }
