@@ -6,11 +6,15 @@
 /// schedule (two epochs, two batches) at lr 0.001 (ReplayTrainRecipe; a
 /// protocol deviation, see EXPERIMENTS.md).
 ///
-/// `--check` gates those shapes in each panel and exits non-zero unless
-/// they hold. Each use case is one measurement, so the staircase is read
-/// from sums of two steps: the rise is TTR(U3-1-3) + TTR(U3-1-4) over
+/// Each cell is the median over three flows of the approach, since a single
+/// flow measures each use case once and single cells jump by about 50%.
+///
+/// `--check` gates those shapes in each panel, read from the printed
+/// medians, and exits non-zero unless they hold. The staircase is read from
+/// sums of two steps: the rise is TTR(U3-1-3) + TTR(U3-1-4) over
 /// TTR(U3-1-1) + TTR(U3-1-2). BA must stay flat (rise below 1.5), PUA and
 /// MPA must rise (above 1.25), and MPA's mean U3 TTR must exceed PUA's.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -21,6 +25,8 @@ using namespace mmlib::bench;
 using namespace mmlib::dist;
 
 namespace {
+
+constexpr int kRuns = 3;  // flows per approach; cells are their medians
 
 /// Staircase rise within U3-1 and mean U3 TTR of one approach.
 struct TtrShape {
@@ -34,41 +40,59 @@ std::vector<TtrShape> Panel(const char* panel_id, models::Architecture arch) {
               std::string(models::ArchitectureName(arch)).c_str());
 
   std::vector<std::string> headers = {"use case"};
-  std::vector<FlowResult> results;
+  // results[approach][run]
+  std::vector<std::vector<FlowResult>> results;
   for (ApproachKind approach : {ApproachKind::kBaseline,
                                 ApproachKind::kParamUpdate,
                                 ApproachKind::kProvenance}) {
     headers.push_back(std::string(ApproachName(approach)));
-    FlowConfig config;
-    config.approach = approach;
-    config.model = TrainScaleModel(arch);
-    config.u3_dataset = data::PaperDatasetId::kCocoOutdoor512;
-    config.dataset_divisor = 512;
-    config.train = ReplayTrainRecipe();
-    config.training_mode = TrainingMode::kReal;
-    config.recover_models = true;
-    results.push_back(RunFlowRemote(config));
+    std::vector<FlowResult> runs;
+    for (int run = 0; run < kRuns; ++run) {
+      FlowConfig config;
+      config.approach = approach;
+      config.model = TrainScaleModel(arch);
+      config.u3_dataset = data::PaperDatasetId::kCocoOutdoor512;
+      config.dataset_divisor = 512;
+      config.train = ReplayTrainRecipe();
+      config.training_mode = TrainingMode::kReal;
+      config.recover_models = true;
+      runs.push_back(RunFlowRemote(config));
+    }
+    results.push_back(std::move(runs));
   }
 
+  auto median_ttr = [](const std::vector<FlowResult>& runs,
+                       const std::string& label) {
+    std::vector<double> values;
+    for (const FlowResult& run : runs) {
+      values.push_back(run.MedianTtr(label));
+    }
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+
   TablePrinter table(headers);
-  for (const std::string& label : results[0].Labels()) {
+  for (const std::string& label : results[0][0].Labels()) {
     std::vector<std::string> row = {label};
-    for (const FlowResult& result : results) {
-      row.push_back(Millis(result.MedianTtr(label)));
+    for (const auto& runs : results) {
+      row.push_back(Millis(median_ttr(runs, label)));
     }
     table.AddRow(std::move(row));
   }
   table.Print(std::cout);
 
   std::vector<TtrShape> shapes;
-  for (const FlowResult& result : results) {
+  for (const auto& runs : results) {
+    auto ttr = [&](const std::string& label) {
+      return median_ttr(runs, label);
+    };
     TtrShape shape;
-    shape.rise = (result.MedianTtr("U3-1-3") + result.MedianTtr("U3-1-4")) /
-                 (result.MedianTtr("U3-1-1") + result.MedianTtr("U3-1-2"));
+    shape.rise = (ttr("U3-1-3") + ttr("U3-1-4")) /
+                 (ttr("U3-1-1") + ttr("U3-1-2"));
     int count = 0;
-    for (const std::string& label : result.Labels()) {
+    for (const std::string& label : runs[0].Labels()) {
       if (label.rfind("U3-", 0) == 0) {
-        shape.mean_u3 += result.MedianTtr(label);
+        shape.mean_u3 += ttr(label);
         ++count;
       }
     }

@@ -32,40 +32,40 @@ int main() {
   data::DataLoader loader(&dataset, options);
   const data::Batch batch = loader.GetBatch(0).value();
 
+  bool deterministic_equal = false;
   for (const bool deterministic : {true, false}) {
     auto comparison =
         core::CheckReproducibility(&model, batch, deterministic, /*seed=*/3)
             .value();
+    if (deterministic) {
+      deterministic_equal = comparison.equal;
+    }
     std::printf("\n%s execution: %s\n",
                 deterministic ? "deterministic" : "non-deterministic",
                 comparison.equal ? "all layer traces identical"
                                  : "traces diverge");
     if (!comparison.equal) {
-      const core::ProbeMismatch& first = comparison.mismatches.front();
-      std::printf(
-          "  %zu of %zu captured tensors differ; first divergence: %s pass, "
-          "layer '%s' (index %zu)\n",
-          comparison.mismatches.size(), 2 * model.node_count(),
-          first.pass == core::ProbeMismatch::Pass::kForward ? "forward"
-                                                            : "backward",
-          first.layer_name.c_str(), first.index);
+      std::printf("  %s; %zu tensors captured per run\n",
+                  comparison.FirstDivergence().c_str(),
+                  2 * model.node_count());
     }
   }
 
   // Cross-machine verification: serialize a trace, "ship" it, compare.
   nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(3);
-  auto record = core::ProbeModel(&model, batch, &ctx).value();
-  const Bytes shipped = record.Serialize();
-  std::printf(
-      "\nserialized probe record: %zu bytes for %zu forward + %zu backward "
-      "tensors\n",
-      shipped.size(), record.forward.size(), record.backward.size());
+  auto trace = core::ProbeModel(&model, batch, &ctx).value();
+  const Bytes shipped = trace.Serialize();
+  std::printf("\nserialized trace: %zu bytes for %zu tensors, root %s\n",
+              shipped.size(), trace.events.size(),
+              trace.Root().value().ToHex().substr(0, 16).c_str());
 
   nn::ExecutionContext remote_ctx = nn::ExecutionContext::Deterministic(3);
   auto remote = core::ProbeModel(&model, batch, &remote_ctx).value();
-  auto cross = core::CompareProbeRecords(
-      core::ProbeRecord::Deserialize(shipped).value(), remote);
+  auto cross = core::CompareTraces(
+      core::LayerTrace::Deserialize(shipped).value(), remote);
   std::printf("cross-machine comparison: %s\n",
               cross.equal ? "reproducible" : "NOT reproducible");
-  return cross.equal ? 0 : 1;
+  // Non-zero exit unless deterministic execution reproduces, locally and
+  // through the serialized trace.
+  return deterministic_equal && cross.equal ? 0 : 1;
 }

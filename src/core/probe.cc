@@ -1,145 +1,155 @@
 #include "core/probe.h"
 
+#include <algorithm>
+#include <utility>
+
+#include "hash/merkle_tree.h"
 #include "nn/loss.h"
 
 namespace mmlib::core {
 
-namespace {
-
-/// Captures per-layer digests during Forward/Backward.
-class ProbeRecorder : public nn::ActivationObserver {
- public:
-  explicit ProbeRecorder(ProbeRecord* record) : record_(record) {}
-
-  void OnForward(const std::string& layer_name,
-                 const Tensor& output) override {
-    record_->forward.push_back(
-        ProbeEntry{layer_name, output.ContentHash()});
-  }
-
-  void OnBackward(const std::string& layer_name,
-                  const Tensor& grad_input) override {
-    record_->backward.push_back(
-        ProbeEntry{layer_name, grad_input.ContentHash()});
-  }
-
- private:
-  ProbeRecord* record_;
-};
-
-void SerializeEntries(BytesWriter* writer,
-                      const std::vector<ProbeEntry>& entries) {
-  writer->WriteU64(entries.size());
-  for (const ProbeEntry& entry : entries) {
-    writer->WriteString(entry.layer_name);
-    writer->WriteRaw(entry.digest.bytes.data(), entry.digest.bytes.size());
-  }
-}
-
-Result<std::vector<ProbeEntry>> DeserializeEntries(BytesReader* reader) {
-  MMLIB_ASSIGN_OR_RETURN(uint64_t count, reader->ReadU64());
-  if (count > (1ULL << 24)) {
-    return Status::Corruption("probe record entry count out of range");
-  }
-  std::vector<ProbeEntry> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ProbeEntry entry;
-    MMLIB_ASSIGN_OR_RETURN(entry.layer_name, reader->ReadString());
-    MMLIB_RETURN_IF_ERROR(
-        reader->ReadRaw(entry.digest.bytes.data(), entry.digest.bytes.size()));
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
-}  // namespace
-
-Bytes ProbeRecord::Serialize() const {
+Bytes LayerTrace::Serialize() const {
   BytesWriter writer;
   writer.WriteF32(loss);
-  SerializeEntries(&writer, forward);
-  SerializeEntries(&writer, backward);
+  writer.WriteU64(events.size());
+  for (const TraceEvent& event : events) {
+    writer.WriteU8(static_cast<uint8_t>(event.pass));
+    writer.WriteString(event.layer_name);
+    writer.WriteRaw(event.digest.bytes.data(), event.digest.bytes.size());
+  }
   return writer.TakeBytes();
 }
 
-Result<ProbeRecord> ProbeRecord::Deserialize(const Bytes& data) {
+Result<LayerTrace> LayerTrace::Deserialize(const Bytes& data) {
   BytesReader reader(data);
-  ProbeRecord record;
-  MMLIB_ASSIGN_OR_RETURN(record.loss, reader.ReadF32());
-  MMLIB_ASSIGN_OR_RETURN(record.forward, DeserializeEntries(&reader));
-  MMLIB_ASSIGN_OR_RETURN(record.backward, DeserializeEntries(&reader));
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes after probe record");
-  }
-  return record;
-}
-
-Result<ProbeRecord> ProbeModel(nn::Model* model, const data::Batch& batch,
-                               nn::ExecutionContext* ctx) {
-  ProbeRecord record;
-  ProbeRecorder recorder(&record);
-  model->set_observer(&recorder);
-  model->ZeroGrad();
-
-  auto run = [&]() -> Status {
-    MMLIB_ASSIGN_OR_RETURN(Tensor logits, model->Forward(batch.images, ctx));
-    MMLIB_ASSIGN_OR_RETURN(nn::LossResult loss,
-                           nn::SoftmaxCrossEntropy(logits, batch.labels));
-    record.loss = loss.loss;
-    MMLIB_RETURN_IF_ERROR(model->Backward(loss.grad_logits, ctx).status());
-    return Status::OK();
-  };
-  const Status status = run();
-  model->set_observer(nullptr);
-  MMLIB_RETURN_IF_ERROR(status);
-  return record;
-}
-
-ProbeComparison CompareProbeRecords(const ProbeRecord& a,
-                                    const ProbeRecord& b) {
-  ProbeComparison comparison;
-  auto compare_pass = [&](const std::vector<ProbeEntry>& lhs,
-                          const std::vector<ProbeEntry>& rhs,
-                          ProbeMismatch::Pass pass) {
-    const size_t n = std::max(lhs.size(), rhs.size());
-    for (size_t i = 0; i < n; ++i) {
-      if (i >= lhs.size() || i >= rhs.size() ||
-          lhs[i].layer_name != rhs[i].layer_name ||
-          lhs[i].digest != rhs[i].digest) {
-        const std::string& name =
-            i < lhs.size() ? lhs[i].layer_name
-                           : (i < rhs.size() ? rhs[i].layer_name : "");
-        comparison.mismatches.push_back(ProbeMismatch{pass, name, i});
-      }
+  LayerTrace trace;
+  MMLIB_ASSIGN_OR_RETURN(trace.loss, reader.ReadF32());
+  MMLIB_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64());
+  // No reserve: a corrupt count fails at the first missing event instead
+  // of allocating for it.
+  for (uint64_t i = 0; i < count; ++i) {
+    TraceEvent& event = trace.events.emplace_back();
+    MMLIB_ASSIGN_OR_RETURN(uint8_t pass, reader.ReadU8());
+    if (pass > static_cast<uint8_t>(TraceEvent::Pass::kBackward)) {
+      return Status::Corruption("layer trace event has an unknown pass");
     }
-  };
-  compare_pass(a.forward, b.forward, ProbeMismatch::Pass::kForward);
-  compare_pass(a.backward, b.backward, ProbeMismatch::Pass::kBackward);
-  comparison.equal = comparison.mismatches.empty() && a.loss == b.loss;
+    event.pass = static_cast<TraceEvent::Pass>(pass);
+    MMLIB_ASSIGN_OR_RETURN(event.layer_name, reader.ReadString());
+    MMLIB_RETURN_IF_ERROR(
+        reader.ReadRaw(event.digest.bytes.data(), event.digest.bytes.size()));
+  }
+  if (!reader.AtEnd()) {
+    return Status::Corruption("trailing bytes after layer trace");
+  }
+  return trace;
+}
+
+Result<Digest> LayerTrace::Root() const {
+  std::vector<Digest> leaves;
+  leaves.reserve(events.size());
+  for (const TraceEvent& event : events) {
+    leaves.push_back(event.digest);
+  }
+  MMLIB_ASSIGN_OR_RETURN(MerkleTree tree, MerkleTree::Build(std::move(leaves)));
+  return tree.root();
+}
+
+std::string TraceComparison::FirstDivergence() const {
+  if (equal) {
+    return "";
+  }
+  if (mismatches.empty()) {
+    return "loss diverged";
+  }
+  const TraceMismatch& first = mismatches.front();
+  return std::string(first.pass == TraceEvent::Pass::kForward ? "forward"
+                                                              : "backward") +
+         " event #" + std::to_string(first.index) + " (" + first.layer_name +
+         ") diverged, " + std::to_string(mismatches.size()) +
+         " events differ";
+}
+
+TraceComparison CompareTraces(const LayerTrace& expected,
+                              const LayerTrace& actual) {
+  TraceComparison comparison;
+  const std::vector<TraceEvent>& lhs = expected.events;
+  const std::vector<TraceEvent>& rhs = actual.events;
+  for (size_t i = 0; i < std::max(lhs.size(), rhs.size()); ++i) {
+    if (i < lhs.size() && i < rhs.size() && lhs[i].pass == rhs[i].pass &&
+        lhs[i].layer_name == rhs[i].layer_name &&
+        lhs[i].digest == rhs[i].digest) {
+      continue;
+    }
+    const TraceEvent& named = i < rhs.size() ? rhs[i] : lhs[i];
+    comparison.mismatches.push_back(
+        TraceMismatch{i, named.pass, named.layer_name});
+  }
+  comparison.equal =
+      comparison.mismatches.empty() && expected.loss == actual.loss;
   return comparison;
 }
 
-Result<ProbeComparison> CheckReproducibility(nn::Model* model,
+TraceRecorder::TraceRecorder(nn::Model* model, LayerTrace* trace)
+    : model_(model), trace_(trace), previous_(model->observer()) {
+  model_->set_observer(this);
+}
+
+TraceRecorder::~TraceRecorder() { model_->set_observer(previous_); }
+
+void TraceRecorder::OnForward(const std::string& layer_name,
+                              const Tensor& output) {
+  trace_->events.push_back(TraceEvent{TraceEvent::Pass::kForward, layer_name,
+                                      output.ContentHash()});
+}
+
+void TraceRecorder::OnBackward(const std::string& layer_name,
+                               const Tensor& grad_input) {
+  trace_->events.push_back(TraceEvent{TraceEvent::Pass::kBackward, layer_name,
+                                      grad_input.ContentHash()});
+}
+
+Result<LayerTrace> ProbeModel(nn::Model* model, const data::Batch& batch,
+                              nn::ExecutionContext* ctx) {
+  LayerTrace trace;
+  TraceRecorder recorder(model, &trace);
+  model->ZeroGrad();
+  MMLIB_ASSIGN_OR_RETURN(Tensor logits, model->Forward(batch.images, ctx));
+  MMLIB_ASSIGN_OR_RETURN(nn::LossResult loss,
+                         nn::SoftmaxCrossEntropy(logits, batch.labels));
+  trace.loss = loss.loss;
+  MMLIB_RETURN_IF_ERROR(model->Backward(loss.grad_logits, ctx).status());
+  return trace;
+}
+
+Result<TraceComparison> CheckReproducibility(nn::Model* model,
                                              const data::Batch& batch,
                                              bool deterministic,
                                              uint64_t seed) {
-  // The two runs use equal intentional-randomness seeds; in the
-  // non-deterministic configuration the scheduler seeds differ, modeling two
-  // runs on an uncontrolled parallel device.
-  auto make_ctx = [&](uint64_t scheduler_seed) {
+  auto probe = [&](uint64_t scheduler_seed) {
     nn::ExecutionContext ctx =
         deterministic
             ? nn::ExecutionContext::Deterministic(seed)
             : nn::ExecutionContext::NonDeterministic(seed, scheduler_seed);
     ctx.set_training(true);
-    return ctx;
+    return ProbeModel(model, batch, &ctx);
   };
-  nn::ExecutionContext ctx1 = make_ctx(101);
-  MMLIB_ASSIGN_OR_RETURN(ProbeRecord first, ProbeModel(model, batch, &ctx1));
-  nn::ExecutionContext ctx2 = make_ctx(202);
-  MMLIB_ASSIGN_OR_RETURN(ProbeRecord second, ProbeModel(model, batch, &ctx2));
-  return CompareProbeRecords(first, second);
+  MMLIB_ASSIGN_OR_RETURN(LayerTrace first, probe(101));
+  MMLIB_ASSIGN_OR_RETURN(LayerTrace second, probe(202));
+  return CompareTraces(first, second);
+}
+
+Status DeterminismAuditor::Check(LayerTrace trace) {
+  const size_t run = completed_runs_++;
+  if (run == 0) {
+    reference_ = std::move(trace);
+    return Status::OK();
+  }
+  const TraceComparison comparison = CompareTraces(reference_, trace);
+  if (comparison.equal) {
+    return Status::OK();
+  }
+  return Status::Corruption("determinism audit: run " + std::to_string(run) +
+                            ": " + comparison.FirstDivergence());
 }
 
 }  // namespace mmlib::core

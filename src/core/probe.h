@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -9,63 +10,108 @@
 #include "util/bytes.h"
 #include "util/result.h"
 
+/// The per-layer trace (DESIGN.md "Correctness tooling"): the paper's
+/// probing tool (Section 2.4) and the determinism auditor that guards
+/// provenance replay (Figure 13) are both built on it.
 namespace mmlib::core {
 
-/// One captured intermediate result: the digest of a layer's output tensor
-/// (forward pass) or input gradient (backward pass).
-struct ProbeEntry {
+/// One captured tensor: the digest of a layer's forward output or backward
+/// input gradient.
+struct TraceEvent {
+  enum class Pass : uint8_t { kForward, kBackward };
+  Pass pass = Pass::kForward;
   std::string layer_name;
   Digest digest;
 };
 
-/// The layer-wise trace of one forward+backward execution. Records can be
-/// serialized, moved across machines, and compared — which verifies model
-/// reproducibility across machines (paper Section 2.4).
-struct ProbeRecord {
-  std::vector<ProbeEntry> forward;
-  std::vector<ProbeEntry> backward;
+/// The layer-wise trace of one execution: its events in execution order and
+/// the loss. Traces can be serialized, moved across machines and compared,
+/// which verifies model reproducibility across machines.
+struct LayerTrace {
+  std::vector<TraceEvent> events;
   float loss = 0.0f;
 
   Bytes Serialize() const;
-  static Result<ProbeRecord> Deserialize(const Bytes& data);
+  static Result<LayerTrace> Deserialize(const Bytes& data);
+
+  /// Merkle root over the event digests: a compact fingerprint of the whole
+  /// execution. Fails on an empty trace.
+  Result<Digest> Root() const;
 };
 
-/// A difference between two probe records.
-struct ProbeMismatch {
-  enum class Pass { kForward, kBackward };
-  Pass pass = Pass::kForward;
+/// A position at which two traces differ.
+struct TraceMismatch {
+  size_t index = 0;  ///< Event position in execution order.
+  TraceEvent::Pass pass = TraceEvent::Pass::kForward;
   std::string layer_name;
-  size_t index = 0;
 };
 
-/// Outcome of comparing two probe records layer by layer.
-struct ProbeComparison {
-  bool equal = false;
-  std::vector<ProbeMismatch> mismatches;
+/// Outcome of comparing two traces event by event.
+struct TraceComparison {
+  bool equal = false;  ///< No mismatching event and equal loss.
+  std::vector<TraceMismatch> mismatches;
+
+  /// Names the first divergence, e.g. "forward event #2 (fc2) diverged, 3
+  /// of 6 events differ"; empty when the traces are equal.
+  std::string FirstDivergence() const;
 };
 
-/// The reproducibility probing tool (paper Section 2.4, inspired by Riach's
-/// TensorFlow determinism probe): executes a model's forward and backward
-/// pass on a given batch and captures the input and output tensors of every
-/// layer as digests.
-///
-/// Executing the same model twice on the same data and comparing the records
-/// layer-wise tells whether — and at which layer — the execution diverges.
-Result<ProbeRecord> ProbeModel(nn::Model* model, const data::Batch& batch,
-                               nn::ExecutionContext* ctx);
+/// Compares two traces position by position. An event present in only one
+/// trace is a mismatch at its position.
+TraceComparison CompareTraces(const LayerTrace& expected,
+                              const LayerTrace& actual);
 
-/// Compares two records layer by layer over both passes.
-ProbeComparison CompareProbeRecords(const ProbeRecord& a,
-                                    const ProbeRecord& b);
+/// The ActivationObserver that builds traces: while alive, it appends every
+/// forward output and backward input gradient of `model` to `trace`. The
+/// model's previous observer is restored on destruction.
+class TraceRecorder : public nn::ActivationObserver {
+ public:
+  TraceRecorder(nn::Model* model, LayerTrace* trace);
+  ~TraceRecorder() override;
+  TraceRecorder(const TraceRecorder&) = delete;
+  TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-/// Convenience check: runs the model twice with identically seeded contexts
-/// (deterministic per `deterministic`) and returns whether the two traces
-/// match — i.e. whether inference and training of the model are reproducible
-/// in this configuration.
-Result<ProbeComparison> CheckReproducibility(nn::Model* model,
+  void OnForward(const std::string& layer_name, const Tensor& output) override;
+  void OnBackward(const std::string& layer_name,
+                  const Tensor& grad_input) override;
+
+ private:
+  nn::Model* model_;
+  LayerTrace* trace_;
+  nn::ActivationObserver* previous_;
+};
+
+/// The probing tool (inspired by Riach's TensorFlow determinism probe):
+/// executes one forward and backward pass of `model` on `batch` under a
+/// softmax cross-entropy loss and returns its trace.
+Result<LayerTrace> ProbeModel(nn::Model* model, const data::Batch& batch,
+                              nn::ExecutionContext* ctx);
+
+/// Probes the model twice with identically seeded training contexts and
+/// compares the traces: whether, and at which layer, inference and training
+/// diverge. Non-deterministic runs get different scheduler seeds, modeling
+/// two runs on an uncontrolled parallel device.
+Result<TraceComparison> CheckReproducibility(nn::Model* model,
                                              const data::Batch& batch,
                                              bool deterministic,
                                              uint64_t seed);
 
-}  // namespace mmlib::core
+/// Guards bit-reproducible replay (Figure 13): the first checked trace
+/// becomes the reference and every later one must match it event for event.
+/// ImageTrainService checks each audited deterministic Train.
+class DeterminismAuditor {
+ public:
+  /// Stores the first trace as the reference and returns OK; compares later
+  /// traces against it and returns Corruption naming the first diverging
+  /// layer.
+  Status Check(LayerTrace trace);
 
+  size_t completed_runs() const { return completed_runs_; }
+  const LayerTrace& reference() const { return reference_; }
+
+ private:
+  LayerTrace reference_;
+  size_t completed_runs_ = 0;
+};
+
+}  // namespace mmlib::core

@@ -1,5 +1,7 @@
 #include "core/train_service.h"
 
+#include <optional>
+
 #include "data/prefetcher.h"
 #include "nn/loss.h"
 #include "util/clock.h"
@@ -231,24 +233,14 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
     ctx.rng()->RestoreState(resume_from->rng);
   }
 
-  // Audited deterministic runs record per-layer digests; replaying the same
+  // Audited deterministic runs record their layer trace; replaying the same
   // provenance must reproduce the reference trace bit for bit (Fig. 13).
   const bool audited = auditor_ != nullptr && deterministic;
-  nn::ActivationObserver* previous_observer = model->observer();
+  LayerTrace trace;
+  std::optional<TraceRecorder> recorder;
   if (audited) {
-    auditor_->BeginRun();
-    model->set_observer(auditor_);
+    recorder.emplace(model, &trace);
   }
-  auto finish_audit = [&](Status status) -> Status {
-    if (audited) {
-      model->set_observer(previous_observer);
-      Status audit_status = auditor_->EndRun();
-      if (status.ok()) {
-        status = audit_status;
-      }
-    }
-    return status;
-  };
 
   // Checkpointing applies only to deterministic runs: a non-deterministic
   // run cannot be continued bit-identically, so a checkpoint of it would
@@ -351,7 +343,12 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
       run_status = drain_status;
     }
   }
-  MMLIB_RETURN_IF_ERROR(finish_audit(run_status));
+  recorder.reset();
+  MMLIB_RETURN_IF_ERROR(run_status);
+  if (audited) {
+    trace.loss = last_loss_;
+    MMLIB_RETURN_IF_ERROR(auditor_->Check(std::move(trace)));
+  }
   return *ctx.times();
 }
 

@@ -4,8 +4,8 @@
 #include <memory>
 #include <string>
 
-#include "audit/determinism_auditor.h"
 #include "core/checkpoint.h"
+#include "core/probe.h"
 #include "data/archive.h"
 #include "data/dataloader.h"
 #include "data/dataset.h"
@@ -118,12 +118,12 @@ class ImageTrainService : public TrainService {
   float last_loss() const { return last_loss_; }
 
   /// Attaches a determinism auditor: every subsequent *deterministic* Train
-  /// call is recorded as one audit run (per-layer forward/backward digests).
-  /// The first audited call becomes the reference; a later call that should
-  /// be a bit-identical replay (e.g. provenance-based recovery, Fig. 13)
-  /// fails with Corruption at the first diverging layer. Pass nullptr to
+  /// call records its layer trace and has the auditor check it. The first
+  /// audited call becomes the reference; a later call that should be a
+  /// bit-identical replay (e.g. provenance-based recovery, Fig. 13) fails
+  /// with Corruption naming the first diverging layer. Pass nullptr to
   /// detach. The auditor must outlive the service's Train calls.
-  void set_determinism_auditor(audit::DeterminismAuditor* auditor) {
+  void set_determinism_auditor(DeterminismAuditor* auditor) {
     auditor_ = auditor;
   }
 
@@ -191,7 +191,7 @@ class ImageTrainService : public TrainService {
   nn::Model* bound_model_ = nullptr;
   Bytes pending_optimizer_state_;
   float last_loss_ = 0.0f;
-  audit::DeterminismAuditor* auditor_ = nullptr;
+  DeterminismAuditor* auditor_ = nullptr;
   util::ThreadPool* pool_ = nullptr;
   CheckpointManager* checkpoints_ = nullptr;
   std::string checkpoint_run_id_;

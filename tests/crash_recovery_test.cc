@@ -8,12 +8,12 @@
 #include <utility>
 #include <vector>
 
-#include "audit/determinism_auditor.h"
 #include "core/adaptive.h"
 #include "core/baseline.h"
 #include "core/checkpoint.h"
 #include "core/model_code.h"
 #include "core/param_update.h"
+#include "core/probe.h"
 #include "core/provenance.h"
 #include "core/recover.h"
 #include "core/save_service.h"
@@ -607,26 +607,22 @@ TEST_F(TrainCheckpointTest, ResumeIsBitIdenticalToUninterruptedRun) {
 
   // The resumed model's forward/backward trace replays the reference
   // bit for bit (per-layer digests, DeterminismAuditor).
-  audit::DeterminismAuditor auditor;
+  core::DeterminismAuditor auditor;
   Rng rng(11);
-  const Tensor input = Tensor::Uniform(
-      Shape{2, 3, config_.loader.image_size, config_.loader.image_size},
-      -1.0f, 1.0f, &rng);
+  const data::Batch batch{
+      Tensor::Uniform(
+          Shape{2, 3, config_.loader.image_size, config_.loader.image_size},
+          -1.0f, 1.0f, &rng),
+      {0, 1}};
   for (nn::Model* model : {&reference, &resumed}) {
     nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(5);
     ctx.set_training(true);
-    model->ZeroGrad();
-    model->set_observer(&auditor);
-    auditor.BeginRun();
-    auto logits = model->Forward(input, &ctx);
-    ASSERT_TRUE(logits.ok()) << logits.status();
-    ASSERT_TRUE(
-        model->Backward(Tensor::Full(logits->shape(), 1.0f), &ctx).ok());
-    model->set_observer(nullptr);
-    ASSERT_TRUE(auditor.EndRun().ok()) << "trace diverged";
+    auto trace = core::ProbeModel(model, batch, &ctx);
+    ASSERT_TRUE(trace.ok()) << trace.status();
+    const Status audit = auditor.Check(std::move(trace).value());
+    ASSERT_TRUE(audit.ok()) << audit;
   }
   EXPECT_EQ(auditor.completed_runs(), 2u);
-  EXPECT_FALSE(auditor.first_divergence().has_value());
 }
 
 TEST_F(TrainCheckpointTest, ResumeIsBitIdenticalAcrossPoolSizes) {

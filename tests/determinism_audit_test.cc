@@ -1,9 +1,8 @@
-#include "audit/determinism_auditor.h"
-
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "core/probe.h"
 #include "core/train_service.h"
 #include "models/zoo.h"
 #include "nn/activations.h"
@@ -11,7 +10,7 @@
 #include "nn/model.h"
 #include "util/random.h"
 
-namespace mmlib::audit {
+namespace mmlib::core {
 namespace {
 
 nn::Model SmallMlp(uint64_t seed = 9) {
@@ -28,45 +27,32 @@ Tensor SmallInput(uint64_t seed = 5) {
   return Tensor::Uniform(Shape{2, 8}, -1.0f, 1.0f, &rng);
 }
 
-// Runs one forward+backward under `auditor` with a deterministic context.
-Status RunOnce(nn::Model* model, DeterminismAuditor* auditor,
-               const Tensor& input, uint64_t seed = 3) {
+data::Batch SmallBatch() { return data::Batch{SmallInput(), {0, 3}}; }
+
+// Probes one forward+backward of `model` with a deterministic context.
+LayerTrace TraceOnce(nn::Model* model, uint64_t seed = 3) {
   nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(seed);
   ctx.set_training(true);
-  model->ZeroGrad();
-  model->set_observer(auditor);
-  auditor->BeginRun();
-  auto run = [&]() -> Status {
-    MMLIB_ASSIGN_OR_RETURN(Tensor output, model->Forward(input, &ctx));
-    Tensor grad = Tensor::Full(output.shape(), 1.0f);
-    return model->Backward(grad, &ctx).status();
-  };
-  const Status status = run();
-  model->set_observer(nullptr);
-  if (!status.ok()) {
-    return status;
-  }
-  return auditor->EndRun();
+  auto trace = ProbeModel(model, SmallBatch(), &ctx);
+  EXPECT_TRUE(trace.ok()) << trace.status();
+  return trace.ok() ? std::move(trace).value() : LayerTrace{};
 }
 
 TEST(DeterminismAuditorTest, IdenticalRunsPass) {
   nn::Model model = SmallMlp();
-  const Tensor input = SmallInput();
   DeterminismAuditor auditor;
-  ASSERT_TRUE(RunOnce(&model, &auditor, input).ok());
-  ASSERT_TRUE(RunOnce(&model, &auditor, input).ok());
-  ASSERT_TRUE(RunOnce(&model, &auditor, input).ok());
+  ASSERT_TRUE(auditor.Check(TraceOnce(&model)).ok());
+  ASSERT_TRUE(auditor.Check(TraceOnce(&model)).ok());
+  ASSERT_TRUE(auditor.Check(TraceOnce(&model)).ok());
   EXPECT_EQ(auditor.completed_runs(), 3u);
-  EXPECT_FALSE(auditor.first_divergence().has_value());
   // 3 layers, forward + backward events per run.
-  EXPECT_EQ(auditor.reference_trace().size(), 6u);
+  EXPECT_EQ(auditor.reference().events.size(), 6u);
 }
 
 TEST(DeterminismAuditorTest, CorruptedLayerOutputIsDetectedAtThatLayer) {
   nn::Model model = SmallMlp();
-  const Tensor input = SmallInput();
   DeterminismAuditor auditor;
-  ASSERT_TRUE(RunOnce(&model, &auditor, input).ok());
+  ASSERT_TRUE(auditor.Check(TraceOnce(&model)).ok());
 
   // Corrupt a single bias element of fc2 (the bias always reaches the
   // output; a weight element can be masked by an upstream ReLU zero): every
@@ -74,78 +60,48 @@ TEST(DeterminismAuditorTest, CorruptedLayerOutputIsDetectedAtThatLayer) {
   const size_t fc2 = model.FindLayerIndex("fc2").value();
   model.layer(fc2)->params()[1].value.at(0) += 1e-3f;
 
-  const Status status = RunOnce(&model, &auditor, input);
+  const LayerTrace trace = TraceOnce(&model);
+  const Status status = auditor.Check(trace);
   ASSERT_EQ(status.code(), StatusCode::kCorruption);
-  ASSERT_TRUE(auditor.first_divergence().has_value());
-  const AuditDivergence& divergence = *auditor.first_divergence();
+  const TraceComparison comparison = CompareTraces(auditor.reference(), trace);
+  ASSERT_FALSE(comparison.mismatches.empty());
+  const TraceMismatch& divergence = comparison.mismatches.front();
   EXPECT_EQ(divergence.layer_name, "fc2");
-  EXPECT_EQ(divergence.pass, AuditEvent::Pass::kForward);
-  EXPECT_EQ(divergence.run, 1u);
+  EXPECT_EQ(divergence.pass, TraceEvent::Pass::kForward);
   // fc1 and relu1 forward events came first and matched.
-  EXPECT_EQ(divergence.position, 2u);
-  EXPECT_NE(status.message().find("fc2"), std::string::npos);
+  EXPECT_EQ(divergence.index, 2u);
+  EXPECT_NE(status.message().find("run 1: forward event #2 (fc2)"),
+            std::string::npos)
+      << status.message();
 }
 
-TEST(DeterminismAuditorTest, AuditDeterminismHelperPassesOnCleanModel) {
+TEST(DeterminismAuditorTest, CheckReproducibilityPassesOnCleanModel) {
   nn::Model model = SmallMlp();
-  EXPECT_TRUE(AuditDeterminism(&model, SmallInput(), /*seed=*/11,
-                               /*runs=*/3)
-                  .ok());
-  EXPECT_FALSE(AuditDeterminism(&model, SmallInput(), 11, /*runs=*/0).ok());
+  auto comparison = CheckReproducibility(&model, SmallBatch(),
+                                         /*deterministic=*/true, /*seed=*/11);
+  ASSERT_TRUE(comparison.ok()) << comparison.status();
+  EXPECT_TRUE(comparison->equal) << comparison->FirstDivergence();
 }
 
 TEST(DeterminismAuditorTest, ReferenceRootIsAStableFingerprint) {
   nn::Model a = SmallMlp();
   nn::Model b = SmallMlp();
-  const Tensor input = SmallInput();
   DeterminismAuditor audit_a;
   DeterminismAuditor audit_b;
-  ASSERT_TRUE(RunOnce(&a, &audit_a, input).ok());
-  ASSERT_TRUE(RunOnce(&b, &audit_b, input).ok());
+  ASSERT_TRUE(audit_a.Check(TraceOnce(&a)).ok());
+  ASSERT_TRUE(audit_b.Check(TraceOnce(&b)).ok());
   // Identically seeded models on identical input: same Merkle root.
-  EXPECT_EQ(audit_a.ReferenceRoot().value(), audit_b.ReferenceRoot().value());
+  EXPECT_EQ(audit_a.reference().Root().value(),
+            audit_b.reference().Root().value());
 
   nn::Model c = SmallMlp(/*seed=*/10);
   DeterminismAuditor audit_c;
-  ASSERT_TRUE(RunOnce(&c, &audit_c, input).ok());
-  EXPECT_NE(audit_a.ReferenceRoot().value(), audit_c.ReferenceRoot().value());
+  ASSERT_TRUE(audit_c.Check(TraceOnce(&c)).ok());
+  EXPECT_NE(audit_a.reference().Root().value(),
+            audit_c.reference().Root().value());
 
   DeterminismAuditor empty;
-  EXPECT_FALSE(empty.ReferenceRoot().ok());
-}
-
-TEST(DeterminismAuditorTest, ResetStartsANewReference) {
-  nn::Model model = SmallMlp();
-  const Tensor input = SmallInput();
-  DeterminismAuditor auditor;
-  ASSERT_TRUE(RunOnce(&model, &auditor, input).ok());
-  const size_t fc1 = model.FindLayerIndex("fc1").value();
-  model.layer(fc1)->params()[0].value.at(3) += 1e-5f;
-  ASSERT_FALSE(RunOnce(&model, &auditor, input).ok());
-
-  auditor.Reset();
-  EXPECT_EQ(auditor.completed_runs(), 0u);
-  // After Reset the perturbed model defines the new reference and passes.
-  ASSERT_TRUE(RunOnce(&model, &auditor, input).ok());
-  ASSERT_TRUE(RunOnce(&model, &auditor, input).ok());
-}
-
-TEST(DeterminismAuditorDeathTest, FatalModeAbortsOnDivergence) {
-  // The runs below start the process-wide pool's worker threads. A plain
-  // fork() can copy a pool mutex that a worker holds at that instant, and
-  // the child then blocks on it; the threadsafe style re-executes the
-  // binary for the death statement instead.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  nn::Model model = SmallMlp();
-  const Tensor input = SmallInput();
-  DeterminismAuditOptions options;
-  options.fatal = true;
-  DeterminismAuditor auditor(options);
-  ASSERT_TRUE(RunOnce(&model, &auditor, input).ok());
-  const size_t fc1 = model.FindLayerIndex("fc1").value();
-  model.layer(fc1)->params()[0].value.at(0) += 1e-5f;
-  EXPECT_DEATH((void)RunOnce(&model, &auditor, input),
-               "determinism audit.*fc1");
+  EXPECT_FALSE(empty.reference().Root().ok());
 }
 
 // End-to-end wiring: an audited deterministic training run is reproducible
@@ -202,8 +158,13 @@ TEST(DeterminismAuditorTest, AuditedTrainingReplayDetectsCorruption) {
     auto times = service.Train(&corrupted, /*deterministic=*/true, 0);
     ASSERT_FALSE(times.ok());
     EXPECT_EQ(times.status().code(), StatusCode::kCorruption);
+    // The first layer's output is the first event to diverge.
+    EXPECT_NE(times.status().message().find(
+                  "forward event #0 (" + corrupted.layer(0)->name() + ")"),
+              std::string::npos)
+        << times.status();
   }
 }
 
 }  // namespace
-}  // namespace mmlib::audit
+}  // namespace mmlib::core

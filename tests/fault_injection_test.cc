@@ -8,11 +8,11 @@
 #include <utility>
 #include <vector>
 
-#include "audit/determinism_auditor.h"
 #include "core/baseline.h"
 #include "core/fetch.h"
 #include "core/model_code.h"
 #include "core/param_update.h"
+#include "core/probe.h"
 #include "core/recover.h"
 #include "core/save_txn.h"
 #include "dist/flow.h"
@@ -716,9 +716,11 @@ FlowOutcome RunFaultyDistFlow(size_t pool_size, uint64_t seed) {
       outcome.last_params_hash = last->model.ParamsHash().ToHex();
       // The recovered model still executes bit-reproducibly.
       Rng rng(7);
-      Tensor input = Tensor::Gaussian(Shape{2, 3, 28, 28}, 1.0f, &rng);
-      EXPECT_TRUE(audit::AuditDeterminism(&last->model, input, /*seed=*/3)
-                      .ok());
+      const data::Batch batch{
+          Tensor::Gaussian(Shape{2, 3, 28, 28}, 1.0f, &rng), {0, 1}};
+      auto comparison = core::CheckReproducibility(
+          &last->model, batch, /*deterministic=*/true, /*seed=*/3);
+      EXPECT_TRUE(comparison.ok() && comparison->equal);
     }
   }
   outcome.file_retries = files.retry_count();

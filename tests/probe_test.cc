@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/probe.h"
@@ -38,10 +39,20 @@ class ProbeTest : public ::testing::Test {
 
 TEST_F(ProbeTest, RecordsEveryLayerInBothPasses) {
   nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(1);
-  auto record = ProbeModel(model_.get(), batch_, &ctx).value();
-  EXPECT_EQ(record.forward.size(), model_->node_count());
-  EXPECT_EQ(record.backward.size(), model_->node_count());
-  EXPECT_GT(record.loss, 0.0f);
+  auto trace = ProbeModel(model_.get(), batch_, &ctx).value();
+  auto count = [&](TraceEvent::Pass pass) {
+    return static_cast<size_t>(std::count_if(
+        trace.events.begin(), trace.events.end(),
+        [&](const TraceEvent& event) { return event.pass == pass; }));
+  };
+  EXPECT_EQ(count(TraceEvent::Pass::kForward), model_->node_count());
+  EXPECT_EQ(count(TraceEvent::Pass::kBackward), model_->node_count());
+  // Execution order: every forward event precedes every backward event.
+  EXPECT_EQ(trace.events[model_->node_count() - 1].pass,
+            TraceEvent::Pass::kForward);
+  EXPECT_EQ(trace.events[model_->node_count()].pass,
+            TraceEvent::Pass::kBackward);
+  EXPECT_GT(trace.loss, 0.0f);
 }
 
 TEST_F(ProbeTest, DeterministicExecutionIsReproducible) {
@@ -50,8 +61,7 @@ TEST_F(ProbeTest, DeterministicExecutionIsReproducible) {
   auto comparison =
       CheckReproducibility(model_.get(), batch_, /*deterministic=*/true, 5)
           .value();
-  EXPECT_TRUE(comparison.equal) << comparison.mismatches.size()
-                                << " mismatching layers";
+  EXPECT_TRUE(comparison.equal) << comparison.FirstDivergence();
 }
 
 TEST_F(ProbeTest, NonDeterministicExecutionDiverges) {
@@ -66,10 +76,10 @@ TEST_F(ProbeTest, NonDeterministicExecutionDiverges) {
 
 TEST_F(ProbeTest, RecordSerializationRoundtrip) {
   nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(2);
-  auto record = ProbeModel(model_.get(), batch_, &ctx).value();
-  auto restored = ProbeRecord::Deserialize(record.Serialize());
+  auto trace = ProbeModel(model_.get(), batch_, &ctx).value();
+  auto restored = LayerTrace::Deserialize(trace.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status();
-  auto comparison = CompareProbeRecords(record, restored.value());
+  auto comparison = CompareTraces(trace, restored.value());
   EXPECT_TRUE(comparison.equal);
 }
 
@@ -77,44 +87,96 @@ TEST_F(ProbeTest, CrossMachineComparisonViaSerializedRecords) {
   // Simulate verifying reproducibility across machines: run locally,
   // serialize, "ship" the record, rerun remotely, compare.
   nn::ExecutionContext local = nn::ExecutionContext::Deterministic(3);
-  auto local_record = ProbeModel(model_.get(), batch_, &local).value();
-  const Bytes shipped = local_record.Serialize();
+  auto local_trace = ProbeModel(model_.get(), batch_, &local).value();
+  const Bytes shipped = local_trace.Serialize();
 
   nn::ExecutionContext remote = nn::ExecutionContext::Deterministic(3);
-  auto remote_record = ProbeModel(model_.get(), batch_, &remote).value();
-  auto comparison = CompareProbeRecords(
-      ProbeRecord::Deserialize(shipped).value(), remote_record);
+  auto remote_trace = ProbeModel(model_.get(), batch_, &remote).value();
+  auto comparison = CompareTraces(LayerTrace::Deserialize(shipped).value(),
+                                  remote_trace);
   EXPECT_TRUE(comparison.equal);
 }
 
 TEST_F(ProbeTest, ComparisonLocatesFirstDivergingLayer) {
   nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(4);
-  auto record = ProbeModel(model_.get(), batch_, &ctx).value();
-  ProbeRecord tampered = record;
-  tampered.forward[10].digest.bytes[0] ^= 0x01;
-  auto comparison = CompareProbeRecords(record, tampered);
+  auto trace = ProbeModel(model_.get(), batch_, &ctx).value();
+  LayerTrace tampered = trace;
+  tampered.events[10].digest.bytes[0] ^= 0x01;
+  auto comparison = CompareTraces(trace, tampered);
   EXPECT_FALSE(comparison.equal);
   ASSERT_EQ(comparison.mismatches.size(), 1u);
   EXPECT_EQ(comparison.mismatches[0].index, 10u);
-  EXPECT_EQ(comparison.mismatches[0].pass, ProbeMismatch::Pass::kForward);
+  EXPECT_EQ(comparison.mismatches[0].pass, TraceEvent::Pass::kForward);
   EXPECT_EQ(comparison.mismatches[0].layer_name,
-            record.forward[10].layer_name);
+            trace.events[10].layer_name);
 }
 
 TEST_F(ProbeTest, ComparisonDetectsLengthMismatch) {
   nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(5);
-  auto record = ProbeModel(model_.get(), batch_, &ctx).value();
-  ProbeRecord shorter = record;
-  shorter.backward.pop_back();
-  EXPECT_FALSE(CompareProbeRecords(record, shorter).equal);
+  auto trace = ProbeModel(model_.get(), batch_, &ctx).value();
+  LayerTrace shorter = trace;
+  shorter.events.pop_back();
+  EXPECT_FALSE(CompareTraces(trace, shorter).equal);
 }
 
 TEST_F(ProbeTest, DeserializeRejectsCorruption) {
   nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(6);
-  auto record = ProbeModel(model_.get(), batch_, &ctx).value();
-  Bytes data = record.Serialize();
+  auto trace = ProbeModel(model_.get(), batch_, &ctx).value();
+  Bytes data = trace.Serialize();
   data.resize(data.size() / 2);
-  EXPECT_FALSE(ProbeRecord::Deserialize(data).ok());
+  EXPECT_FALSE(LayerTrace::Deserialize(data).ok());
+}
+
+TEST_F(ProbeTest, SerializedTraceKeepsRootAndNamesAChangedBackwardEvent) {
+  nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(8);
+  auto trace = ProbeModel(model_.get(), batch_, &ctx).value();
+  const Digest root = trace.Root().value();
+  auto restored = LayerTrace::Deserialize(trace.Serialize());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->Root().value(), root);
+
+  // One backward event changes: the root moves, and the comparison names
+  // that event's layer and pass.
+  const size_t index = model_->node_count() + 3;
+  ASSERT_EQ(restored->events[index].pass, TraceEvent::Pass::kBackward);
+  restored->events[index].digest.bytes[5] ^= 0x10;
+  EXPECT_NE(restored->Root().value(), root);
+  auto comparison = CompareTraces(trace, restored.value());
+  EXPECT_FALSE(comparison.equal);
+  ASSERT_EQ(comparison.mismatches.size(), 1u);
+  EXPECT_EQ(comparison.mismatches[0].index, index);
+  EXPECT_EQ(comparison.mismatches[0].pass, TraceEvent::Pass::kBackward);
+  EXPECT_EQ(comparison.mismatches[0].layer_name,
+            trace.events[index].layer_name);
+  EXPECT_NE(comparison.FirstDivergence().find(
+                "backward event #" + std::to_string(index) + " (" +
+                trace.events[index].layer_name + ")"),
+            std::string::npos)
+      << comparison.FirstDivergence();
+
+  EXPECT_FALSE(LayerTrace{}.Root().ok());
+}
+
+TEST_F(ProbeTest, ProbeRestoresThePreviousObserver) {
+  class CountingObserver : public nn::ActivationObserver {
+   public:
+    size_t events = 0;
+    void OnForward(const std::string&, const Tensor&) override { ++events; }
+    void OnBackward(const std::string&, const Tensor&) override { ++events; }
+  };
+  CountingObserver counting;
+  model_->set_observer(&counting);
+  nn::ExecutionContext ctx = nn::ExecutionContext::Deterministic(9);
+  ASSERT_TRUE(ProbeModel(model_.get(), batch_, &ctx).ok());
+  EXPECT_EQ(model_->observer(), &counting);
+  // Restored on the failure path too.
+  data::Batch bad = batch_;
+  bad.labels.pop_back();
+  EXPECT_FALSE(ProbeModel(model_.get(), bad, &ctx).ok());
+  EXPECT_EQ(model_->observer(), &counting);
+  // The probe's events went to its own trace, not to the attached observer.
+  EXPECT_EQ(counting.events, 0u);
+  model_->set_observer(nullptr);
 }
 
 TEST_F(ProbeTest, ProbeClearsObserverOnFailure) {
