@@ -6,8 +6,17 @@
 ///
 /// Real deterministic training (required for MPA recovery), one batch per
 /// epoch to keep the 402-model run tractable; 2,200 trainings are replayed
-/// during the recovery phase.
+/// during the recovery phase. The optimizer is the one of
+/// ReplayTrainRecipe (momentum-free SGD at lr 0.001; a protocol deviation,
+/// see EXPERIMENTS.md).
+///
+/// `--check` gates those shapes, read from the printed medians, and exits
+/// non-zero unless they hold. The staircase of phase p is read from sums of
+/// two steps: the rise is TTR(U3-p-9) + TTR(U3-p-10) over TTR(U3-p-1) +
+/// TTR(U3-p-2). In both phases BA must stay flat (rise below 1.5), PUA and
+/// MPA must rise (above 1.25), and MPA must sit above PUA at step 10.
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_common.h"
 
@@ -15,7 +24,17 @@ using namespace mmlib;
 using namespace mmlib::bench;
 using namespace mmlib::dist;
 
-int main() {
+int main(int argc, char** argv) {
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
+      return 2;
+    }
+  }
+
   PrintHeader("Figure 15", "DIST-20 median TTR, fully updated MobileNetV2",
               "Per-use-case medians over 20 nodes; checksum-verified "
               "recovery of all 402 models per approach.");
@@ -36,6 +55,7 @@ int main() {
     config.train.epochs = 1;
     config.train.max_batches_per_epoch = 1;
     config.train.loader.batch_size = 4;
+    config.train.sgd = ReplayTrainRecipe().sgd;
     config.training_mode = TrainingMode::kReal;
     config.recover_models = true;
     results.push_back(RunFlowRemote(config));
@@ -60,5 +80,40 @@ int main() {
       "step 10: %.1fx\n",
       pua_step10 / pua_step1, mpa_step10 / mpa_step1,
       mpa_step10 / pua_step10);
-  return 0;
+  if (!check) {
+    return 0;
+  }
+
+  bool shape_holds = true;
+  std::printf("shape check\n");
+  for (const char* phase : {"1", "2"}) {
+    auto ttr = [&](size_t approach, int step) {
+      return results[approach].MedianTtr(std::string("U3-") + phase + "-" +
+                                         std::to_string(step));
+    };
+    auto rise = [&](size_t approach) {
+      return (ttr(approach, 9) + ttr(approach, 10)) /
+             (ttr(approach, 1) + ttr(approach, 2));
+    };
+    const double ba = rise(0);
+    const double pua = rise(1);
+    const double mpa = rise(2);
+    const struct {
+      const char* claim;
+      double value;
+      bool holds;
+    } claims[] = {
+        {"BA flat (rise < 1.5)", ba, ba < 1.5},
+        {"PUA rising (rise > 1.25)", pua, pua > 1.25},
+        {"MPA rising (rise > 1.25)", mpa, mpa > 1.25},
+        {"MPA > PUA at step 10 (ratio > 1)", ttr(2, 10) / ttr(1, 10),
+         ttr(2, 10) > ttr(1, 10)},
+    };
+    for (const auto& claim : claims) {
+      shape_holds = shape_holds && claim.holds;
+      std::printf("  U3-%s %s: %.2f %s\n", phase, claim.claim, claim.value,
+                  claim.holds ? "yes" : "NO");
+    }
+  }
+  return shape_holds ? 0 : 1;
 }

@@ -102,7 +102,7 @@ serve::ServeReport RunSimulated(double rate, Degradation degradation,
 
 struct CoreRunOutcome {
   serve::ServeReport report;
-  uint64_t hook_reports = 0;
+  uint64_t core_ops = 0;
 };
 
 /// Real core services behind the front end: baseline saves, recovers,
@@ -196,7 +196,7 @@ CoreRunOutcome RunCore(uint64_t seed) {
   outcome.report = frontend.Run(workload);
   outcome.report.counters.hedged_reads = backend.hedged_reads();
   outcome.report.counters.hedge_wins = backend.hedge_wins();
-  outcome.hook_reports = backend.hook_reports();
+  outcome.core_ops = backend.core_ops();
   return outcome;
 }
 
@@ -331,11 +331,11 @@ int main(int argc, char** argv) {
   const CoreRunOutcome core = RunCore(kSeed);
   check_identical(core.report, RunCore(kSeed).report, "core backend rerun");
   std::printf(
-      "core backend (replica 0 down mid-run): served %llu/%llu, hook reports "
+      "core backend (replica 0 down mid-run): served %llu/%llu, core ops "
       "%llu, hedged reads %llu (wins %llu)\n",
       static_cast<unsigned long long>(core.report.counters.served()),
       static_cast<unsigned long long>(core.report.counters.arrivals),
-      static_cast<unsigned long long>(core.hook_reports),
+      static_cast<unsigned long long>(core.core_ops),
       static_cast<unsigned long long>(core.report.counters.hedged_reads),
       static_cast<unsigned long long>(core.report.counters.hedge_wins));
 
@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
   doc.Set("degraded", std::move(degraded_rows));
 
   json::Value core_doc = ReportRow(g_smoke ? 20.0 : 40.0, core.report);
-  core_doc.Set("hook_reports", static_cast<int64_t>(core.hook_reports));
+  core_doc.Set("core_ops", static_cast<int64_t>(core.core_ops));
   core_doc.Set("hedged_reads",
                static_cast<int64_t>(core.report.counters.hedged_reads));
   core_doc.Set("hedge_wins",

@@ -7,7 +7,6 @@ namespace mmlib::core {
 AdaptiveSaveService::AdaptiveSaveService(StorageBackends backends,
                                          AdaptiveOptions options)
     : SaveService(backends),
-      options_(options),
       baseline_(backends),
       param_update_(backends),
       provenance_service_(backends, options.provenance) {}
@@ -36,7 +35,7 @@ Result<size_t> AdaptiveSaveService::EstimateUpdateBytes(
   return bytes;
 }
 
-Result<SaveResult> AdaptiveSaveService::DoSaveModel(const SaveRequest& request) {
+Result<SaveResult> AdaptiveSaveService::SaveModel(const SaveRequest& request) {
   if (request.model == nullptr) {
     return Status::InvalidArgument("SaveRequest requires a model");
   }
@@ -65,8 +64,7 @@ Result<SaveResult> AdaptiveSaveService::DoSaveModel(const SaveRequest& request) 
     best = static_cast<double>(last_estimates_.baseline);
   }
   if (has_provenance) {
-    const double mpa_cost = static_cast<double>(last_estimates_.provenance) *
-                            options_.mpa_recover_penalty;
+    const double mpa_cost = static_cast<double>(last_estimates_.provenance);
     if (mpa_cost < best) {
       chosen = &provenance_service_;
       best = mpa_cost;

@@ -9,13 +9,8 @@
 
 namespace mmlib::core {
 
-/// Tuning knobs of the adaptive heuristic.
+/// Options of the adaptive approach: those of its MPA path.
 struct AdaptiveOptions {
-  /// Weight applied to the MPA's storage estimate to account for its much
-  /// higher time-to-recover (the storage-retraining tradeoff, paper
-  /// Section 4.7). 1.0 chooses purely by storage; larger values make the
-  /// MPA progressively less attractive.
-  double mpa_recover_penalty = 1.0;
   ProvenanceOptions provenance;
 };
 
@@ -36,7 +31,7 @@ class AdaptiveSaveService : public SaveService {
 
   std::string_view approach() const override { return "adaptive"; }
 
-  Result<SaveResult> DoSaveModel(const SaveRequest& request) override;
+  Result<SaveResult> SaveModel(const SaveRequest& request) override;
 
   /// The approach selected by the most recent SaveModel call.
   std::string_view last_choice() const { return last_choice_; }
@@ -55,7 +50,6 @@ class AdaptiveSaveService : public SaveService {
   /// base has no usable tree.
   Result<size_t> EstimateUpdateBytes(const SaveRequest& request);
 
-  AdaptiveOptions options_;
   BaselineSaveService baseline_;
   ParamUpdateSaveService param_update_;
   ProvenanceSaveService provenance_service_;

@@ -2,7 +2,7 @@
 
 namespace mmlib::core {
 
-Result<SaveResult> BaselineSaveService::DoSaveModel(const SaveRequest& request) {
+Result<SaveResult> BaselineSaveService::SaveModel(const SaveRequest& request) {
   CostMeter meter(backends_);
   SaveTransaction txn(backends_);
 

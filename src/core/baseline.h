@@ -14,7 +14,7 @@ class BaselineSaveService : public SaveService {
 
   std::string_view approach() const override { return kApproachBaseline; }
 
-  Result<SaveResult> DoSaveModel(const SaveRequest& request) override;
+  Result<SaveResult> SaveModel(const SaveRequest& request) override;
 };
 
 }  // namespace mmlib::core

@@ -4,7 +4,7 @@
 
 namespace mmlib::core {
 
-Result<SaveResult> ParamUpdateSaveService::DoSaveModel(
+Result<SaveResult> ParamUpdateSaveService::SaveModel(
     const SaveRequest& request) {
   CostMeter meter(backends_);
   SaveTransaction txn(backends_);

@@ -21,7 +21,7 @@ class ParamUpdateSaveService : public SaveService {
 
   std::string_view approach() const override { return kApproachParamUpdate; }
 
-  Result<SaveResult> DoSaveModel(const SaveRequest& request) override;
+  Result<SaveResult> SaveModel(const SaveRequest& request) override;
 
   /// Statistics of the most recent derived save.
   struct DiffStats {

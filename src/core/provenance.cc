@@ -4,7 +4,7 @@
 
 namespace mmlib::core {
 
-Result<SaveResult> ProvenanceSaveService::DoSaveModel(
+Result<SaveResult> ProvenanceSaveService::SaveModel(
     const SaveRequest& request) {
   CostMeter meter(backends_);
   SaveTransaction txn(backends_);

@@ -32,7 +32,7 @@ class ProvenanceSaveService : public SaveService {
 
   /// For derived models, request.provenance must be set and captured
   /// *before* the training that produced request.model ran.
-  Result<SaveResult> DoSaveModel(const SaveRequest& request) override;
+  Result<SaveResult> SaveModel(const SaveRequest& request) override;
 
  private:
   ProvenanceOptions options_;

@@ -5,35 +5,12 @@
 #include "core/model_code.h"
 #include "core/train_service.h"
 #include "data/archive.h"
-#include "util/clock.h"
 
 namespace mmlib::core {
 
 namespace {
 
 constexpr int kMaxChainDepth = 4096;
-
-/// Times a region including any simulated network transfer time.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(simnet::Network* network) : network_(network) {
-    start_network_ = network_ != nullptr ? network_->TotalTransferSeconds()
-                                         : 0.0;
-  }
-
-  double Stop() const {
-    double seconds = stopwatch_.ElapsedSeconds();
-    if (network_ != nullptr) {
-      seconds += network_->TotalTransferSeconds() - start_network_;
-    }
-    return seconds;
-  }
-
- private:
-  Stopwatch stopwatch_;
-  simnet::Network* network_;
-  double start_network_ = 0.0;
-};
 
 }  // namespace
 
@@ -112,7 +89,7 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
   MMLIB_ASSIGN_OR_RETURN(json::Value doc,
                          backends_.docs->Get(kModelsCollection, id));
   MMLIB_ASSIGN_OR_RETURN(std::string approach, doc.GetString("approach"));
-  breakdown->load_seconds += doc_timer.Stop();
+  breakdown->load_seconds += doc_timer.ElapsedSeconds();
 
   // Snapshot cache: reuse a previously recovered state of this model.
   if (const Bytes* snapshot = CacheLookup(id); snapshot != nullptr) {
@@ -124,7 +101,7 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
                            code_doc.GetMember("descriptor"));
     MMLIB_ASSIGN_OR_RETURN(nn::Model model,
                            BuildModelFromCode(*descriptor, *snapshot));
-    breakdown->recover_seconds += recover_timer.Stop();
+    breakdown->recover_seconds += recover_timer.ElapsedSeconds();
     return model;
   }
 
@@ -137,14 +114,14 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
     MMLIB_ASSIGN_OR_RETURN(json::Value code_doc,
                            backends_.docs->Get(kCodeCollection, code_id));
     MMLIB_ASSIGN_OR_RETURN(Bytes params, FetchParamsPayload(params_file));
-    breakdown->load_seconds += load_timer.Stop();
+    breakdown->load_seconds += load_timer.ElapsedSeconds();
 
     PhaseTimer recover_timer(backends_.network);
     MMLIB_ASSIGN_OR_RETURN(const json::Value* descriptor,
                            code_doc.GetMember("descriptor"));
     MMLIB_ASSIGN_OR_RETURN(nn::Model model,
                            BuildModelFromCode(*descriptor, params));
-    breakdown->recover_seconds += recover_timer.Stop();
+    breakdown->recover_seconds += recover_timer.ElapsedSeconds();
     if (cache_enabled_) {
       CacheInsert(id, std::move(params));
     }
@@ -166,11 +143,11 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
     MMLIB_ASSIGN_OR_RETURN(std::string update_file,
                            doc.GetString("update_file"));
     MMLIB_ASSIGN_OR_RETURN(Bytes update, FetchParamsPayload(update_file));
-    breakdown->load_seconds += load_timer.Stop();
+    breakdown->load_seconds += load_timer.ElapsedSeconds();
 
     PhaseTimer recover_timer(backends_.network);
     MMLIB_RETURN_IF_ERROR(model.MergeLayerSubset(update));
-    breakdown->recover_seconds += recover_timer.Stop();
+    breakdown->recover_seconds += recover_timer.ElapsedSeconds();
     if (cache_enabled_) {
       CacheInsert(id, model.SerializeParams());
     }
@@ -222,7 +199,7 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
                                   name);
       }
     }
-    breakdown->load_seconds += load_timer.Stop();
+    breakdown->load_seconds += load_timer.ElapsedSeconds();
 
     // Reproduce the training step-by-step (deterministic execution).
     PhaseTimer recover_timer(backends_.network);
@@ -236,7 +213,7 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
                               ->Train(&model, /*deterministic=*/true,
                                       /*scheduler_seed=*/0)
                               .status());
-    breakdown->recover_seconds += recover_timer.Stop();
+    breakdown->recover_seconds += recover_timer.ElapsedSeconds();
     if (cache_enabled_) {
       CacheInsert(id, model.SerializeParams());
     }
@@ -248,28 +225,6 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
 
 Result<RecoveredModel> ModelRecoverer::Recover(const std::string& id,
                                                const RecoverOptions& options) {
-  const double start_seconds =
-      backends_.network != nullptr ? backends_.network->TotalTransferSeconds()
-                                   : 0.0;
-  Result<RecoveredModel> outcome = DoRecover(id, options);
-  if (serve_hook_) {
-    ServeOpReport report;
-    report.op = "model.recover";
-    report.outcome = outcome.ok() ? StatusCode::kOk : outcome.status().code();
-    if (backends_.network != nullptr) {
-      report.virtual_seconds =
-          backends_.network->TotalTransferSeconds() - start_seconds;
-    }
-    if (outcome.ok()) {
-      report.bytes = outcome.value().model.ParamByteSize();
-    }
-    serve_hook_(report);
-  }
-  return outcome;
-}
-
-Result<RecoveredModel> ModelRecoverer::DoRecover(const std::string& id,
-                                                 const RecoverOptions& options) {
   RecoveredModel result;
   result.model_id = id;
 
@@ -293,7 +248,7 @@ Result<RecoveredModel> ModelRecoverer::DoRecover(const std::string& id,
     const env::EnvironmentInfo current = env::CollectEnvironment();
     result.environment_diffs = saved.DiffAgainst(current);
     result.environment_matches = result.environment_diffs.empty();
-    result.breakdown.check_env_seconds += env_timer.Stop();
+    result.breakdown.check_env_seconds += env_timer.ElapsedSeconds();
   }
 
   if (options.verify_checksum) {
@@ -303,7 +258,7 @@ Result<RecoveredModel> ModelRecoverer::DoRecover(const std::string& id,
     MMLIB_ASSIGN_OR_RETURN(std::string expected,
                            checksum->GetString("params_hash"));
     const std::string actual = result.model.ParamsHash().ToHex();
-    result.breakdown.verify_seconds += verify_timer.Stop();
+    result.breakdown.verify_seconds += verify_timer.ElapsedSeconds();
     if (actual != expected) {
       return Status::Corruption("model " + id +
                                 ": recovered parameter hash mismatch");

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/serve_hook.h"
 #include "core/types.h"
 #include "data/dataset.h"
 #include "env/environment.h"
@@ -71,23 +70,15 @@ class ModelRecoverer {
 
   /// Recovers the model with `id`, verifying according to `options`.
   /// Verification failures surface as Corruption/FailedPrecondition errors;
-  /// the flags in RecoveredModel report what was checked. Completions are
-  /// reported through the serve hook (op "model.recover") when installed.
+  /// the flags in RecoveredModel report what was checked.
   Result<RecoveredModel> Recover(const std::string& id,
                                  const RecoverOptions& options);
-
-  /// Installs the serving layer's observer (see core/serve_hook.h). Pass an
-  /// empty function to detach.
-  void set_serve_hook(ServeHook hook) { serve_hook_ = std::move(hook); }
 
   /// Returns the number of models in the transitive base chain of `id`
   /// (0 for an initial model).
   Result<size_t> BaseChainLength(const std::string& id);
 
  private:
-  Result<RecoveredModel> DoRecover(const std::string& id,
-                                   const RecoverOptions& options);
-
   Result<nn::Model> RecoverInternal(const std::string& id,
                                     RecoverBreakdown* breakdown, int depth);
 
@@ -102,7 +93,6 @@ class ModelRecoverer {
 
   StorageBackends backends_;
   DatasetResolver* dataset_resolver_ = nullptr;
-  ServeHook serve_hook_;
   uint64_t corruption_refetches_ = 0;
 
   bool cache_enabled_ = false;

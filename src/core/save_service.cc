@@ -4,29 +4,8 @@
 
 namespace mmlib::core {
 
-Result<SaveResult> SaveService::SaveModel(const SaveRequest& request) {
-  const double start_seconds =
-      backends_.network != nullptr ? backends_.network->TotalTransferSeconds()
-                                   : 0.0;
-  Result<SaveResult> outcome = DoSaveModel(request);
-  if (serve_hook_) {
-    ServeOpReport report;
-    report.op = "model.save";
-    report.outcome = outcome.ok() ? StatusCode::kOk : outcome.status().code();
-    if (backends_.network != nullptr) {
-      report.virtual_seconds =
-          backends_.network->TotalTransferSeconds() - start_seconds;
-    }
-    if (outcome.ok() && outcome.value().storage_bytes > 0) {
-      report.bytes = static_cast<uint64_t>(outcome.value().storage_bytes);
-    }
-    serve_hook_(report);
-  }
-  return outcome;
-}
-
 Result<Bytes> SaveService::EncodeParams(const Bytes& params) const {
-  return ChunkedFrame(params, params_codec_, kDefaultChunkSize,
+  return ChunkedFrame(params, CodecKind::kIdentity, kDefaultChunkSize,
                       backends_.pool);
 }
 

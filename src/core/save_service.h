@@ -3,15 +3,14 @@
 #include <memory>
 #include <string>
 
-#include "compress/codec.h"
 #include "core/save_txn.h"
-#include "core/serve_hook.h"
 #include "core/train_service.h"
 #include "core/types.h"
 #include "hash/merkle_tree.h"
 #include "env/environment.h"
 #include "json/json.h"
 #include "nn/model.h"
+#include "util/bytes.h"
 #include "util/result.h"
 
 namespace mmlib::core {
@@ -50,30 +49,15 @@ class SaveService {
 
   /// Saves a model and returns its generated id together with the measured
   /// time-to-save and storage consumption (excluding the base model).
-  /// Non-virtual wrapper: runs the approach's DoSaveModel and reports the
-  /// outcome through the serve hook when one is installed.
-  Result<SaveResult> SaveModel(const SaveRequest& request);
+  virtual Result<SaveResult> SaveModel(const SaveRequest& request) = 0;
 
   const StorageBackends& backends() const { return backends_; }
 
-  /// Installs the serving layer's observer (see core/serve_hook.h); every
-  /// SaveModel completion is reported as op "model.save". Pass an empty
-  /// function to detach.
-  void set_serve_hook(ServeHook hook) { serve_hook_ = std::move(hook); }
-
-  /// Codec for parameter payloads. Snapshots and updates are written as
-  /// chunked frames (see compress/chunked.h) encoded in parallel on the
-  /// backends' pool; identity by default, so the payload bytes stay
-  /// uncompressed but gain per-chunk checksums. The frame bytes are
-  /// identical for every pool size.
-  void set_params_codec(CodecKind kind) { params_codec_ = kind; }
-  CodecKind params_codec() const { return params_codec_; }
-
  protected:
-  /// Approach-specific save implementation (BA / PUA / MPA / adaptive).
-  virtual Result<SaveResult> DoSaveModel(const SaveRequest& request) = 0;
-
-  /// Encodes a parameter payload into a chunked frame with `params_codec()`.
+  /// Encodes a parameter payload into a chunked frame (see
+  /// compress/chunked.h) on the backends' pool. Frames use the identity
+  /// codec: the payload bytes stay uncompressed but gain per-chunk
+  /// checksums, and the frame bytes are identical for every pool size.
   Result<Bytes> EncodeParams(const Bytes& params) const;
 
   /// Persists the environment document through `txn`; returns its id.
@@ -93,8 +77,6 @@ class SaveService {
                                    MerkleTree* tree_out = nullptr);
 
   StorageBackends backends_;
-  CodecKind params_codec_ = CodecKind::kIdentity;
-  ServeHook serve_hook_;
 };
 
 }  // namespace mmlib::core

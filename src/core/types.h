@@ -47,17 +47,14 @@ struct StorageBackends {
   }
 };
 
-/// Measures the cost of one save/recover operation: wall-clock seconds plus
-/// any simulated network transfer seconds consumed while the meter ran.
-class CostMeter {
+/// Times one operation or phase of it: wall-clock seconds plus any
+/// simulated network transfer seconds consumed while the timer ran.
+class PhaseTimer {
  public:
-  explicit CostMeter(const StorageBackends& backends)
-      : network_(backends.network),
-        start_bytes_(backends.TotalStoredBytes()),
-        backends_(backends) {
-    start_network_seconds_ =
-        network_ != nullptr ? network_->TotalTransferSeconds() : 0.0;
-  }
+  explicit PhaseTimer(simnet::Network* network)
+      : network_(network),
+        start_network_seconds_(
+            network != nullptr ? network->TotalTransferSeconds() : 0.0) {}
 
   /// Elapsed seconds: wall time + network virtual time.
   double ElapsedSeconds() const {
@@ -68,6 +65,23 @@ class CostMeter {
     return seconds;
   }
 
+ private:
+  Stopwatch stopwatch_;
+  simnet::Network* network_;
+  double start_network_seconds_;
+};
+
+/// Measures the cost of one save/recover operation: its elapsed seconds
+/// (see PhaseTimer) and the bytes it added to the stores.
+class CostMeter {
+ public:
+  explicit CostMeter(const StorageBackends& backends)
+      : start_bytes_(backends.TotalStoredBytes()),
+        timer_(backends.network),
+        backends_(backends) {}
+
+  double ElapsedSeconds() const { return timer_.ElapsedSeconds(); }
+
   /// Bytes added to (or removed from) the stores since construction.
   int64_t StoredBytesDelta() const {
     return static_cast<int64_t>(backends_.TotalStoredBytes()) -
@@ -75,10 +89,10 @@ class CostMeter {
   }
 
  private:
-  Stopwatch stopwatch_;
-  simnet::Network* network_;
-  double start_network_seconds_ = 0.0;
+  // Declared before the timer: remote stores charge the stats query to the
+  // network, and that charge is not part of the measured operation.
   size_t start_bytes_;
+  PhaseTimer timer_;
   StorageBackends backends_;
 };
 

@@ -161,8 +161,12 @@ int EvaluationFlow::ExpectedModelCount() const {
 
 Result<std::unique_ptr<core::SaveService>> EvaluationFlow::MakeService()
     const {
+  // The MPA archives datasets with the identity codec: the paper's image
+  // datasets are JPEG-compressed already, so its "compress to a single
+  // file" step neither shrinks nor costs much, and identity over our
+  // size-scaled datasets models exactly that.
   core::ProvenanceOptions provenance_options;
-  provenance_options.dataset_codec = config_.dataset_codec;
+  provenance_options.dataset_codec = CodecKind::kIdentity;
   switch (config_.approach) {
     case ApproachKind::kBaseline:
       return std::unique_ptr<core::SaveService>(
@@ -221,10 +225,10 @@ Status EvaluationFlow::UpdateModel(nn::Model* model,
 Result<FlowResult> EvaluationFlow::Run() {
   if (config_.approach == ApproachKind::kProvenance &&
       config_.training_mode == TrainingMode::kSimulated &&
-      config_.recover_models && config_.recover_options.verify_checksum) {
+      config_.recover_models) {
     return Status::InvalidArgument(
         "provenance recovery with simulated training cannot verify "
-        "checksums; disable recovery or verification, or use real training");
+        "checksums; disable recovery or use real training");
   }
 
   if (!config_.crash_schedule.empty()) {
@@ -281,8 +285,8 @@ Result<FlowResult> EvaluationFlow::Run() {
   // datasets are files on disk).
   data::SyntheticImageDataset u3_source(config_.u3_dataset,
                                         config_.dataset_divisor);
-  data::SyntheticImageDataset u2_source(config_.u2_dataset,
-                                        config_.dataset_divisor);
+  data::SyntheticImageDataset u2_source(
+      data::PaperDatasetId::kMiniImageNetVal, config_.dataset_divisor);
   const std::unique_ptr<data::InMemoryDataset> u3_dataset_owner =
       data::Materialize(u3_source);
   const std::unique_ptr<data::InMemoryDataset> u2_dataset_owner =
@@ -522,7 +526,7 @@ Result<FlowResult> EvaluationFlow::Run() {
           core::ModelRecoverer recoverer(backends_);
           MMLIB_ASSIGN_OR_RETURN(
               core::RecoveredModel recovered,
-              recoverer.Recover(node.base_id, config_.recover_options));
+              recoverer.Recover(node.base_id, core::RecoverOptions{}));
           node.model = std::move(recovered.model);
           MMLIB_RETURN_IF_ERROR(ApplyRelation(&node.model));
           node.service = std::make_unique<core::ImageTrainService>(
@@ -614,7 +618,7 @@ Result<FlowResult> EvaluationFlow::Run() {
       core::CostMeter meter(backends_);
       MMLIB_ASSIGN_OR_RETURN(
           core::RecoveredModel recovered,
-          recoverer.Recover(record.model_id, config_.recover_options));
+          recoverer.Recover(record.model_id, core::RecoverOptions{}));
       record.ttr_seconds = meter.ElapsedSeconds();
       record.ttr_breakdown = recovered.breakdown;
       record.recovered = true;

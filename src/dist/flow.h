@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "collective/ring.h"
-#include "compress/codec.h"
 #include "core/recover.h"
 #include "core/save_service.h"
 #include "core/train_service.h"
@@ -82,17 +81,10 @@ struct FlowConfig {
       models::Architecture::kMobileNetV2);
   ModelRelation relation = ModelRelation::kFullyUpdated;
 
-  /// Dataset for the node-local updates (U3): CF-512 or CO-512.
+  /// Dataset for the node-local updates (U3): CF-512 or CO-512. The server
+  /// update (U2) always trains on mINet-val.
   data::PaperDatasetId u3_dataset = data::PaperDatasetId::kCocoOutdoor512;
-  /// Dataset for the server update (U2): mINet-val.
-  data::PaperDatasetId u2_dataset = data::PaperDatasetId::kMiniImageNetVal;
   uint64_t dataset_divisor = data::kDefaultDatasetDivisor;
-  /// Codec the MPA uses to archive datasets. Flows default to identity:
-  /// the paper's image datasets are JPEG-compressed already, so its
-  /// "compress to a single file" step neither shrinks nor costs much —
-  /// identity over our size-scaled datasets models exactly that. Set to
-  /// kLz77/kLz77Huffman to study real compression (ablation_codecs).
-  CodecKind dataset_codec = CodecKind::kIdentity;
 
   /// Number of nodes (1 = standard flow; 5/10/20 = DIST flows, Table 3).
   int num_nodes = 1;
@@ -111,9 +103,9 @@ struct FlowConfig {
   }();
   TrainingMode training_mode = TrainingMode::kReal;
 
-  /// Measure time-to-recover for every saved model (use case U4).
+  /// Measure time-to-recover for every saved model (use case U4), with
+  /// checksum and environment verification.
   bool recover_models = true;
-  core::RecoverOptions recover_options;
 
   /// Checkpoint node training every this many optimizer steps (0 disables
   /// checkpointing). Checkpoints are pruned as they are superseded and the

@@ -147,11 +147,6 @@ class RemoteFileStore : public FileStore {
         network_(network),
         retrier_(simnet::RetryPolicy{}, network) {}
 
-  /// Replaces the retry policy and resets the retry counter/jitter stream.
-  void set_retry_policy(const simnet::RetryPolicy& policy) {
-    retrier_ = simnet::Retrier(policy, network_);
-  }
-
   /// Routes this store's messages to simnet replica node `replica` — while
   /// that replica is down or partitioned away, every faultable operation
   /// fails Unavailable. The replicated store binds one RemoteFileStore per

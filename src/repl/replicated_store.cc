@@ -276,7 +276,7 @@ Result<Bytes> ReplicatedFileStore::HedgeFetch(const std::string& id,
 }
 
 Result<Bytes> ReplicatedFileStore::LoadFileHedged(
-    const std::string& id, double hedge_threshold_seconds) {
+    const std::string& id, double threshold_seconds) {
   network_->ApplyDueReplicaEvents();
   ++hedged_read_count_;
   const std::vector<size_t> order = ReadOrder(id);
@@ -284,7 +284,7 @@ Result<Bytes> ReplicatedFileStore::LoadFileHedged(
   double primary_cost = 0.0;
   Result<Bytes> primary = HedgeFetch(id, order[0], &primary_cost);
   const bool primary_slow =
-      hedge_threshold_seconds > 0.0 && primary_cost > hedge_threshold_seconds;
+      threshold_seconds > 0.0 && primary_cost > threshold_seconds;
   if (primary.ok() && !primary_slow) {
     return primary;
   }

@@ -78,7 +78,7 @@ class ReplicatedFileStore : public filestore::FileStore {
 
   /// Tail-tolerant read for the serving front end: fetches `id` from the
   /// preferred replica and, when that fetch fails, serves damaged bytes, or
-  /// costs more virtual time than `hedge_threshold_seconds`, issues a hedge
+  /// costs more virtual time than `threshold_seconds`, issues a hedge
   /// fetch to the next replica in the read order and serves whichever
   /// verified copy was cheaper. Both fetches are charged to the virtual
   /// clock — hedging trades backend work for tail latency, and the
@@ -86,7 +86,7 @@ class ReplicatedFileStore : public filestore::FileStore {
   /// (read-repair and all) when neither copy verifies. A threshold <= 0
   /// hedges only on failure.
   Result<Bytes> LoadFileHedged(const std::string& id,
-                               double hedge_threshold_seconds);
+                               double threshold_seconds);
 
   /// LoadFileHedged calls, hedge fetches actually issued, and hedges whose
   /// copy was the one served (primary failed or was slower).

@@ -1,5 +1,7 @@
 #include "serve/backend.h"
 
+#include <array>
+
 #include "simnet/arrivals.h"
 
 namespace mmlib::serve {
@@ -10,6 +12,21 @@ namespace {
 double HashUnit(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
+
+/// Base service seconds per RequestKind (save, recover, probe, inference).
+constexpr std::array<double, kRequestKindCount> kBaseSeconds = {
+    0.020, 0.012, 0.002, 0.004};
+/// Service time is scaled by 1 + kJitterFraction * u, u in [0, 1).
+constexpr double kJitterFraction = 0.5;
+/// With kTailProbability a request lands in the slow tail and its service
+/// time is multiplied by kTailMultiplier.
+constexpr double kTailProbability = 0.02;
+constexpr double kTailMultiplier = 8.0;
+/// A batch of n costs base * (1 + (n - 1) * kBatchMarginalFraction).
+constexpr double kBatchMarginalFraction = 0.25;
+/// Seconds burned learning that an unreachable replica is unreachable (one
+/// timeout's worth, not a full retry ladder).
+constexpr double kUnavailableSeconds = 0.050;
 
 }  // namespace
 
@@ -22,7 +39,7 @@ BackendOutcome SimulatedBackend::Execute(const Request& request,
     network_->ApplyDueReplicaEvents();
     if (!network_->IsReplicaReachable(replica_)) {
       outcome.code = StatusCode::kUnavailable;
-      outcome.service_seconds = options_.unavailable_seconds;
+      outcome.service_seconds = kUnavailableSeconds;
       return outcome;
     }
   }
@@ -33,27 +50,16 @@ BackendOutcome SimulatedBackend::Execute(const Request& request,
   const uint64_t kind_salt =
       simnet::MixHash(identity ^ static_cast<uint64_t>(request.kind));
 
-  if (options_.fault_probability > 0.0 &&
-      HashUnit(simnet::MixHash(kind_salt ^ 0xfau)) <
-          options_.fault_probability) {
-    outcome.code = StatusCode::kUnavailable;
-    outcome.service_seconds = options_.unavailable_seconds;
-    return outcome;
-  }
-
-  const double base =
-      options_.base_seconds[static_cast<size_t>(request.kind)];
+  const double base = kBaseSeconds[static_cast<size_t>(request.kind)];
   double seconds =
-      base * (1.0 + options_.jitter_fraction *
+      base * (1.0 + kJitterFraction *
                         HashUnit(simnet::MixHash(kind_salt ^ 0x11u)));
-  if (options_.tail_probability > 0.0 &&
-      HashUnit(simnet::MixHash(kind_salt ^ 0x77u)) <
-          options_.tail_probability) {
-    seconds *= options_.tail_multiplier;
+  if (HashUnit(simnet::MixHash(kind_salt ^ 0x77u)) < kTailProbability) {
+    seconds *= kTailMultiplier;
   }
   if (batch_size > 1) {
     seconds *= 1.0 + (static_cast<double>(batch_size) - 1.0) *
-                         options_.batch_marginal_fraction;
+                         kBatchMarginalFraction;
   }
   outcome.service_seconds = seconds;
   return outcome;

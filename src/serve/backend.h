@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "serve/request.h"
@@ -36,34 +35,16 @@ class ServeBackend {
 };
 
 /// Arithmetic backend model for saturation-scale runs (millions of
-/// requests): per-kind base service times with hash-keyed jitter and a
-/// heavy-tail mode, bound to one simnet replica for availability. Costs are
-/// computed, not transferred, so a run's wall-clock stays flat no matter
-/// the offered load; availability still comes from the real network state
-/// (replica crashes, partitions) and so degrades exactly like the real
-/// store clients do.
+/// requests): per-kind base service times (save 20 ms, recover 12 ms,
+/// probe 2 ms, inference 4 ms) scaled by up to 1.5x of hash-keyed jitter,
+/// a 2% slow tail at 8x (the tail hedged reads and deadlines exist to
+/// fight), and 25% of the base per extra request in a batch; bound to one
+/// simnet replica for availability. Costs are computed, not transferred,
+/// so a run's wall-clock stays flat no matter the offered load;
+/// availability still comes from the real network state (replica crashes,
+/// partitions) and so degrades exactly like the real store clients do.
 struct SimulatedBackendOptions {
-  /// Base service seconds per RequestKind (save, recover, probe,
-  /// inference).
-  std::array<double, kRequestKindCount> base_seconds = {0.020, 0.012, 0.002,
-                                                        0.004};
-  /// Service time is scaled by 1 + jitter * u with u in [0, 1) drawn by
-  /// hash from the request identity.
-  double jitter_fraction = 0.5;
-  /// With this probability (hash-keyed) a request lands in the slow tail
-  /// and its service time is multiplied by `tail_multiplier` — the tail
-  /// hedged reads and deadlines exist to fight.
-  double tail_probability = 0.02;
-  double tail_multiplier = 8.0;
-  /// Marginal cost of each batched request beyond the first, as a fraction
-  /// of the base cost: batch of n costs base * (1 + (n-1) * marginal).
-  double batch_marginal_fraction = 0.25;
-  /// Probability (hash-keyed) that a request fails Unavailable even with
-  /// the replica reachable — transient backend faults for breaker tests.
-  double fault_probability = 0.0;
-  /// Seconds burned learning that an unreachable replica is unreachable
-  /// (one timeout's worth, not a full retry ladder).
-  double unavailable_seconds = 0.050;
+  /// Seed of the hash-keyed jitter and tail draws.
   uint64_t seed = 0x5e21;
 };
 

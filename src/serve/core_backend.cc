@@ -6,6 +6,12 @@
 namespace mmlib::serve {
 namespace {
 
+/// Primary-read cost past which an inference read hedges to a second
+/// replica.
+constexpr double kHedgeThresholdSeconds = 0.050;
+/// Arithmetic cost of the forward pass after an inference read.
+constexpr double kInferenceForwardSeconds = 0.002;
+
 StatusCode CodeOf(const Status& status) {
   return status.ok() ? StatusCode::kOk : status.code();
 }
@@ -14,22 +20,18 @@ StatusCode CodeOf(const Status& status) {
 
 CoreBackend::CoreBackend(const CoreBackendContext& context)
     : context_(context) {
-  core::ServeHook hook = [this](const core::ServeOpReport& report) {
-    ++hook_reports_;
-    if (report.outcome != StatusCode::kOk) {
-      ++hook_failures_;
-    }
-  };
-  if (context_.save_service != nullptr) {
-    context_.save_service->set_serve_hook(hook);
-  }
-  if (context_.recoverer != nullptr) {
-    context_.recoverer->set_serve_hook(hook);
-  }
   if (context_.files != nullptr) {
     base_hedged_reads_ = context_.files->hedged_read_count();
     base_hedge_wins_ = context_.files->hedge_win_count();
   }
+}
+
+StatusCode CoreBackend::CountCoreOp(const Status& status) {
+  ++core_ops_;
+  if (!status.ok()) {
+    ++core_failures_;
+  }
+  return CodeOf(status);
 }
 
 uint64_t CoreBackend::hedged_reads() const {
@@ -84,7 +86,7 @@ BackendOutcome CoreBackend::ExecuteSave(const Request& request) {
   save.code = context_.code;
   save.environment = context_.environment;
   auto result = context_.save_service->SaveModel(save);
-  outcome.code = CodeOf(result.status());
+  outcome.code = CountCoreOp(result.status());
   if (result.ok() && result.value().storage_bytes > 0) {
     outcome.bytes = static_cast<uint64_t>(result.value().storage_bytes);
   }
@@ -103,7 +105,7 @@ BackendOutcome CoreBackend::ExecuteRecover(const Request& request) {
   core::RecoverOptions options;
   options.verify_checksum = true;
   auto result = context_.recoverer->Recover(id, options);
-  outcome.code = CodeOf(result.status());
+  outcome.code = CountCoreOp(result.status());
   if (result.ok()) {
     outcome.bytes = result.value().model.ParamByteSize();
   }
@@ -131,20 +133,20 @@ BackendOutcome CoreBackend::ExecuteInference(const Request& request,
     // No replicated file store wired: inference degenerates to the
     // arithmetic forward cost alone.
     outcome.service_seconds =
-        context_.inference_forward_seconds * static_cast<double>(batch_size);
+        kInferenceForwardSeconds * static_cast<double>(batch_size);
     return outcome;
   }
   const std::string& file_id = context_.file_ids[simnet::MixHash(
       context_.seed ^ simnet::MixHash(request.sequence) ^ 0x1fULL) %
                                            context_.file_ids.size()];
-  auto payload = context_.files->LoadFileHedged(
-      file_id, context_.hedge_threshold_seconds);
+  auto payload =
+      context_.files->LoadFileHedged(file_id, kHedgeThresholdSeconds);
   outcome.code = CodeOf(payload.status());
   if (payload.ok()) {
     outcome.bytes = payload.value().size();
     // One model pass serves the whole batch; the read is shared.
     outcome.service_seconds =
-        context_.inference_forward_seconds *
+        kInferenceForwardSeconds *
         (1.0 + 0.25 * (static_cast<double>(batch_size) - 1.0));
   }
   return outcome;

@@ -6,7 +6,6 @@
 
 #include "core/recover.h"
 #include "core/save_service.h"
-#include "core/serve_hook.h"
 #include "docstore/document_store.h"
 #include "env/environment.h"
 #include "json/json.h"
@@ -33,11 +32,6 @@ struct CoreBackendContext {
   std::vector<std::string> model_ids;
   /// File ids of parameter payloads (hedged inference reads).
   std::vector<std::string> file_ids;
-  /// Primary-read cost past which an inference read hedges to a second
-  /// replica; <= 0 hedges only on failure.
-  double hedge_threshold_seconds = 0.050;
-  /// Arithmetic cost of the forward pass after an inference read.
-  double inference_forward_seconds = 0.002;
   uint64_t seed = 0xc0debac0;
 };
 
@@ -48,10 +42,7 @@ struct CoreBackendContext {
 /// (repl::ReplicatedFileStore::LoadFileHedged) plus an arithmetic forward
 /// cost. Each op runs under a simnet::Network::DeadlineScope carrying the
 /// request's deadline, so the store clients' Retriers abandon work whose
-/// client has already hung up. Save/recover outcomes also flow back through
-/// the core::ServeHook seam, which this backend installs on construction —
-/// that is how the serving layer observes core without core including
-/// serve.
+/// client has already hung up.
 class CoreBackend : public ServeBackend {
  public:
   explicit CoreBackend(const CoreBackendContext& context);
@@ -59,9 +50,9 @@ class CoreBackend : public ServeBackend {
   BackendOutcome Execute(const Request& request, size_t batch_size,
                          double now_seconds) override;
 
-  /// Ops observed through the ServeHook seam (save + recover completions).
-  uint64_t hook_reports() const { return hook_reports_; }
-  uint64_t hook_failures() const { return hook_failures_; }
+  /// Save and recover ops this backend ran, and how many of them failed.
+  uint64_t core_ops() const { return core_ops_; }
+  uint64_t core_failures() const { return core_failures_; }
   /// Hedged-read traffic of the inference path (mirrors the store's own
   /// counters, scoped to this backend's lifetime).
   uint64_t hedged_reads() const;
@@ -72,10 +63,12 @@ class CoreBackend : public ServeBackend {
   BackendOutcome ExecuteRecover(const Request& request);
   BackendOutcome ExecuteProbe(const Request& request);
   BackendOutcome ExecuteInference(const Request& request, size_t batch_size);
+  /// Counts one save or recover outcome in core_ops() / core_failures().
+  StatusCode CountCoreOp(const Status& status);
 
   CoreBackendContext context_;
-  uint64_t hook_reports_ = 0;
-  uint64_t hook_failures_ = 0;
+  uint64_t core_ops_ = 0;
+  uint64_t core_failures_ = 0;
   uint64_t base_hedged_reads_ = 0;
   uint64_t base_hedge_wins_ = 0;
 };

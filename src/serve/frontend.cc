@@ -7,6 +7,14 @@
 #include "util/crash_point.h"
 
 namespace mmlib::serve {
+namespace {
+
+/// Inference batching: up to kBatchMax requests share one backend pass; a
+/// partial batch flushes after kBatchFlushSeconds.
+constexpr size_t kBatchMax = 8;
+constexpr double kBatchFlushSeconds = 0.002;
+
+}  // namespace
 
 ServingFrontend::ServingFrontend(const FrontendOptions& options,
                                  std::vector<ServeBackend*> backends,
@@ -18,10 +26,6 @@ ServingFrontend::ServingFrontend(const FrontendOptions& options,
     nodes_.back().free_slots = options_.workers_per_node;
   }
   breakers_.assign(backends_.size(), CircuitBreaker(options_.breaker));
-  if (options_.tenant_quota_rps > 0.0) {
-    buckets_.assign(options_.tenant_count, TenantBucket{
-        options_.tenant_quota_burst, 0.0});
-  }
 }
 
 void ServingFrontend::Push(Event event) {
@@ -112,20 +116,6 @@ ServeReport ServingFrontend::Run(WorkloadGenerator& workload) {
 void ServingFrontend::AdmitRequest(const Request& request,
                                    double now_seconds) {
   MMLIB_CRASH_POINT("serve.admit");
-  if (!buckets_.empty()) {
-    TenantBucket& bucket = buckets_[request.tenant];
-    bucket.tokens = std::min(
-        options_.tenant_quota_burst,
-        bucket.tokens + (now_seconds - bucket.refilled_at_seconds) *
-                            options_.tenant_quota_rps);
-    bucket.refilled_at_seconds = now_seconds;
-    if (bucket.tokens < 1.0) {
-      ++report_.counters.shed_over_quota;
-      RecordOutcome(request, RequestOutcome::kShed, now_seconds);
-      return;
-    }
-    bucket.tokens -= 1.0;
-  }
   const uint32_t node = RouteNode(request);
   if (!nodes_[node].queues.Admit(request)) {
     ++report_.counters.shed_queue_full;
@@ -139,7 +129,7 @@ void ServingFrontend::AdmitRequest(const Request& request,
 bool ServingFrontend::BatchReady(const NodeState& state,
                                  double now_seconds) const {
   return !state.pending_batch.empty() &&
-         (state.pending_batch.size() >= options_.batch_max ||
+         (state.pending_batch.size() >= kBatchMax ||
           now_seconds >= state.batch_due_seconds);
 }
 
@@ -158,10 +148,10 @@ void ServingFrontend::TryDispatch(uint32_t node, double now_seconds) {
     if (!state.queues.PopNext(&request)) {
       break;
     }
-    if (request.kind == RequestKind::kInference && options_.batch_max > 1) {
+    if (request.kind == RequestKind::kInference) {
       state.pending_batch.push_back(request);
       if (state.pending_batch.size() == 1) {
-        state.batch_due_seconds = now_seconds + options_.batch_flush_seconds;
+        state.batch_due_seconds = now_seconds + kBatchFlushSeconds;
         Event flush;
         flush.type = EventType::kBatchFlush;
         flush.time = state.batch_due_seconds;

@@ -23,29 +23,18 @@ struct FrontendOptions {
   uint32_t tenant_count = 4;
   QueueOptions queue;
   BreakerOptions breaker;
-  /// Per-tenant admission rate limit in requests per virtual second, with
-  /// burst `tenant_quota_burst`; 0 disables quotas (fairness then rests on
-  /// the bounded queues + DRR alone).
-  double tenant_quota_rps = 0.0;
-  double tenant_quota_burst = 32.0;
-  /// Inference batching: up to `batch_max` inference requests share one
-  /// backend pass; a partial batch flushes after `batch_flush_seconds`.
-  /// batch_max <= 1 disables batching.
-  uint32_t batch_max = 8;
-  double batch_flush_seconds = 0.002;
   uint64_t seed = 0xf20d7;
 };
 
 /// The overload-robust multi-tenant serving front end: N coordinator nodes
 /// over simnet running a discrete-event simulation on the virtual clock.
-/// Arrivals are admission-controlled (bounded per-tenant queues, optional
-/// per-tenant quotas), scheduled fairly (deficit round robin), dispatched
-/// to per-node backends behind circuit breakers, batched (inference), and
-/// abandoned once their deadline has passed. The whole run is deterministic
-/// per (workload seed, options): the event heap is ordered by
-/// (virtual time, push sequence) and every stochastic decision is keyed by
-/// request identity, so degraded runs — replica crashes, partitions, fault
-/// seeds — reproduce bit-identically.
+/// Arrivals are admission-controlled (bounded per-tenant queues), scheduled
+/// fairly (deficit round robin), dispatched to per-node backends behind
+/// circuit breakers, batched (inference), and abandoned once their deadline
+/// has passed. The whole run is deterministic per (workload seed, options):
+/// the event heap is ordered by (virtual time, push sequence) and every
+/// stochastic decision is keyed by request identity, so degraded runs —
+/// replica crashes, partitions, fault seeds — reproduce bit-identically.
 ///
 /// The front end advances the simnet virtual clock alongside its own event
 /// clock, so replica events scheduled on the network
@@ -99,11 +88,6 @@ class ServingFrontend {
     uint64_t batch_generation = 0;
   };
 
-  struct TenantBucket {
-    double tokens = 0.0;
-    double refilled_at_seconds = 0.0;
-  };
-
   void Push(Event event);
   void SyncNetworkClock(double now_seconds);
   uint32_t RouteNode(const Request& request) const;
@@ -125,7 +109,6 @@ class ServingFrontend {
   simnet::Network* network_;
   std::vector<NodeState> nodes_;
   std::vector<CircuitBreaker> breakers_;
-  std::vector<TenantBucket> buckets_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   uint64_t next_event_seq_ = 0;
   ServeReport report_;

@@ -79,7 +79,6 @@ std::string ServeReport::Digest() const {
     HashU64(hasher, o);
   }
   HashU64(hasher, counters.shed_queue_full);
-  HashU64(hasher, counters.shed_over_quota);
   HashU64(hasher, counters.expired_in_queue);
   HashU64(hasher, counters.batched);
   HashU64(hasher, counters.batches_flushed);

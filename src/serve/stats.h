@@ -45,9 +45,8 @@ struct ServeCounters {
   uint64_t admitted = 0;
   /// Outcome histogram, indexed by RequestOutcome.
   std::array<uint64_t, kRequestOutcomeCount> outcomes{};
-  /// Sheds split by reason: tenant queue full vs tenant over its quota.
+  /// Sheds because the tenant's queue was full.
   uint64_t shed_queue_full = 0;
-  uint64_t shed_over_quota = 0;
   /// Requests whose deadline expired while still queued (never dispatched).
   uint64_t expired_in_queue = 0;
   /// Inference requests served as part of a multi-request batch.

@@ -238,7 +238,6 @@ class Network {
   /// node up. InvalidArgument / FailedPrecondition mirror CrashNode.
   Status RestartNode(size_t node);
 
-  void set_node_costs(const NodeCosts& costs) { node_costs_ = costs; }
   const NodeCosts& node_costs() const { return node_costs_; }
 
   /// Attempts one message of `bytes` addressed to `node`. While the node is

@@ -3,11 +3,17 @@
 #include <cmath>
 
 namespace mmlib::simnet {
+namespace {
+
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffSeconds = 5.0;
+
+}  // namespace
 
 void Retrier::ChargeBackoff(int attempt) {
   double backoff = policy_.initial_backoff_seconds *
-                   std::pow(policy_.backoff_multiplier, attempt - 1);
-  backoff = std::min(backoff, policy_.max_backoff_seconds);
+                   std::pow(kBackoffMultiplier, attempt - 1);
+  backoff = std::min(backoff, kMaxBackoffSeconds);
   if (policy_.jitter_fraction > 0.0) {
     const double unit = jitter_rng_.NextDouble() * 2.0 - 1.0;  // [-1, 1)
     backoff *= 1.0 + policy_.jitter_fraction * unit;

@@ -10,15 +10,15 @@
 
 namespace mmlib::simnet {
 
-/// Capped exponential backoff with deterministic jitter. Waits are charged
-/// to the simulated network's virtual clock, so TTS/TTR under a fault plan
-/// include the time a real client would spend backing off.
+/// Capped exponential backoff with deterministic jitter: the wait before
+/// retry n is initial_backoff_seconds * 2^(n-1), capped at 5 s, then
+/// jittered. Waits are charged to the simulated network's virtual clock, so
+/// TTS/TTR under a fault plan include the time a real client would spend
+/// backing off.
 struct RetryPolicy {
   /// Total attempts per operation (first try + retries). Must be >= 1.
   int max_attempts = 6;
   double initial_backoff_seconds = 0.05;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 5.0;
   /// Backoff is scaled by a factor in [1 - jitter, 1 + jitter], drawn from
   /// the seeded jitter stream — deterministic, unlike wall-clock jitter.
   double jitter_fraction = 0.2;

@@ -12,6 +12,7 @@
 #include "docstore/document_store.h"
 #include "filestore/file_store.h"
 #include "models/zoo.h"
+#include "simnet/network.h"
 
 namespace mmlib::core {
 namespace {
@@ -566,6 +567,21 @@ TEST_F(SaveServiceTest, RecoverBreakdownCoversAllSteps) {
               b.load_seconds + b.recover_seconds + b.check_env_seconds +
                   b.verify_seconds,
               1e-12);
+}
+
+// Remote stores answer the meter's own stats query over the simulated
+// link; that charge belongs to no operation, so a meter that measured
+// nothing reads no virtual seconds.
+TEST(CostMeterTest, ExcludesItsOwnStatsQuery) {
+  simnet::Network network(simnet::Link{1e9, /*latency_seconds=*/1.0});
+  filestore::InMemoryFileStore file_backend;
+  docstore::InMemoryDocumentStore doc_backend;
+  filestore::RemoteFileStore files(&file_backend, &network);
+  docstore::RemoteDocumentStore docs(&doc_backend, &network);
+  const StorageBackends backends{&docs, &files, &network};
+  const CostMeter meter(backends);
+  EXPECT_LT(meter.ElapsedSeconds(), 0.5);
+  EXPECT_EQ(meter.StoredBytesDelta(), 0);
 }
 
 }  // namespace

@@ -359,7 +359,7 @@ TEST(HedgedReadTest, SlowPrimaryHedgesOnThreshold) {
 // ---------------------------------------------------------------------------
 // CoreBackend: real core services behind the front end
 
-TEST(CoreBackendTest, ServesRealOpsAndReportsThroughServeHook) {
+TEST(CoreBackendTest, ServesRealOpsAndCountsCoreOps) {
   auto run_digest = [](uint64_t seed, std::string* digest) {
     simnet::Network network(simnet::Link{300e6, 0.2e-3});
     network.ConfigureReplicas(3);
@@ -448,8 +448,8 @@ TEST(CoreBackendTest, ServesRealOpsAndReportsThroughServeHook) {
 
     EXPECT_GT(report.counters.arrivals, 0u);
     EXPECT_GT(report.counters.served(), 0u);
-    // The ServeHook seam saw every save/recover completion.
-    EXPECT_GT(backend.hook_reports(), 0u);
+    // The backend counted every save/recover it ran.
+    EXPECT_GT(backend.core_ops(), 0u);
     // Fold the hedged-read counters into the report before digesting.
     report.counters.hedged_reads = backend.hedged_reads();
     report.counters.hedge_wins = backend.hedge_wins();
@@ -462,6 +462,45 @@ TEST(CoreBackendTest, ServesRealOpsAndReportsThroughServeHook) {
   run_digest(11, &second);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+}
+
+// The services a CoreBackend wraps outlive it: saving and recovering after
+// the backend is gone must not reach back into the destroyed backend.
+TEST(CoreBackendTest, WrappedServicesWorkAfterTheBackendIsDestroyed) {
+  filestore::InMemoryFileStore files;
+  docstore::InMemoryDocumentStore docs;
+  core::StorageBackends backends{&docs, &files};
+  core::BaselineSaveService save_service(backends);
+  core::ModelRecoverer recoverer(backends);
+
+  models::ModelConfig config = models::DefaultConfig(
+      models::Architecture::kMobileNetV2);
+  config.channel_divisor = 8;
+  config.image_size = 28;
+  config.num_classes = 10;
+  auto model = models::BuildModel(config).value();
+  const env::EnvironmentInfo environment = env::CollectEnvironment();
+
+  serve::CoreBackendContext context;
+  context.save_service = &save_service;
+  context.recoverer = &recoverer;
+  context.docs = &docs;
+  context.model = &model;
+  context.environment = &environment;
+  context.code = core::CodeDescriptorFor(config);
+  auto backend = std::make_unique<serve::CoreBackend>(context);
+  backend.reset();
+
+  core::SaveRequest request;
+  request.model = &model;
+  request.code = context.code;
+  request.environment = &environment;
+  auto saved = save_service.SaveModel(request);
+  ASSERT_TRUE(saved.ok()) << saved.status();
+  auto recovered =
+      recoverer.Recover(saved.value().model_id, core::RecoverOptions{});
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered.value().model.ParamsHash(), model.ParamsHash());
 }
 
 }  // namespace
