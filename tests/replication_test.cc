@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -676,6 +678,300 @@ TEST(ReplicatedFlowTest, BelowQuorumFlowFailsUnavailableNotHangsOrTears) {
   // Fail-fast bound: the run ends within a small multiple of the healthy
   // flow's virtual time instead of compounding per-replica backoff ladders.
   EXPECT_LT(outcome.seconds, probe.seconds * 3.0);
+}
+
+
+// ---------------------------------------------------------------------------
+// Document-side twins of the scrubber and delete paths
+// ---------------------------------------------------------------------------
+
+json::Value VersionDoc(int64_t version) {
+  json::Value doc = json::Value::MakeObject();
+  doc.Set("version", version);
+  return doc;
+}
+
+TEST(ScrubberTest, DocumentBitRotHealsWithoutAnyReadObservingIt) {
+  ReplicatedCluster cluster(3);
+  std::vector<std::string> ids;
+  for (int64_t i = 0; i < 4; ++i) {
+    ids.push_back(cluster.docs->Insert("models", VersionDoc(i)).value());
+  }
+  // Replica 1 silently holds a stale copy of one document.
+  ASSERT_TRUE(cluster.doc_backends[1]  // lint:allow(no-direct-replica-write) deliberate bit-rot
+                  ->InsertWithId("models", ids[2], VersionDoc(99))
+                  .ok());
+
+  repl::Scrubber scrubber(cluster.files.get(), cluster.docs.get(),
+                          &cluster.network);
+  const repl::ScrubReport report = scrubber.ScrubOnce().value();
+  EXPECT_GT(report.repaired_documents, 0u);
+  EXPECT_EQ(report.repaired_files, 0u);
+  EXPECT_EQ(report.unresolved, 0u);
+  EXPECT_TRUE(report.converged);
+  EXPECT_GT(cluster.docs->replica_counters(1).scrub_repairs, 0u);
+  EXPECT_EQ(cluster.doc_backends[1]
+                ->Get("models", ids[2])
+                .value()
+                .GetInt("version")
+                .value(),
+            2);
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(cluster.docs->replica_counters(r).read_fallbacks, 0u);
+  }
+}
+
+TEST(ScrubberTest, DocumentQuorumDeleteTombstoneWinsOverStragglerCopy) {
+  ReplicatedCluster cluster(3);
+  const std::string id =
+      cluster.docs->Insert("models", VersionDoc(1)).value();
+
+  // Replica 0 misses the delete; its copy becomes a straggler.
+  ASSERT_TRUE(cluster.network.CrashReplica(0).ok());
+  ASSERT_TRUE(cluster.docs->Delete("models", id).ok());
+  ASSERT_TRUE(cluster.network.RestartReplica(0).ok());
+  ASSERT_EQ(cluster.doc_backends[0]->DocumentCount(), 1u);
+
+  repl::Scrubber scrubber(cluster.files.get(), cluster.docs.get(),
+                          &cluster.network);
+  const repl::ScrubReport report = scrubber.ScrubOnce().value();
+  EXPECT_GT(report.repaired_documents, 0u);
+  EXPECT_TRUE(report.converged);
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(cluster.doc_backends[r]->DocumentCount(), 0u) << "replica " << r;
+  }
+  EXPECT_EQ(cluster.docs->Get("models", id).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(ScrubberTest, MajorityVoteRepairsWithoutWriteTimeDigests) {
+  ReplicatedCluster cluster(3);
+  const Bytes content(250, 6);
+  const std::string file_id = cluster.files->SaveFile(content).value();
+  const std::string doc_id =
+      cluster.docs->Insert("models", VersionDoc(3)).value();
+  Bytes rotted = content;
+  rotted[17] ^= 0x10;
+  ASSERT_TRUE(cluster.file_backends[2]  // lint:allow(no-direct-replica-write) deliberate bit-rot
+                  ->WriteAllocated(file_id, rotted)
+                  .ok());
+  ASSERT_TRUE(cluster.doc_backends[0]  // lint:allow(no-direct-replica-write) deliberate bit-rot
+                  ->InsertWithId("models", doc_id, VersionDoc(4))
+                  .ok());
+
+  // A fresh coordinator over the same replicas has no write-time digest
+  // and no tombstone: the two agreeing replicas outvote the damaged one.
+  std::vector<filestore::RemoteFileStore*> file_ptrs;
+  std::vector<docstore::RemoteDocumentStore*> doc_ptrs;
+  for (size_t r = 0; r < 3; ++r) {
+    file_ptrs.push_back(cluster.file_transports[r].get());
+    doc_ptrs.push_back(cluster.doc_transports[r].get());
+  }
+  auto files =
+      repl::ReplicatedFileStore::Create(file_ptrs, &cluster.network).value();
+  auto docs =
+      repl::ReplicatedDocumentStore::Create(doc_ptrs, &cluster.network)
+          .value();
+  ASSERT_EQ(files->FindExpectedDigest(file_id), nullptr);
+  ASSERT_EQ(docs->FindExpectedDigest(
+                repl::ReplicatedDocumentStore::KeyFor("models", doc_id)),
+            nullptr);
+
+  repl::Scrubber scrubber(files.get(), docs.get(), &cluster.network);
+  const repl::ScrubReport report = scrubber.ScrubOnce().value();
+  EXPECT_GT(report.repaired_files, 0u);
+  EXPECT_GT(report.repaired_documents, 0u);
+  EXPECT_EQ(report.unresolved, 0u);
+  EXPECT_TRUE(report.converged);
+  EXPECT_GT(files->replica_counters(2).scrub_repairs, 0u);
+  EXPECT_GT(docs->replica_counters(0).scrub_repairs, 0u);
+  EXPECT_EQ(cluster.file_backends[2]->LoadFile(file_id).value(), content);
+  EXPECT_EQ(cluster.doc_backends[0]
+                ->Get("models", doc_id)
+                .value()
+                .GetInt("version")
+                .value(),
+            3);
+}
+
+TEST(ReplicatedStoreTest, DocumentDeleteBelowQuorumFailsUnavailable) {
+  ReplicatedCluster cluster(3);
+  const std::string id =
+      cluster.docs->Insert("models", VersionDoc(1)).value();
+  ASSERT_TRUE(cluster.network.CrashReplica(0).ok());
+  ASSERT_TRUE(cluster.network.CrashReplica(2).ok());
+
+  EXPECT_EQ(cluster.docs->Delete("models", id).code(),
+            StatusCode::kUnavailable);
+  // Nothing was deleted anywhere, and no tombstone was recorded.
+  for (size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(cluster.doc_backends[r]->DocumentCount(), 1u) << "replica " << r;
+  }
+  EXPECT_FALSE(cluster.docs->IsTombstoned(
+      repl::ReplicatedDocumentStore::KeyFor("models", id)));
+
+  ASSERT_TRUE(cluster.network.RestartReplica(0).ok());
+  ASSERT_TRUE(cluster.network.RestartReplica(2).ok());
+  EXPECT_EQ(cluster.docs->Get("models", id).value().GetInt("version").value(),
+            1);
+}
+
+// ---------------------------------------------------------------------------
+// Golden traffic: one scripted R=3 scenario, pinned message for message
+// ---------------------------------------------------------------------------
+
+/// Expected per-replica counters of one replicated store.
+struct CounterRow {
+  uint64_t read_fallbacks;
+  uint64_t read_repairs;
+  uint64_t write_skips;
+  uint64_t scrub_repairs;
+};
+
+template <typename Store>
+void ExpectCounters(const Store& store, const std::vector<CounterRow>& want,
+                    const char* what) {
+  ASSERT_EQ(store.replica_count(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    const repl::ReplicaCounters& got = store.replica_counters(r);
+    EXPECT_EQ(got.read_fallbacks, want[r].read_fallbacks) << what << " " << r;
+    EXPECT_EQ(got.read_repairs, want[r].read_repairs) << what << " " << r;
+    EXPECT_EQ(got.write_skips, want[r].write_skips) << what << " " << r;
+    EXPECT_EQ(got.scrub_repairs, want[r].scrub_repairs) << what << " " << r;
+  }
+}
+
+/// Drives the replicated stores directly through every quorum path —
+/// degraded writes, at-rest damage with fallback and read-repair, in-flight
+/// damage with the file re-check, a hedged read, a quorum delete that
+/// leaves stragglers, a scrub, and a second coordinator that adopts digests
+/// — and pins the resulting traffic exactly. Any change to the order or
+/// size of a replica call moves one of these numbers.
+TEST(ReplicationGoldenTest, ScriptedScenarioTrafficIsPinned) {
+  ReplicatedCluster cluster(3);
+  repl::ReplicatedFileStore& files = *cluster.files;
+  repl::ReplicatedDocumentStore& docs = *cluster.docs;
+
+  // Quorum writes while replica 2 is down.
+  ASSERT_TRUE(cluster.network.CrashReplica(2).ok());
+  std::vector<Bytes> contents;
+  std::vector<std::string> file_ids;
+  for (int i = 0; i < 5; ++i) {
+    contents.emplace_back(300 + 41 * i, uint8_t(i + 1));
+    file_ids.push_back(files.SaveFile(contents.back()).value());
+  }
+  std::vector<std::string> doc_ids;
+  for (int64_t i = 0; i < 3; ++i) {
+    doc_ids.push_back(docs.Insert("models", VersionDoc(i)).value());
+  }
+  ASSERT_TRUE(cluster.network.RestartReplica(2).ok());
+
+  // At-rest damage on each entry's preferred replica, then reads: fallback
+  // to a good copy and read-repair of the damaged and the missing ones.
+  Bytes rotted = contents[0];
+  rotted[10] ^= 0x01;
+  ASSERT_TRUE(cluster.file_backends[PreferredReplicaOf(file_ids[0], 3)]  // lint:allow(no-direct-replica-write) deliberate bit-rot
+                  ->WriteAllocated(file_ids[0], rotted)
+                  .ok());
+  const size_t doc_home = PreferredReplicaOf(
+      repl::ReplicatedDocumentStore::KeyFor("models", doc_ids[0]), 3);
+  ASSERT_TRUE(cluster.doc_backends[doc_home]  // lint:allow(no-direct-replica-write) deliberate bit-rot
+                  ->InsertWithId("models", doc_ids[0], VersionDoc(50))
+                  .ok());
+  EXPECT_EQ(files.LoadFile(file_ids[0]).value(), contents[0]);
+  EXPECT_EQ(docs.Get("models", doc_ids[0]).value().GetInt("version").value(),
+            0);
+  EXPECT_EQ(docs.Get("models", doc_ids[2]).value().GetInt("version").value(),
+            2);
+
+  // A flaky link to one replica damages payloads in flight: the file read
+  // asks the server for its digest and re-fetches.
+  const size_t flaky_replica = PreferredReplicaOf(file_ids[1], 3);
+  simnet::FaultPlan flaky;
+  flaky.corrupt_probability = 0.5;
+  flaky.seed = 4;
+  ASSERT_TRUE(cluster.network.SetReplicaFaultPlan(flaky_replica, flaky).ok());
+  for (int round = 0; round < 3; ++round) {
+    for (size_t k = 1; k < 4; ++k) {
+      EXPECT_EQ(files.LoadFile(file_ids[k]).value(), contents[k]);
+    }
+  }
+  ASSERT_TRUE(
+      cluster.network.SetReplicaFaultPlan(flaky_replica, simnet::FaultPlan{})
+          .ok());
+
+  // A hedged read whose primary copy is damaged at rest.
+  Bytes rotted_hedge = contents[4];
+  rotted_hedge[3] ^= 0x80;
+  ASSERT_TRUE(cluster.file_backends[PreferredReplicaOf(file_ids[4], 3)]  // lint:allow(no-direct-replica-write) deliberate bit-rot
+                  ->WriteAllocated(file_ids[4], rotted_hedge)
+                  .ok());
+  EXPECT_EQ(files.LoadFileHedged(file_ids[4], 0.0).value(), contents[4]);
+
+  // Quorum deletes while replica 1 is down leave straggler copies there.
+  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
+  EXPECT_TRUE(files.Delete(file_ids[1]).ok());
+  EXPECT_TRUE(docs.Delete("models", doc_ids[1]).ok());
+  ASSERT_TRUE(cluster.network.RestartReplica(1).ok());
+
+  // One anti-entropy pass heals the misses, the rot and the stragglers.
+  repl::Scrubber scrubber(&files, &docs, &cluster.network);
+  const repl::ScrubReport report = scrubber.ScrubOnce().value();
+
+  // A second coordinator over the same replicas knows no digest: its reads
+  // adopt one, digest queries and listings go to the replicas.
+  std::vector<filestore::RemoteFileStore*> file_ptrs;
+  std::vector<docstore::RemoteDocumentStore*> doc_ptrs;
+  for (size_t r = 0; r < 3; ++r) {
+    file_ptrs.push_back(cluster.file_transports[r].get());
+    doc_ptrs.push_back(cluster.doc_transports[r].get());
+  }
+  auto fresh_files =
+      repl::ReplicatedFileStore::Create(file_ptrs, &cluster.network).value();
+  auto fresh_docs =
+      repl::ReplicatedDocumentStore::Create(doc_ptrs, &cluster.network)
+          .value();
+  EXPECT_TRUE(fresh_files->ContentDigest(file_ids[2]).ok());
+  EXPECT_EQ(fresh_files->LoadFile(file_ids[3]).value(), contents[3]);
+  fresh_files->ReportDamaged(file_ids[3]);
+  EXPECT_EQ(fresh_files->LoadFile(file_ids[3]).value(), contents[3]);
+  EXPECT_EQ(fresh_files->FileSize(file_ids[0]).value(), contents[0].size());
+  EXPECT_EQ(fresh_files->ListFileIds().value().size(), 4u);
+  EXPECT_EQ(fresh_files->LoadFile(file_ids[1]).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(fresh_docs->DocumentDigest("models", doc_ids[2]).ok());
+  EXPECT_EQ(
+      fresh_docs->Get("models", doc_ids[0]).value().GetInt("version").value(),
+      0);
+  EXPECT_EQ(fresh_docs->ListIds("models").value().size(), 2u);
+  EXPECT_EQ(fresh_docs->ListCollections().value().size(), 1u);
+  EXPECT_EQ(fresh_docs->Get("models", doc_ids[1]).status().code(),
+            StatusCode::kNotFound);
+
+  EXPECT_EQ(cluster.network.MessageCount(), 202u);
+  EXPECT_EQ(cluster.network.TotalBytes(), 21917u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(cluster.network.TotalTransferSeconds()),
+            4614275793520973952u);
+
+  ExpectCounters(files, {{2, 1, 0, 0}, {3, 2, 1, 1}, {3, 3, 5, 2}}, "file");
+  ExpectCounters(docs, {{0, 0, 0, 0}, {0, 0, 1, 1}, {2, 1, 3, 1}}, "doc");
+  ExpectCounters(*fresh_files, {{1, 0, 0, 0}, {1, 0, 0, 0}, {1, 0, 0, 0}},
+                 "fresh file");
+  ExpectCounters(*fresh_docs, {{1, 0, 0, 0}, {1, 0, 0, 0}, {1, 0, 0, 0}},
+                 "fresh doc");
+  // The hedge copy is missing (its replica was down during the writes), so
+  // neither fetch verifies and the read falls through to the quorum path.
+  EXPECT_EQ(files.hedged_read_count(), 1u);
+  EXPECT_EQ(files.hedge_issued_count(), 1u);
+  EXPECT_EQ(files.hedge_win_count(), 0u);
+
+  EXPECT_EQ(report.sessions, 3u);
+  EXPECT_EQ(report.root_matches, 2u);
+  EXPECT_EQ(report.bucket_comparisons, 60u);
+  EXPECT_EQ(report.repaired_files, 3u);
+  EXPECT_EQ(report.repaired_documents, 2u);
+  EXPECT_EQ(report.unresolved, 0u);
+  EXPECT_TRUE(report.converged);
 }
 
 }  // namespace
