@@ -1,10 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "hash/merkle_tree.h"
 #include "repl/replicated_store.h"
 #include "simnet/network.h"
 
@@ -28,6 +25,18 @@ struct ScrubReport {
   /// True when, after repairs, every replica pair holds identical file and
   /// document trees (only attainable while all replicas are reachable).
   bool converged = false;
+
+  /// Adds a later pass's counts; `converged` becomes that pass's verdict.
+  ScrubReport& operator+=(const ScrubReport& pass) {
+    sessions += pass.sessions;
+    root_matches += pass.root_matches;
+    bucket_comparisons += pass.bucket_comparisons;
+    repaired_files += pass.repaired_files;
+    repaired_documents += pass.repaired_documents;
+    unresolved += pass.unresolved;
+    converged = pass.converged;
+    return *this;
+  }
 };
 
 /// Merkle-tree anti-entropy between replica pairs, run on the virtual
@@ -49,11 +58,8 @@ class Scrubber {
   /// Either store may be null (scrub files only / documents only).
   /// Pointers are borrowed; both stores must share `network`.
   Scrubber(ReplicatedFileStore* files, ReplicatedDocumentStore* docs,
-           simnet::Network* network, size_t bucket_count = kScrubBucketCount)
-      : files_(files),
-        docs_(docs),
-        network_(network),
-        bucket_count_(bucket_count) {}
+           simnet::Network* network)
+      : files_(files), docs_(docs), network_(network) {}
 
   /// Runs one full pass: every reachable replica pair, files then
   /// documents. Deterministic: pairs in index order, keys in sorted order.
@@ -63,45 +69,11 @@ class Scrubber {
   const ScrubReport& lifetime() const { return lifetime_; }
 
  private:
-  struct Inventory {
-    std::vector<KeyedDigest> items;
-    MerkleTree tree;
-  };
-
-  Result<Inventory> FileInventory(size_t replica) const;
-  Result<Inventory> DocInventory(size_t replica) const;
-
-  /// Reconciles one divergent key between replicas `a` and `b`;
-  /// `digest_a`/`digest_b` are null for a side missing the key.
-  Status ReconcileFile(size_t a, size_t b, const std::string& key,
-                       const Digest* digest_a, const Digest* digest_b,
-                       ScrubReport* report);
-  Status ReconcileDoc(size_t a, size_t b, const std::string& key,
-                      const Digest* digest_a, const Digest* digest_b,
-                      ScrubReport* report);
-
-  /// Copies file `key` from replica `from` to replica `to` (charged as
-  /// replica-to-replica traffic); deletes instead when `expected` is a
-  /// tombstone. Direct backend writes are legal here and only here.
-  Status RepairFileCopy(size_t from, size_t to, const std::string& key,
-                        ScrubReport* report);
-  Status RepairDocCopy(size_t from, size_t to, const std::string& key,
-                       ScrubReport* report);
-
-  /// Replica holding the digest most common across all replicas for `key`
-  /// (absence counts as a vote); kNoReplica on a tie. The majority fallback
-  /// when no write-time digest exists.
-  size_t MajorityFileHolder(const std::string& key, bool* delete_wins) const;
-  size_t MajorityDocHolder(const std::string& key, bool* delete_wins) const;
-
-  Status ScrubPairFiles(size_t a, size_t b, ScrubReport* report);
-  Status ScrubPairDocs(size_t a, size_t b, ScrubReport* report);
   bool CheckConverged() const;
 
   ReplicatedFileStore* files_;
   ReplicatedDocumentStore* docs_;
   simnet::Network* network_;
-  size_t bucket_count_;
   ScrubReport lifetime_;
 };
 
