@@ -44,7 +44,7 @@ int main() {
     }
     std::vector<std::pair<std::string, double>> times;
     for (const UseCaseRecord& record : flow_result->records) {
-      core::CostMeter meter(backing.backends);
+      core::PhaseTimer timer(backing.backends.network);
       auto recovered =
           recoverer.Recover(record.model_id, core::RecoverOptions{});
       if (!recovered.ok()) {
@@ -52,7 +52,7 @@ int main() {
                      recovered.status().ToString().c_str());
         std::abort();
       }
-      times.push_back({record.label, meter.ElapsedSeconds()});
+      times.push_back({record.label, timer.ElapsedSeconds()});
     }
     return times;
   };
