@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "env/environment.h"
 #include "json/json.h"
 #include "repl/replicated_store.h"
 #include "simnet/network.h"
@@ -224,6 +225,12 @@ int main() {
   json::Value doc = json::Value::MakeObject();
   doc.Set("bench", "micro_replication");
   bench::SetHostMetadata(&doc, /*pool_size=*/0);
+  // Every save stores this host's environment document (CPU model, kernel
+  // release, compiler), so byte counts and virtual seconds match another
+  // host's run only when this size matches too; message counts always do.
+  doc.Set("environment_bytes",
+          static_cast<int64_t>(
+              env::CollectEnvironment().ToJson().Dump().size()));
   doc.Set("logical_content_identical", logical_identical);
   doc.Set("results", std::move(rows));
   const std::string json_text = doc.DumpPretty();
