@@ -48,7 +48,7 @@ constexpr QuorumSweepEntry kSweep[] = {
 struct ReplicatedBacking {
   ReplicatedBacking(size_t n, repl::QuorumConfig config)
       : network(bench::StorageServiceLink()) {
-    network.ConfigureReplicas(n);
+    network.Configure(simnet::Space::kReplica, n);
     std::vector<filestore::RemoteFileStore*> file_ptrs;
     std::vector<docstore::RemoteDocumentStore*> doc_ptrs;
     for (size_t r = 0; r < n; ++r) {

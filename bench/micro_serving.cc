@@ -56,18 +56,19 @@ const char* DegradationName(Degradation d) {
 serve::ServeReport RunSimulated(double rate, Degradation degradation,
                                 uint64_t seed) {
   simnet::Network network(simnet::Link{1e9, 1e-4});
-  network.ConfigureReplicas(3);
+  network.Configure(simnet::Space::kReplica, 3);
   const double horizon = HorizonSeconds();
   switch (degradation) {
     case Degradation::kNone:
       break;
     case Degradation::kReplicaCrash:
-      network.ScheduleReplicaCrash(1, 0.2 * horizon);
-      network.ScheduleReplicaRestart(1, 0.6 * horizon);
+      network.Schedule({0.2 * horizon, simnet::ReplicaEvent::kCrash, 1});
+      network.Schedule({0.6 * horizon, simnet::ReplicaEvent::kRestart, 1});
       break;
     case Degradation::kMinorityPartition:
-      network.SchedulePartition(0.2 * horizon, {{2}});
-      network.ScheduleHeal(0.6 * horizon);
+      network.Schedule(
+          {0.2 * horizon, simnet::ReplicaEvent::kPartition, 0, {{2}}});
+      network.Schedule({0.6 * horizon, simnet::ReplicaEvent::kHeal});
       break;
   }
 
@@ -110,10 +111,10 @@ struct CoreRunOutcome {
 /// replica crash mid-run makes the hedged-read path earn its keep.
 CoreRunOutcome RunCore(uint64_t seed) {
   simnet::Network network(bench::StorageServiceLink());
-  network.ConfigureReplicas(3);
+  network.Configure(simnet::Space::kReplica, 3);
   const double horizon = g_smoke ? 1.0 : 4.0;
-  network.ScheduleReplicaCrash(0, 0.3 * horizon);
-  network.ScheduleReplicaRestart(0, 0.8 * horizon);
+  network.Schedule({0.3 * horizon, simnet::ReplicaEvent::kCrash, 0});
+  network.Schedule({0.8 * horizon, simnet::ReplicaEvent::kRestart, 0});
 
   std::vector<std::unique_ptr<filestore::InMemoryFileStore>> file_backends;
   std::vector<std::unique_ptr<docstore::InMemoryDocumentStore>> doc_backends;

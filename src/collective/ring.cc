@@ -31,7 +31,7 @@ RingSession::RingSession(size_t workers, RingOptions options,
       options_(std::move(options)),
       network_(network),
       retrier_(options_.retry, network) {
-  network_->ConfigureWorkers(workers_);
+  network_->Configure(simnet::Space::kWorker, workers_);
   loss_applied_.assign(options_.losses.size(), false);
   partition_spent_.assign(options_.partitions.size(), false);
   needs_rejoin_.assign(workers_, false);
@@ -56,7 +56,7 @@ std::vector<size_t> RingSession::CohortForStep(int64_t step,
   *wait_seconds = 0.0;
   // Permanent losses active at (update_, step). The alive predicate is a
   // pure function of the step coordinates, so a crash-recovery replay of
-  // this step sees the identical cohort; the network-side CrashWorker is
+  // this step sees the identical cohort; the network-side worker Crash is
   // guarded to fire once.
   std::vector<bool> lost(workers_, false);
   for (size_t i = 0; i < options_.losses.size(); ++i) {
@@ -69,8 +69,8 @@ std::vector<size_t> RingSession::CohortForStep(int64_t step,
     lost[loss.worker] = true;
     if (!loss_applied_[i]) {
       loss_applied_[i] = true;
-      if (network_->IsWorkerUp(loss.worker)) {
-        (void)network_->CrashWorker(loss.worker);
+      if (network_->IsUp(simnet::Space::kWorker, loss.worker)) {
+        (void)network_->Crash(simnet::Space::kWorker, loss.worker);
       }
     }
   }
@@ -102,9 +102,9 @@ std::vector<size_t> RingSession::CohortForStep(int64_t step,
     std::sort(minority.begin(), minority.end());
     if (minority != current_minority_) {
       if (minority.empty()) {
-        network_->HealWorkers();
+        network_->Heal(simnet::Space::kWorker);
       } else {
-        (void)network_->PartitionWorkers({minority});
+        (void)network_->Partition(simnet::Space::kWorker, {minority});
       }
       current_minority_ = minority;
     }
@@ -115,7 +115,7 @@ std::vector<size_t> RingSession::CohortForStep(int64_t step,
   auto reachable_cohort = [&]() {
     std::vector<size_t> cohort;
     for (size_t w = 0; w < workers_; ++w) {
-      if (!lost[w] && network_->IsWorkerReachable(w)) {
+      if (!lost[w] && network_->IsReachable(simnet::Space::kWorker, w)) {
         cohort.push_back(w);
       }
     }
@@ -359,7 +359,7 @@ Status RingSession::RejoinWorker(size_t worker, uint64_t param_bytes) {
     return Status::InvalidArgument("worker " + std::to_string(worker) +
                                    " is not part of the ring");
   }
-  if (!network_->IsWorkerUp(worker)) {
+  if (!network_->IsUp(simnet::Space::kWorker, worker)) {
     return Status::FailedPrecondition(
         "worker " + std::to_string(worker) +
         " must be restarted before it can rejoin the ring");

@@ -303,8 +303,8 @@ Result<FlowResult> EvaluationFlow::Run() {
   result.node_counters.assign(static_cast<size_t>(config_.num_nodes),
                               FlowResult::NodeCounters{});
   if (backends_.network != nullptr) {
-    backends_.network->ConfigureNodes(
-        static_cast<size_t>(config_.num_nodes));
+    backends_.network->Configure(simnet::Space::kNode,
+                                 static_cast<size_t>(config_.num_nodes));
     // Per-flow fault accounting: repeated flows over one network must not
     // report each other's drops/timeouts (clock, rng, and plans keep going).
     backends_.network->ResetFaultCounters();
@@ -507,13 +507,16 @@ Result<FlowResult> EvaluationFlow::Run() {
               // A mid-all-reduce kill takes down one ring worker, not the
               // node's storage identity: charge the worker's crash/restart
               // lifecycle on the collective side of the network.
-              MMLIB_RETURN_IF_ERROR(backends_.network->CrashWorker(
-                  static_cast<size_t>(event->worker)));
-              MMLIB_RETURN_IF_ERROR(backends_.network->RestartWorker(
-                  static_cast<size_t>(event->worker)));
+              const size_t worker = static_cast<size_t>(event->worker);
+              MMLIB_RETURN_IF_ERROR(
+                  backends_.network->Crash(simnet::Space::kWorker, worker));
+              MMLIB_RETURN_IF_ERROR(
+                  backends_.network->Restart(simnet::Space::kWorker, worker));
             } else {
-              MMLIB_RETURN_IF_ERROR(backends_.network->CrashNode(n));
-              MMLIB_RETURN_IF_ERROR(backends_.network->RestartNode(n));
+              MMLIB_RETURN_IF_ERROR(
+                  backends_.network->Crash(simnet::Space::kNode, n));
+              MMLIB_RETURN_IF_ERROR(
+                  backends_.network->Restart(simnet::Space::kNode, n));
             }
           }
           ++counters.restarts;

@@ -148,7 +148,7 @@ struct FlowConfig {
   /// many U3 iterations, and once more before U4 recovery (0 disables).
   /// Only effective when the flow's backends are replicated stores; replica
   /// crash/partition schedules themselves live on the Network
-  /// (ScheduleReplicaCrash / SchedulePartition), armed before Run().
+  /// (Network::Schedule), armed before Run().
   int scrub_every_iterations = 0;
 };
 

@@ -100,7 +100,7 @@ Status ReplicaSet<Kind>::CheckReachable(size_t quorum,
                                         const char* what) const {
   size_t reachable = 0;
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (network_->IsReplicaReachable(r)) {
+    if (network_->IsReachable(simnet::Space::kReplica, r)) {
       ++reachable;
     }
   }
@@ -121,7 +121,7 @@ Status ReplicaSet<Kind>::Write(const std::string& key,
   std::vector<size_t> acked;
   Status failure = Status::OK();
   for (size_t r = 0; r < replicas_.size() && failure.ok(); ++r) {
-    if (!network_->IsReplicaReachable(r)) {
+    if (!network_->IsReachable(simnet::Space::kReplica, r)) {
       ++counters_[r].write_skips;
       continue;
     }
@@ -253,7 +253,7 @@ Status ReplicaSet<Kind>::Remove(const std::string& key) {
   size_t acks = 0;
   size_t deleted = 0;
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (!network_->IsReplicaReachable(r)) {
+    if (!network_->IsReachable(simnet::Space::kReplica, r)) {
       ++counters_[r].write_skips;
       continue;
     }

@@ -286,7 +286,7 @@ Result<ScrubReport> Scrubber::ScrubOnce() {
   const size_t replica_count = std::max(file_replicas, doc_replicas);
   for (size_t a = 0; a < replica_count; ++a) {
     for (size_t b = a + 1; b < replica_count; ++b) {
-      if (!network_->ReplicaPairReachable(a, b)) {
+      if (!network_->PairReachable(simnet::Space::kReplica, a, b)) {
         continue;
       }
       ++report.sessions;

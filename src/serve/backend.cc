@@ -37,7 +37,7 @@ BackendOutcome SimulatedBackend::Execute(const Request& request,
   BackendOutcome outcome;
   if (network_ != nullptr) {
     network_->ApplyDueReplicaEvents();
-    if (!network_->IsReplicaReachable(replica_)) {
+    if (!network_->IsReachable(simnet::Space::kReplica, replica_)) {
       outcome.code = StatusCode::kUnavailable;
       outcome.service_seconds = kUnavailableSeconds;
       return outcome;

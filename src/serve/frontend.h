@@ -37,9 +37,8 @@ struct FrontendOptions {
 /// replica crashes, partitions, fault seeds — reproduce bit-identically.
 ///
 /// The front end advances the simnet virtual clock alongside its own event
-/// clock, so replica events scheduled on the network
-/// (ScheduleReplicaCrash/SchedulePartition) fire mid-run exactly as they
-/// do for the storage flows.
+/// clock, so replica events scheduled on the network (Network::Schedule)
+/// fire mid-run exactly as they do for the storage flows.
 class ServingFrontend {
  public:
   /// `backends` are borrowed, one or more; node i dispatches to backend

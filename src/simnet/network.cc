@@ -4,6 +4,21 @@
 
 namespace mmlib::simnet {
 
+namespace {
+
+std::string MemberName(Space space, size_t id) {
+  static constexpr const char* kNames[] = {"node", "replica", "worker"};
+  return std::string(kNames[static_cast<size_t>(space)]) + " " +
+         std::to_string(id);
+}
+
+std::string PairUnreachable(const char* members, size_t from, size_t to) {
+  return std::string(members) + " " + std::to_string(from) + " and " +
+         std::to_string(to) + " cannot reach each other";
+}
+
+}  // namespace
+
 void Network::set_fault_plan(const FaultPlan& plan) {
   fault_plan_ = plan;
   fault_rng_ = Rng(plan.seed);
@@ -85,194 +100,118 @@ void Network::ChargeSeconds(double seconds) {
 void Network::ResetFaultCounters() {
   faults_ = FaultCounters{};
   per_op_faults_.clear();
-  for (ReplicaState& replica : replicas_) {
-    replica.faults = FaultCounters{};
-    replica.rejects = 0;
-    replica.crashes = 0;
-    replica.restarts = 0;
-  }
-  for (WorkerState& worker : workers_) {
-    worker.faults = FaultCounters{};
-    worker.rejects = 0;
-    worker.crashes = 0;
-    worker.restarts = 0;
-  }
-}
-
-void Network::ConfigureNodes(size_t count) {
-  node_up_.assign(count, true);
-}
-
-Status Network::CrashNode(size_t node) {
-  if (node >= node_up_.size()) {
-    return Status::InvalidArgument("node " + std::to_string(node) +
-                                   " is not configured");
-  }
-  if (!node_up_[node]) {
-    return Status::FailedPrecondition("node " + std::to_string(node) +
-                                      " is already down");
-  }
-  node_up_[node] = false;
-  ++crash_count_;
-  clock_.AdvanceSeconds(node_costs_.crash_detect_seconds);
-  return Status::OK();
-}
-
-Status Network::RestartNode(size_t node) {
-  if (node >= node_up_.size()) {
-    return Status::InvalidArgument("node " + std::to_string(node) +
-                                   " is not configured");
-  }
-  if (node_up_[node]) {
-    return Status::FailedPrecondition("node " + std::to_string(node) +
-                                      " is already up");
-  }
-  node_up_[node] = true;
-  ++restart_count_;
-  clock_.AdvanceSeconds(node_costs_.restart_seconds);
-  return Status::OK();
-}
-
-TransferAttempt Network::TryTransferToNode(size_t node, uint64_t bytes) {
-  if (!IsNodeUp(node)) {
-    // The sender learns nothing until its message goes unanswered; charge
-    // one latency like a dropped message. No fault-rng draw: the fault
-    // stream stays a pure function of the *delivered* message sequence, so
-    // a crash window does not shift later fault decisions.
-    TransferAttempt attempt;
-    ++message_count_;
-    ++down_node_reject_count_;
-    attempt.seconds = link_.latency_seconds;
-    clock_.AdvanceSeconds(attempt.seconds);
-    attempt.status = Status::Unavailable("node " + std::to_string(node) +
-                                         " is down");
-    return attempt;
-  }
-  return TryTransfer(bytes);
-}
-
-void Network::ConfigureReplicas(size_t count) {
-  replicas_.clear();
-  replicas_.resize(count);
-  replica_events_.clear();
-}
-
-Status Network::SetReplicaFaultPlan(size_t replica, const FaultPlan& plan) {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  ReplicaState& state = replicas_[replica];
-  state.has_plan = plan.active();
-  state.plan = plan;
-  state.rng = Rng(plan.seed);
-  return Status::OK();
-}
-
-Status Network::CrashReplica(size_t replica) {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  if (!replicas_[replica].up) {
-    return Status::FailedPrecondition("replica " + std::to_string(replica) +
-                                      " is already down");
-  }
-  replicas_[replica].up = false;
-  ++replicas_[replica].crashes;
-  ++crash_count_;
-  clock_.AdvanceSeconds(node_costs_.crash_detect_seconds);
-  return Status::OK();
-}
-
-Status Network::RestartReplica(size_t replica) {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  if (replicas_[replica].up) {
-    return Status::FailedPrecondition("replica " + std::to_string(replica) +
-                                      " is already up");
-  }
-  replicas_[replica].up = true;
-  ++replicas_[replica].restarts;
-  ++restart_count_;
-  clock_.AdvanceSeconds(node_costs_.restart_seconds);
-  return Status::OK();
-}
-
-Status Network::Partition(const std::vector<std::vector<size_t>>& groups) {
-  std::vector<int> assignment(replicas_.size(), 0);
-  std::vector<bool> seen(replicas_.size(), false);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t replica : groups[g]) {
-      if (replica >= replicas_.size()) {
-        return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                       " is not configured");
-      }
-      if (seen[replica]) {
-        return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                       " listed in more than one group");
-      }
-      seen[replica] = true;
-      assignment[replica] = static_cast<int>(g) + 1;
+  for (std::vector<Member>& space : spaces_) {
+    for (Member& member : space) {
+      member.counters = MemberCounters{};
     }
   }
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    replicas_[r].group = assignment[r];
+  partition_count_ = 0;
+  heal_count_ = 0;
+}
+
+void Network::Configure(Space space, size_t count) {
+  members(space).assign(count, Member{});
+  if (space == Space::kReplica) {
+    replica_events_.clear();
+  }
+}
+
+Status Network::CheckConfigured(Space space, size_t id) const {
+  if (id >= members(space).size()) {
+    return Status::InvalidArgument(MemberName(space, id) +
+                                   " is not configured");
+  }
+  return Status::OK();
+}
+
+Status Network::Crash(Space space, size_t id) {
+  MMLIB_RETURN_IF_ERROR(CheckConfigured(space, id));
+  Member& member = members(space)[id];
+  if (!member.up) {
+    return Status::FailedPrecondition(MemberName(space, id) +
+                                      " is already down");
+  }
+  member.up = false;
+  ++member.counters.crashes;
+  clock_.AdvanceSeconds(node_costs_.crash_detect_seconds);
+  return Status::OK();
+}
+
+Status Network::Restart(Space space, size_t id) {
+  MMLIB_RETURN_IF_ERROR(CheckConfigured(space, id));
+  Member& member = members(space)[id];
+  if (member.up) {
+    return Status::FailedPrecondition(MemberName(space, id) +
+                                      " is already up");
+  }
+  member.up = true;
+  ++member.counters.restarts;
+  clock_.AdvanceSeconds(node_costs_.restart_seconds);
+  return Status::OK();
+}
+
+Status Network::Partition(Space space,
+                          const std::vector<std::vector<size_t>>& groups) {
+  std::vector<Member>& table = members(space);
+  std::vector<int> assignment(table.size(), 0);
+  std::vector<bool> seen(table.size(), false);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t id : groups[g]) {
+      MMLIB_RETURN_IF_ERROR(CheckConfigured(space, id));
+      if (seen[id]) {
+        return Status::InvalidArgument(MemberName(space, id) +
+                                       " listed in more than one group");
+      }
+      seen[id] = true;
+      assignment[id] = static_cast<int>(g) + 1;
+    }
+  }
+  for (size_t i = 0; i < table.size(); ++i) {
+    table[i].group = assignment[i];
   }
   ++partition_count_;
   return Status::OK();
 }
 
-void Network::Heal() {
-  for (ReplicaState& replica : replicas_) {
-    replica.group = 0;
+void Network::Heal(Space space) {
+  for (Member& member : members(space)) {
+    member.group = 0;
   }
   ++heal_count_;
 }
 
-void Network::ScheduleReplicaCrash(size_t replica, double at_seconds) {
-  ReplicaEvent event;
-  event.at_seconds = at_seconds;
-  event.kind = ReplicaEvent::Kind::kCrash;
-  event.replica = replica;
-  replica_events_.push_back(std::move(event));
-  std::stable_sort(replica_events_.begin(), replica_events_.end(),
-                   [](const ReplicaEvent& a, const ReplicaEvent& b) {
-                     return a.at_seconds < b.at_seconds;
-                   });
+Result<MemberCounters> Network::Counters(Space space, size_t id) const {
+  MMLIB_RETURN_IF_ERROR(CheckConfigured(space, id));
+  return members(space)[id].counters;
 }
 
-void Network::ScheduleReplicaRestart(size_t replica, double at_seconds) {
-  ReplicaEvent event;
-  event.at_seconds = at_seconds;
-  event.kind = ReplicaEvent::Kind::kRestart;
-  event.replica = replica;
-  replica_events_.push_back(std::move(event));
-  std::stable_sort(replica_events_.begin(), replica_events_.end(),
-                   [](const ReplicaEvent& a, const ReplicaEvent& b) {
-                     return a.at_seconds < b.at_seconds;
-                   });
+TransferAttempt Network::Reject(Space space, size_t to,
+                                const std::string& why) {
+  // The sender learns nothing until its message goes unanswered; charge
+  // one latency like a dropped message. No fault-rng draw: each fault
+  // stream stays a pure function of the *delivered* message sequence, so a
+  // crash or partition window does not shift later fault decisions.
+  TransferAttempt attempt;
+  ++message_count_;
+  if (to < members(space).size()) {
+    ++members(space)[to].counters.rejects;
+  }
+  attempt.seconds = link_.latency_seconds;
+  clock_.AdvanceSeconds(attempt.seconds);
+  attempt.status = Status::Unavailable(why);
+  return attempt;
 }
 
-void Network::SchedulePartition(double at_seconds,
-                                std::vector<std::vector<size_t>> groups) {
-  ReplicaEvent event;
-  event.at_seconds = at_seconds;
-  event.kind = ReplicaEvent::Kind::kPartition;
-  event.groups = std::move(groups);
-  replica_events_.push_back(std::move(event));
-  std::stable_sort(replica_events_.begin(), replica_events_.end(),
-                   [](const ReplicaEvent& a, const ReplicaEvent& b) {
-                     return a.at_seconds < b.at_seconds;
-                   });
+Status Network::SetReplicaFaultPlan(size_t replica, const FaultPlan& plan) {
+  MMLIB_RETURN_IF_ERROR(CheckConfigured(Space::kReplica, replica));
+  Member& member = members(Space::kReplica)[replica];
+  member.has_plan = plan.active();
+  member.plan = plan;
+  member.rng = Rng(plan.seed);
+  return Status::OK();
 }
 
-void Network::ScheduleHeal(double at_seconds) {
-  ReplicaEvent event;
-  event.at_seconds = at_seconds;
-  event.kind = ReplicaEvent::Kind::kHeal;
+void Network::Schedule(ReplicaEvent event) {
   replica_events_.push_back(std::move(event));
   std::stable_sort(replica_events_.begin(), replica_events_.end(),
                    [](const ReplicaEvent& a, const ReplicaEvent& b) {
@@ -288,19 +227,19 @@ void Network::ApplyDueReplicaEvents() {
     ReplicaEvent event = std::move(replica_events_.front());
     replica_events_.erase(replica_events_.begin());
     switch (event.kind) {
-      case ReplicaEvent::Kind::kCrash:
+      case ReplicaEvent::kCrash:
         // Crashing an already-down replica is a no-op, not an error: a
         // schedule derived from a random seed may race its own restarts.
-        (void)CrashReplica(event.replica);
+        (void)Crash(Space::kReplica, event.replica);
         break;
-      case ReplicaEvent::Kind::kRestart:
-        (void)RestartReplica(event.replica);
+      case ReplicaEvent::kRestart:
+        (void)Restart(Space::kReplica, event.replica);
         break;
-      case ReplicaEvent::Kind::kPartition:
-        (void)Partition(event.groups);
+      case ReplicaEvent::kPartition:
+        (void)Partition(Space::kReplica, event.groups);
         break;
-      case ReplicaEvent::Kind::kHeal:
-        Heal();
+      case ReplicaEvent::kHeal:
+        Heal(Space::kReplica);
         break;
     }
   }
@@ -308,54 +247,28 @@ void Network::ApplyDueReplicaEvents() {
 
 TransferAttempt Network::TryTransferToReplica(size_t replica, uint64_t bytes) {
   ApplyDueReplicaEvents();
-  if (!IsReplicaReachable(replica)) {
-    // Same accounting as a down participant node: one latency charge, no
-    // fault draw, so crash/partition windows never shift later fault
-    // decisions on the surviving replicas.
-    TransferAttempt attempt;
-    ++message_count_;
-    ++replica_reject_count_;
-    if (replica < replicas_.size()) {
-      ++replicas_[replica].rejects;
-    }
-    attempt.seconds = link_.latency_seconds;
-    clock_.AdvanceSeconds(attempt.seconds);
-    attempt.status = Status::Unavailable(
-        "replica " + std::to_string(replica) + " is unreachable");
-    return attempt;
+  if (!IsReachable(Space::kReplica, replica)) {
+    return Reject(Space::kReplica, replica,
+                  MemberName(Space::kReplica, replica) + " is unreachable");
   }
-  ReplicaState& state = replicas_[replica];
-  if (state.has_plan) {
-    return AttemptWithPlan(state.plan, &state.rng, bytes, &state.faults);
+  Member& member = members(Space::kReplica)[replica];
+  if (member.has_plan) {
+    return AttemptWithPlan(member.plan, &member.rng, bytes,
+                           &member.counters.faults);
   }
-  return AttemptWithPlan(fault_plan_, &fault_rng_, bytes, &state.faults);
+  return AttemptWithPlan(fault_plan_, &fault_rng_, bytes,
+                         &member.counters.faults);
 }
 
 TransferAttempt Network::TryTransferBetweenReplicas(size_t from, size_t to,
                                                     uint64_t bytes) {
   ApplyDueReplicaEvents();
-  if (!ReplicaPairReachable(from, to)) {
-    TransferAttempt attempt;
-    ++message_count_;
-    ++replica_reject_count_;
-    if (to < replicas_.size()) {
-      ++replicas_[to].rejects;
-    }
-    attempt.seconds = link_.latency_seconds;
-    clock_.AdvanceSeconds(attempt.seconds);
-    attempt.status = Status::Unavailable(
-        "replicas " + std::to_string(from) + " and " + std::to_string(to) +
-        " cannot reach each other");
-    return attempt;
+  if (!PairReachable(Space::kReplica, from, to)) {
+    return Reject(Space::kReplica, to, PairUnreachable("replicas", from, to));
   }
   TransferAttempt attempt;
   attempt.seconds = Transfer(bytes);
   return attempt;
-}
-
-void Network::ConfigureWorkers(size_t count) {
-  workers_.clear();
-  workers_.resize(count);
 }
 
 void Network::set_collective_fault_plan(const FaultPlan& plan) {
@@ -363,92 +276,14 @@ void Network::set_collective_fault_plan(const FaultPlan& plan) {
   collective_fault_rng_ = Rng(plan.seed);
 }
 
-Status Network::CrashWorker(size_t worker) {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  if (!workers_[worker].up) {
-    return Status::FailedPrecondition("worker " + std::to_string(worker) +
-                                      " is already down");
-  }
-  workers_[worker].up = false;
-  ++workers_[worker].crashes;
-  ++crash_count_;
-  clock_.AdvanceSeconds(node_costs_.crash_detect_seconds);
-  return Status::OK();
-}
-
-Status Network::RestartWorker(size_t worker) {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  if (workers_[worker].up) {
-    return Status::FailedPrecondition("worker " + std::to_string(worker) +
-                                      " is already up");
-  }
-  workers_[worker].up = true;
-  ++workers_[worker].restarts;
-  ++restart_count_;
-  clock_.AdvanceSeconds(node_costs_.restart_seconds);
-  return Status::OK();
-}
-
-Status Network::PartitionWorkers(
-    const std::vector<std::vector<size_t>>& groups) {
-  std::vector<int> assignment(workers_.size(), 0);
-  std::vector<bool> seen(workers_.size(), false);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t worker : groups[g]) {
-      if (worker >= workers_.size()) {
-        return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                       " is not configured");
-      }
-      if (seen[worker]) {
-        return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                       " listed in more than one group");
-      }
-      seen[worker] = true;
-      assignment[worker] = static_cast<int>(g) + 1;
-    }
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w].group = assignment[w];
-  }
-  ++partition_count_;
-  return Status::OK();
-}
-
-void Network::HealWorkers() {
-  for (WorkerState& worker : workers_) {
-    worker.group = 0;
-  }
-  ++heal_count_;
-}
-
 TransferAttempt Network::TryTransferBetweenWorkers(size_t from, size_t to,
                                                    uint64_t bytes) {
-  if (!WorkerPairReachable(from, to)) {
-    // Same accounting as a down participant node: one latency charge, no
-    // fault draw, so crash/partition windows never shift later collective
-    // fault decisions on the surviving workers.
-    TransferAttempt attempt;
-    ++message_count_;
-    ++worker_reject_count_;
-    if (to < workers_.size()) {
-      ++workers_[to].rejects;
-    }
-    attempt.seconds = link_.latency_seconds;
-    clock_.AdvanceSeconds(attempt.seconds);
-    attempt.status = Status::Unavailable(
-        "workers " + std::to_string(from) + " and " + std::to_string(to) +
-        " cannot reach each other");
-    return attempt;
+  if (!PairReachable(Space::kWorker, from, to)) {
+    return Reject(Space::kWorker, to, PairUnreachable("workers", from, to));
   }
   TransferAttempt attempt =
       AttemptWithPlan(collective_fault_plan_, &collective_fault_rng_, bytes,
-                      &workers_[to].faults);
+                      &members(Space::kWorker)[to].counters.faults);
   if (attempt.corrupted) {
     // Link-level retransmission: the damaged frame is detected and resent,
     // so the payload the receiver reduces is always intact — arithmetic is
@@ -456,102 +291,30 @@ TransferAttempt Network::TryTransferBetweenWorkers(size_t from, size_t to,
     // transfer (no fault draw: retransmissions ride the reliable path).
     attempt.corrupted = false;
     attempt.seconds += Transfer(bytes);
-    ++worker_retransmit_count_;
   }
   return attempt;
-}
-
-Result<FaultCounters> Network::WorkerFaultCounters(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  return workers_[worker].faults;
-}
-
-Result<uint64_t> Network::WorkerRejectCount(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  return workers_[worker].rejects;
-}
-
-Result<uint64_t> Network::WorkerCrashCount(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  return workers_[worker].crashes;
-}
-
-Result<uint64_t> Network::WorkerRestartCount(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return Status::InvalidArgument("worker " + std::to_string(worker) +
-                                   " is not configured");
-  }
-  return workers_[worker].restarts;
-}
-
-Result<FaultCounters> Network::ReplicaFaultCounters(size_t replica) const {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  return replicas_[replica].faults;
-}
-
-Result<uint64_t> Network::ReplicaRejectCount(size_t replica) const {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  return replicas_[replica].rejects;
-}
-
-Result<uint64_t> Network::ReplicaCrashCount(size_t replica) const {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  return replicas_[replica].crashes;
-}
-
-Result<uint64_t> Network::ReplicaRestartCount(size_t replica) const {
-  if (replica >= replicas_.size()) {
-    return Status::InvalidArgument("replica " + std::to_string(replica) +
-                                   " is not configured");
-  }
-  return replicas_[replica].restarts;
 }
 
 void Network::Reset() {
   clock_ = VirtualClock();
   fault_rng_ = Rng(fault_plan_.seed);
-  node_up_.assign(node_up_.size(), true);
-  const size_t replica_count = replicas_.size();
-  std::vector<ReplicaState> fresh(replica_count);
-  for (size_t r = 0; r < replica_count; ++r) {
-    if (replicas_[r].has_plan) {
-      fresh[r].has_plan = true;
-      fresh[r].plan = replicas_[r].plan;
-      fresh[r].rng = Rng(replicas_[r].plan.seed);
+  collective_fault_rng_ = Rng(collective_fault_plan_.seed);
+  for (std::vector<Member>& space : spaces_) {
+    for (Member& member : space) {
+      Member fresh;
+      if (member.has_plan) {
+        fresh.has_plan = true;
+        fresh.plan = member.plan;
+        fresh.rng = Rng(member.plan.seed);
+      }
+      member = fresh;
     }
   }
-  replicas_ = std::move(fresh);
   replica_events_.clear();
-  collective_fault_rng_ = Rng(collective_fault_plan_.seed);
-  workers_.assign(workers_.size(), WorkerState{});
   total_bytes_ = 0;
   message_count_ = 0;
   faults_ = FaultCounters{};
   per_op_faults_.clear();
-  crash_count_ = 0;
-  restart_count_ = 0;
-  down_node_reject_count_ = 0;
-  replica_reject_count_ = 0;
-  worker_reject_count_ = 0;
-  worker_retransmit_count_ = 0;
   partition_count_ = 0;
   heal_count_ = 0;
 }

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/bytes.h"
@@ -59,10 +61,10 @@ struct FaultPlan {
   }
 };
 
-/// Per-kind fault tally. Kept both globally, per operation type (see
-/// Network::OpScope), and per storage replica, so a multi-flow experiment
-/// can attribute faults to one flow and one operation instead of reading a
-/// counter that is cumulative across the whole process.
+/// Per-kind fault tally. Kept globally, per operation type (see
+/// Network::OpScope), and per member of a node space, so a multi-flow
+/// experiment can attribute faults to one flow and one operation instead of
+/// reading a counter that is cumulative across the whole process.
 struct FaultCounters {
   uint64_t drops = 0;
   uint64_t timeouts = 0;
@@ -76,9 +78,10 @@ struct FaultCounters {
   }
 };
 
-/// Virtual-time cost of node lifecycle events. Detection models the failure
-/// detector noticing a dead peer; restart models reboot plus process
-/// start-up before the node serves again.
+/// Virtual-time cost of member lifecycle events, the same in every node
+/// space. Detection models the failure detector noticing a dead peer;
+/// restart models reboot plus process start-up before the member serves
+/// again.
 struct NodeCosts {
   double crash_detect_seconds = 0.05;
   double restart_seconds = 0.5;
@@ -99,16 +102,54 @@ struct TransferAttempt {
 /// model a store without per-replica lifecycle).
 inline constexpr size_t kNoReplica = static_cast<size_t>(-1);
 
+/// The node spaces of one Network. Each is its own membership table with
+/// ids 0..n-1: the participant nodes of a DIST flow, the storage replicas
+/// of mmlib::repl, and the ring workers of mmlib::collective.
+enum class Space { kNode, kReplica, kWorker };
+
+/// One member's tallies: fault draws on messages addressed to it, messages
+/// rejected because it was unreachable, and its crashes and restarts.
+struct MemberCounters {
+  FaultCounters faults;
+  uint64_t rejects = 0;
+  uint64_t crashes = 0;
+  uint64_t restarts = 0;
+};
+
+/// A replica-space lifecycle change armed on the virtual clock
+/// (Network::Schedule).
+struct ReplicaEvent {
+  enum Kind { kCrash, kRestart, kPartition, kHeal };
+
+  ReplicaEvent(double at, Kind what, size_t id = 0,
+               std::vector<std::vector<size_t>> partition = {})
+      : at_seconds(at), kind(what), replica(id), groups(std::move(partition)) {}
+
+  double at_seconds;
+  Kind kind;
+  /// The replica a kCrash or kRestart applies to.
+  size_t replica;
+  /// The groups of a kPartition, as Network::Partition takes them.
+  std::vector<std::vector<size_t>> groups;
+};
+
 /// Simulated network shared by the hosts of a distributed evaluation flow.
 /// Every transfer advances a virtual clock and is accounted, so experiments
 /// are deterministic and instantaneous regardless of modeled data volume.
 ///
-/// Two independent node spaces exist: *participant nodes* (the training
-/// nodes of a DIST flow, ConfigureNodes) and *replica nodes* (the storage
-/// replicas of mmlib::repl, ConfigureReplicas). Replica nodes additionally
-/// support partition groups, per-replica fault plans with independent
-/// fault-decision streams, and crash/partition schedules driven by the
-/// virtual clock.
+/// The three node spaces (Space) share one membership type: every member
+/// is up or down, sits in a partition group (0 is the flow coordinator's
+/// side), and keeps MemberCounters. Crash/Restart, Partition/Heal,
+/// IsUp/IsReachable/PairReachable and Counters work the same in every
+/// space, and a message to an unreachable member fails Unavailable after
+/// one latency charge, with no fault draw. The spaces differ only in how
+/// their transfers draw faults:
+///   - replicas draw from their own plan when one is set, else from the
+///     global plan, and apply due scheduled events first;
+///   - workers draw from the one collective stream, and a corruption draw
+///     becomes a retransmission;
+///   - nodes use the global plan (TryTransfer); nothing addresses a
+///     message to one node.
 class Network {
  public:
   explicit Network(Link link) : link_(link), fault_rng_(FaultPlan{}.seed) {}
@@ -212,211 +253,123 @@ class Network {
            clock_.NowSeconds() >= request_deadline_seconds_;
   }
 
-  /// Zeroes every fault counter — global, per-operation, and per-replica —
-  /// without touching the virtual clock, the fault plans, or the
+  /// Zeroes every counter — the global and per-operation fault tallies,
+  /// each member's MemberCounters in every space, and PartitionCount and
+  /// HealCount — without touching the virtual clock, TotalBytes,
+  /// MessageCount, membership (up/down, groups), the fault plans, or the
   /// fault-decision streams. Flows call this on entry so their reported
-  /// fault accounting is per-flow, not cumulative across an experiment run.
+  /// accounting is per-flow, not cumulative across an experiment run.
   void ResetFaultCounters();
 
-  /// --- Node lifecycle (crash-tolerant distributed flows). ---
-  /// Declares `count` participant nodes, all up. Replaces previous state.
-  void ConfigureNodes(size_t count);
-  size_t NodeCount() const { return node_up_.size(); }
+  /// --- Membership: one table per node space. ---
+  /// Declares `count` members of `space`, all up, all in group 0, with zero
+  /// counters. Replaces the space's previous state; for the replica space
+  /// this also drops per-replica fault plans and scheduled events.
+  void Configure(Space space, size_t count);
+  size_t MemberCount(Space space) const { return members(space).size(); }
 
-  /// True when `node` is configured and currently up.
-  bool IsNodeUp(size_t node) const {
-    return node < node_up_.size() && node_up_[node];
+  /// True when `id` is configured in `space` and currently up.
+  bool IsUp(Space space, size_t id) const {
+    return id < members(space).size() && members(space)[id].up;
   }
 
-  /// Kills a node: charges the failure-detection time and marks the node
-  /// down, so messages to it fail Unavailable (feeding the Retrier).
-  /// InvalidArgument for an unconfigured node, FailedPrecondition when
-  /// already down.
-  Status CrashNode(size_t node);
+  /// True when the member is up and in the coordinator's partition group
+  /// (group 0) — i.e. a client request can reach it right now.
+  bool IsReachable(Space space, size_t id) const {
+    return IsUp(space, id) && members(space)[id].group == 0;
+  }
 
-  /// Brings a crashed node back: charges the restart time and marks the
-  /// node up. InvalidArgument / FailedPrecondition mirror CrashNode.
-  Status RestartNode(size_t node);
+  /// True when two distinct members of `space` can talk to each other: both
+  /// up and in the same partition group (anti-entropy sessions and ring
+  /// neighbours need this).
+  bool PairReachable(Space space, size_t a, size_t b) const {
+    return a != b && IsUp(space, a) && IsUp(space, b) &&
+           members(space)[a].group == members(space)[b].group;
+  }
+
+  /// Kills a member: charges the failure-detection time and marks it down,
+  /// so messages to it fail Unavailable (feeding the Retrier).
+  /// InvalidArgument for an unconfigured id, FailedPrecondition when
+  /// already down.
+  Status Crash(Space space, size_t id);
+
+  /// Brings a crashed member back: charges the restart time and marks it
+  /// up. InvalidArgument / FailedPrecondition mirror Crash.
+  Status Restart(Space space, size_t id);
 
   const NodeCosts& node_costs() const { return node_costs_; }
 
-  /// Attempts one message of `bytes` addressed to `node`. While the node is
-  /// down the message fails Unavailable after one latency charge — the
-  /// sender's Retrier backs off and retries until the node restarts (or its
-  /// attempts run out). An up node behaves exactly like TryTransfer.
-  TransferAttempt TryTransferToNode(size_t node, uint64_t bytes);
+  /// Splits the members of `space` into partition groups: `groups[i]` lists
+  /// the ids cut off into group i+1; members not listed stay in group 0,
+  /// the side the flow coordinator is on. Messages across group boundaries
+  /// fail Unavailable after one latency charge. InvalidArgument when an id
+  /// is unconfigured or listed twice. Other spaces are untouched.
+  Status Partition(Space space, const std::vector<std::vector<size_t>>& groups);
 
-  /// --- Replica nodes (replicated storage, mmlib::repl). ---
-  /// Declares `count` storage replicas, all up, all reachable (group 0),
-  /// with no per-replica fault plans. Replaces previous replica state and
-  /// drops any scheduled replica events.
-  void ConfigureReplicas(size_t count);
-  size_t ReplicaCount() const { return replicas_.size(); }
+  /// Heals all partitions of `space`: every member rejoins group 0.
+  void Heal(Space space);
 
+  /// The member's tallies since its space was configured or the last
+  /// ResetFaultCounters/Reset. InvalidArgument for an unconfigured id.
+  Result<MemberCounters> Counters(Space space, size_t id) const;
+
+  /// Partition/Heal transitions applied in any space (direct calls and due
+  /// events).
+  uint64_t PartitionCount() const { return partition_count_; }
+  uint64_t HealCount() const { return heal_count_; }
+
+  /// --- Replica transfers (replicated storage, mmlib::repl). ---
   /// Installs an independent failure model for one replica's link. The
   /// replica draws fault decisions from its own stream seeded by
   /// `plan.seed`, so faults on one replica never shift another replica's
   /// fault sequence. Pass an inactive plan to fall back to the global plan.
   Status SetReplicaFaultPlan(size_t replica, const FaultPlan& plan);
 
-  bool IsReplicaUp(size_t replica) const {
-    return replica < replicas_.size() && replicas_[replica].up;
-  }
-
-  /// True when the replica is up and in the coordinator's partition group
-  /// (group 0) — i.e. a client request can reach it right now.
-  bool IsReplicaReachable(size_t replica) const {
-    return replica < replicas_.size() && replicas_[replica].up &&
-           replicas_[replica].group == 0;
-  }
-
-  /// True when two distinct replicas can talk to each other: both up and in
-  /// the same partition group (anti-entropy sessions need this).
-  bool ReplicaPairReachable(size_t a, size_t b) const {
-    return a < replicas_.size() && b < replicas_.size() && a != b &&
-           replicas_[a].up && replicas_[b].up &&
-           replicas_[a].group == replicas_[b].group;
-  }
-
-  /// Kills / restarts a replica; charges the node costs like
-  /// CrashNode/RestartNode. Errors mirror the participant-node variants.
-  Status CrashReplica(size_t replica);
-  Status RestartReplica(size_t replica);
-
-  /// Splits the replicas into partition groups: `groups[i]` lists the
-  /// replicas cut off into group i+1; replicas not listed stay in group 0,
-  /// the side the flow coordinator is on. Messages across group boundaries
-  /// fail Unavailable after one latency charge. InvalidArgument when a
-  /// replica id is unconfigured or listed twice.
-  Status Partition(const std::vector<std::vector<size_t>>& groups);
-
-  /// Heals all partitions: every replica rejoins group 0.
-  void Heal();
-
-  /// --- Replica event schedule (virtual clock). ---
-  /// Queues a crash/restart/partition/heal to fire once the virtual clock
-  /// reaches `at_seconds`. Due events are applied, in schedule order, at
-  /// the start of the next replica-addressed transfer, so a flow's storage
-  /// traffic drives its own degradation deterministically. A scheduled
-  /// crash of an already-down replica (or restart of an up one) is a no-op.
-  void ScheduleReplicaCrash(size_t replica, double at_seconds);
-  void ScheduleReplicaRestart(size_t replica, double at_seconds);
-  void SchedulePartition(double at_seconds,
-                         std::vector<std::vector<size_t>> groups);
-  void ScheduleHeal(double at_seconds);
+  /// Queues a replica crash/restart/partition/heal to fire once the
+  /// virtual clock reaches `event.at_seconds`. Due events are applied, in
+  /// schedule order, at the start of the next replica-addressed transfer,
+  /// so a flow's storage traffic drives its own degradation
+  /// deterministically. A scheduled crash of an already-down replica (or
+  /// restart of an up one) is a no-op.
+  void Schedule(ReplicaEvent event);
 
   /// Applies every scheduled replica event due at the current virtual time;
   /// called automatically by the replica transfer paths.
   void ApplyDueReplicaEvents();
 
   /// Attempts one message of `bytes` addressed to `replica`. Unreachable
-  /// replicas (down or partitioned away from the coordinator) fail
-  /// Unavailable after one latency charge without consuming a fault draw.
+  /// replicas (down or partitioned away from the coordinator) are rejected.
   /// Reachable replicas draw from their own fault plan when one is set,
   /// otherwise from the global plan.
   TransferAttempt TryTransferToReplica(size_t replica, uint64_t bytes);
 
   /// Attempts one replica-to-replica message of `bytes` (anti-entropy
-  /// traffic). Fails Unavailable when the pair cannot reach each other.
-  /// The replication channel is modeled with link-level retransmission, so
-  /// a delivered message is never corrupted; the cost is still charged.
+  /// traffic). Rejected when the pair cannot reach each other. The
+  /// replication channel is modeled with link-level retransmission, so a
+  /// delivered message is never corrupted; the cost is still charged.
   TransferAttempt TryTransferBetweenReplicas(size_t from, size_t to,
                                              uint64_t bytes);
 
-  /// --- Worker nodes (data-parallel training, mmlib::collective). ---
-  /// A third node space, independent of participant and replica nodes: the
-  /// ring-all-reduce workers of a data-parallel flow. Workers share the
-  /// membership primitives of replicas (crash/restart, partition groups)
-  /// but their gradient-exchange traffic draws fault decisions from a
-  /// dedicated collective stream, so collective faults never shift the
-  /// storage fault sequence (and vice versa) — the flow's fault-RNG draws
-  /// stay bit-identical across worker counts.
-  /// Declares `count` workers, all up, all in group 0. Replaces previous
-  /// worker state.
-  void ConfigureWorkers(size_t count);
-  size_t WorkerCount() const { return workers_.size(); }
-
+  /// --- Worker transfers (data-parallel training, mmlib::collective). ---
   /// Installs the failure model of the collective channel and reseeds its
-  /// fault stream. Pass an inactive plan to disable collective faults.
+  /// fault stream. Pass an inactive plan to disable collective faults. All
+  /// workers share this one stream (a plan per worker would let the worker
+  /// count change the draw sequence), and it is separate from the storage
+  /// stream, so collective faults never shift storage fault decisions.
   void set_collective_fault_plan(const FaultPlan& plan);
   const FaultPlan& collective_fault_plan() const {
     return collective_fault_plan_;
   }
 
-  bool IsWorkerUp(size_t worker) const {
-    return worker < workers_.size() && workers_[worker].up;
-  }
-
-  /// True when the worker is up and on the flow coordinator's side of any
-  /// worker partition (group 0) — i.e. it can take part in a collective
-  /// step right now.
-  bool IsWorkerReachable(size_t worker) const {
-    return worker < workers_.size() && workers_[worker].up &&
-           workers_[worker].group == 0;
-  }
-
-  /// True when two distinct workers can talk to each other: both up and in
-  /// the same partition group (ring neighbours need this).
-  bool WorkerPairReachable(size_t a, size_t b) const {
-    return a < workers_.size() && b < workers_.size() && a != b &&
-           workers_[a].up && workers_[b].up &&
-           workers_[a].group == workers_[b].group;
-  }
-
-  /// Kills / restarts a worker; charges the node costs like
-  /// CrashNode/RestartNode. Errors mirror the participant-node variants.
-  Status CrashWorker(size_t worker);
-  Status RestartWorker(size_t worker);
-
-  /// Splits the workers into partition groups, same contract as
-  /// Partition(): `groups[i]` lists the workers cut into group i+1,
-  /// unlisted workers stay in group 0 (the majority side the flow
-  /// coordinator observes). Replica partitions are untouched.
-  Status PartitionWorkers(const std::vector<std::vector<size_t>>& groups);
-
-  /// Heals all worker partitions: every worker rejoins group 0.
-  void HealWorkers();
-
   /// Attempts one worker-to-worker message of `bytes` (gradient-exchange
-  /// traffic). Fails Unavailable after one latency charge when the pair
-  /// cannot reach each other — no fault draw, so crash/partition windows
-  /// never shift later collective fault decisions. Reachable pairs draw
-  /// from the collective fault stream; the collective channel is modeled
-  /// with link-level retransmission, so a delivered payload is never
-  /// corrupted — a corruption draw is charged one extra retransmission
-  /// instead.
+  /// traffic). Rejected when the pair cannot reach each other, so
+  /// crash/partition windows never shift later collective fault decisions.
+  /// Reachable pairs draw from the collective fault stream; the collective
+  /// channel is modeled with link-level retransmission, so a delivered
+  /// payload is never corrupted — a corruption draw (counted in the
+  /// receiver's faults.corruptions) is charged one extra transfer instead.
   TransferAttempt TryTransferBetweenWorkers(size_t from, size_t to,
                                             uint64_t bytes);
-
-  /// Per-worker tallies since the last ResetFaultCounters/Reset.
-  Result<FaultCounters> WorkerFaultCounters(size_t worker) const;
-  /// Messages rejected because the worker pair was unreachable.
-  Result<uint64_t> WorkerRejectCount(size_t worker) const;
-  Result<uint64_t> WorkerCrashCount(size_t worker) const;
-  Result<uint64_t> WorkerRestartCount(size_t worker) const;
-  /// Messages rejected across all workers.
-  uint64_t WorkerRejectCount() const { return worker_reject_count_; }
-  /// Collective-channel retransmissions charged for corruption draws.
-  uint64_t WorkerRetransmitCount() const { return worker_retransmit_count_; }
-
-  /// Per-replica tallies since the last ResetFaultCounters/Reset.
-  Result<FaultCounters> ReplicaFaultCounters(size_t replica) const;
-  /// Messages rejected because the replica was down or partitioned.
-  Result<uint64_t> ReplicaRejectCount(size_t replica) const;
-  Result<uint64_t> ReplicaCrashCount(size_t replica) const;
-  Result<uint64_t> ReplicaRestartCount(size_t replica) const;
-
-  /// Lifecycle counters since the last Reset.
-  uint64_t CrashCount() const { return crash_count_; }
-  uint64_t RestartCount() const { return restart_count_; }
-  /// Messages that failed because their destination node was down.
-  uint64_t DownNodeRejectCount() const { return down_node_reject_count_; }
-  /// Messages that failed because their destination replica was down or
-  /// partitioned away from the sender.
-  uint64_t ReplicaRejectCount() const { return replica_reject_count_; }
-  /// Partition/Heal transitions applied (direct calls and due events).
-  uint64_t PartitionCount() const { return partition_count_; }
-  uint64_t HealCount() const { return heal_count_; }
 
   /// Total simulated time spent in transfers (including faulted attempts
   /// and backoff waits).
@@ -434,47 +387,43 @@ class Network {
   uint64_t CorruptionCount() const { return faults_.corruptions; }
   uint64_t FaultCount() const { return faults_.Total(); }
 
+  /// Rewinds the clock and every counter, brings every member back up in
+  /// group 0 and reseeds every fault stream. Member counts, fault plans
+  /// (global, collective and per-replica) are kept; scheduled events are
+  /// dropped.
   void Reset();
 
  private:
-  struct ReplicaState {
+  struct Member {
     bool up = true;
     int group = 0;
+    MemberCounters counters;
+    /// Replica space only (SetReplicaFaultPlan): the member's own plan and
+    /// fault-decision stream.
     bool has_plan = false;
     FaultPlan plan;
     Rng rng{0};
-    FaultCounters faults;
-    uint64_t rejects = 0;
-    uint64_t crashes = 0;
-    uint64_t restarts = 0;
   };
 
-  /// Workers reuse the replica state shape minus the per-node fault plan:
-  /// all workers share the one collective stream (a plan per worker would
-  /// let worker count change the draw sequence).
-  struct WorkerState {
-    bool up = true;
-    int group = 0;
-    FaultCounters faults;
-    uint64_t rejects = 0;
-    uint64_t crashes = 0;
-    uint64_t restarts = 0;
-  };
-
-  struct ReplicaEvent {
-    enum class Kind { kCrash, kRestart, kPartition, kHeal };
-    double at_seconds = 0.0;
-    Kind kind = Kind::kCrash;
-    size_t replica = 0;
-    std::vector<std::vector<size_t>> groups;
-  };
+  std::vector<Member>& members(Space space) {
+    return spaces_[static_cast<size_t>(space)];
+  }
+  const std::vector<Member>& members(Space space) const {
+    return spaces_[static_cast<size_t>(space)];
+  }
+  /// InvalidArgument unless `id` is configured in `space`.
+  Status CheckConfigured(Space space, size_t id) const;
 
   /// One fault-plan decision over `bytes`; draws from `rng`, tallies into
-  /// the global, per-op, and (when given) per-node counters.
+  /// the global, per-op, and (when given) per-member counters.
   TransferAttempt AttemptWithPlan(const FaultPlan& plan, Rng* rng,
-                                  uint64_t bytes, FaultCounters* node_faults);
-  void CountFault(FaultCounters* replica_faults,
+                                  uint64_t bytes, FaultCounters* member_faults);
+  void CountFault(FaultCounters* member_faults,
                   uint64_t FaultCounters::* kind);
+  /// A message to an unreachable member of `space`: one latency charge,
+  /// no fault draw, Unavailable with `why`. Tallied as a reject of `to`
+  /// when that id is configured.
+  TransferAttempt Reject(Space space, size_t to, const std::string& why);
 
   Link link_;
   VirtualClock clock_;
@@ -483,9 +432,7 @@ class Network {
   FaultPlan collective_fault_plan_;
   Rng collective_fault_rng_{FaultPlan{}.seed};
   NodeCosts node_costs_;
-  std::vector<bool> node_up_;
-  std::vector<ReplicaState> replicas_;
-  std::vector<WorkerState> workers_;
+  std::array<std::vector<Member>, 3> spaces_;
   std::vector<ReplicaEvent> replica_events_;  // sorted by at_seconds, stable
   const char* current_op_ = nullptr;
   double request_deadline_seconds_ = 0.0;
@@ -493,12 +440,6 @@ class Network {
   uint64_t total_bytes_ = 0;
   uint64_t message_count_ = 0;
   FaultCounters faults_;
-  uint64_t crash_count_ = 0;
-  uint64_t restart_count_ = 0;
-  uint64_t down_node_reject_count_ = 0;
-  uint64_t replica_reject_count_ = 0;
-  uint64_t worker_reject_count_ = 0;
-  uint64_t worker_retransmit_count_ = 0;
   uint64_t partition_count_ = 0;
   uint64_t heal_count_ = 0;
 };

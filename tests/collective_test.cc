@@ -15,6 +15,8 @@
 namespace mmlib {
 namespace {
 
+using simnet::Space;
+
 /// Overridable so CI can sweep several fault schedules over the same
 /// assertions (MMLIB_FAULT_SEED=3 ctest -R collective ...).
 uint64_t FaultSeed() {
@@ -60,13 +62,13 @@ std::vector<const std::vector<float>*> Pointers(
 // Network worker space
 // ---------------------------------------------------------------------------
 
+// Crash/Restart, Partition/Heal and the counters follow the one membership
+// contract of every node space (simnet_test MembershipTest); these cases
+// cover what only the worker transfers do.
 TEST(WorkerSpaceTest, TransfersChargeAndRejectLikeReplicas) {
   simnet::Network network;
-  network.ConfigureWorkers(3);
-  EXPECT_EQ(network.WorkerCount(), 3u);
-  EXPECT_TRUE(network.IsWorkerReachable(0));
-  EXPECT_TRUE(network.WorkerPairReachable(0, 1));
-  EXPECT_FALSE(network.WorkerPairReachable(1, 1));  // distinct workers only
+  network.Configure(Space::kWorker, 3);
+  EXPECT_FALSE(network.PairReachable(Space::kWorker, 1, 1));  // distinct only
 
   simnet::TransferAttempt ok = network.TryTransferBetweenWorkers(0, 1, 1024);
   EXPECT_TRUE(ok.status.ok());
@@ -74,35 +76,26 @@ TEST(WorkerSpaceTest, TransfersChargeAndRejectLikeReplicas) {
 
   // A down destination rejects after one latency charge, with no fault
   // draw and per-worker attribution.
-  ASSERT_TRUE(network.CrashWorker(1).ok());
-  EXPECT_FALSE(network.IsWorkerUp(1));
-  EXPECT_EQ(network.CrashWorker(1).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(network.Crash(Space::kWorker, 1).ok());
   simnet::TransferAttempt down = network.TryTransferBetweenWorkers(0, 1, 64);
   EXPECT_EQ(down.status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(network.WorkerRejectCount(), 1u);
-  EXPECT_EQ(network.WorkerRejectCount(1).value(), 1u);
-  EXPECT_EQ(network.WorkerCrashCount(1).value(), 1u);
-  ASSERT_TRUE(network.RestartWorker(1).ok());
-  EXPECT_EQ(network.WorkerRestartCount(1).value(), 1u);
+  EXPECT_EQ(down.seconds, network.link().latency_seconds);
+  EXPECT_EQ(network.Counters(Space::kWorker, 1).value().rejects, 1u);
+  EXPECT_EQ(network.Counters(Space::kWorker, 0).value().rejects, 0u);
+  ASSERT_TRUE(network.Restart(Space::kWorker, 1).ok());
+  EXPECT_TRUE(network.TryTransferBetweenWorkers(0, 1, 64).status.ok());
 
   // Partitioned pairs reject; healed pairs talk again.
-  ASSERT_TRUE(network.PartitionWorkers({{2}}).ok());
-  EXPECT_FALSE(network.WorkerPairReachable(0, 2));
-  EXPECT_FALSE(network.IsWorkerReachable(2));
+  ASSERT_TRUE(network.Partition(Space::kWorker, {{2}}).ok());
   EXPECT_EQ(network.TryTransferBetweenWorkers(0, 2, 64).status.code(),
             StatusCode::kUnavailable);
-  network.HealWorkers();
+  network.Heal(Space::kWorker);
   EXPECT_TRUE(network.TryTransferBetweenWorkers(0, 2, 64).status.ok());
-
-  EXPECT_EQ(network.PartitionWorkers({{9}}).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(network.PartitionWorkers({{0}, {0}}).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(WorkerSpaceTest, CorruptionDrawBecomesRetransmission) {
   simnet::Network network;
-  network.ConfigureWorkers(2);
+  network.Configure(Space::kWorker, 2);
   simnet::FaultPlan plan;
   plan.corrupt_probability = 1.0;
   plan.seed = FaultSeed();
@@ -116,8 +109,9 @@ TEST(WorkerSpaceTest, CorruptionDrawBecomesRetransmission) {
   EXPECT_TRUE(attempt.status.ok());
   EXPECT_FALSE(attempt.corrupted);
   EXPECT_NEAR(attempt.seconds, 2 * clean_cost, 1e-12);
-  EXPECT_EQ(network.WorkerRetransmitCount(), 1u);
-  EXPECT_EQ(network.WorkerFaultCounters(1).value().corruptions, 1u);
+  EXPECT_EQ(network.MessageCount(), 2u);
+  EXPECT_EQ(network.Counters(Space::kWorker, 1).value().faults.corruptions,
+            1u);
 }
 
 TEST(WorkerSpaceTest, CollectiveStreamIsIndependentOfStorageStream) {
@@ -132,7 +126,7 @@ TEST(WorkerSpaceTest, CollectiveStreamIsIndependentOfStorageStream) {
   auto storage_outcomes = [&](bool with_collective) {
     simnet::Network network;
     network.set_fault_plan(storage_plan);
-    network.ConfigureWorkers(4);
+    network.Configure(Space::kWorker, 4);
     if (with_collective) {
       simnet::FaultPlan collective_plan;
       collective_plan.drop_probability = 0.5;
@@ -351,7 +345,7 @@ TEST(RingSessionTest, PermanentLossRescalesTheSurvivingCohort) {
   ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &full).ok());
   ASSERT_TRUE(session.AllReduce(2, Pointers(inputs), &degraded).ok());
   EXPECT_EQ(session.report().degraded_steps, 1u);
-  EXPECT_EQ(network.WorkerCrashCount(3).value(), 1u);
+  EXPECT_EQ(network.Counters(Space::kWorker, 3).value().crashes, 1u);
 
   // Step 2 is the mean over survivors {0,1,2}: tree fold over 3 ranks / 3.
   for (size_t j = 0; j < 50; ++j) {
@@ -490,8 +484,8 @@ TEST(RingSessionTest, ArmedCrashSitesFireAndRejoinRecovers) {
 
     // Kill/restart the worker like the flow does, re-sync it, replay the
     // step: the result matches the crash-free run bit for bit.
-    ASSERT_TRUE(network.CrashWorker(2).ok());
-    ASSERT_TRUE(network.RestartWorker(2).ok());
+    ASSERT_TRUE(network.Crash(Space::kWorker, 2).ok());
+    ASSERT_TRUE(network.Restart(Space::kWorker, 2).ok());
     ASSERT_TRUE(session.RejoinWorker(2, 32 * 4).ok());
     ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &out).ok());
     EXPECT_EQ(out, clean);
@@ -504,10 +498,10 @@ TEST(RingSessionTest, RejoinRequiresARestartedWorker) {
   collective::RingSession session(2, collective::RingOptions{}, &network);
   EXPECT_EQ(session.RejoinWorker(9, 128).code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE(network.CrashWorker(1).ok());
+  ASSERT_TRUE(network.Crash(Space::kWorker, 1).ok());
   EXPECT_EQ(session.RejoinWorker(1, 128).code(),
             StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(network.RestartWorker(1).ok());
+  ASSERT_TRUE(network.Restart(Space::kWorker, 1).ok());
   EXPECT_TRUE(session.RejoinWorker(1, 128).ok());
 }
 

@@ -35,6 +35,8 @@
 namespace mmlib {
 namespace {
 
+using simnet::Space;
+
 /// Overridable from the environment so CI can sweep several schedules over
 /// the same assertions (MMLIB_FAULT_SEED=1 ctest -R crash_recovery ...).
 uint64_t FaultSeed() {
@@ -964,9 +966,12 @@ TEST(FlowCrashTest, CrashScheduleLandsBitIdenticalWithCountedRecovery) {
   EXPECT_EQ(crashed.TotalRetrainedSteps(), 1u);
   EXPECT_EQ(clean.TotalCrashes(), 0u);
   // The simulated cluster observed the outage and charged its cost.
-  EXPECT_EQ(crash_network.CrashCount(), 1u);
-  EXPECT_EQ(crash_network.RestartCount(), 1u);
-  EXPECT_TRUE(crash_network.IsNodeUp(0));
+  const simnet::MemberCounters node0 =
+      crash_network.Counters(Space::kNode, 0).value();
+  EXPECT_EQ(node0.crashes, 1u);
+  EXPECT_EQ(node0.restarts, 1u);
+  EXPECT_EQ(crash_network.Counters(Space::kNode, 1).value().crashes, 0u);
+  EXPECT_TRUE(crash_network.IsUp(Space::kNode, 0));
   EXPECT_GT(crash_network.TotalTransferSeconds(), 0.0);
 
   // Crash + resume leaves the stores bit-identical to the crash-free run:
@@ -1178,7 +1183,7 @@ TEST(FlowCrashTest, CrashWhileReplicaPartitionIsActiveLandsBitIdentical) {
                 std::vector<std::string>* hashes,
                 dist::FlowResult* result_out) {
     simnet::Network network{simnet::Link{300e6, 0.2e-3}};
-    network.ConfigureReplicas(3);
+    network.Configure(Space::kReplica, 3);
     std::vector<std::unique_ptr<filestore::InMemoryFileStore>> file_backends;
     std::vector<std::unique_ptr<docstore::InMemoryDocumentStore>> doc_backends;
     std::vector<std::unique_ptr<filestore::RemoteFileStore>> file_transports;
@@ -1203,7 +1208,7 @@ TEST(FlowCrashTest, CrashWhileReplicaPartitionIsActiveLandsBitIdentical) {
     auto docs =
         repl::ReplicatedDocumentStore::Create(doc_ptrs, &network, {}).value();
     if (with_partition) {
-      ASSERT_TRUE(network.Partition({{1}}).ok());
+      ASSERT_TRUE(network.Partition(Space::kReplica, {{1}}).ok());
     }
 
     dist::FlowConfig config;
@@ -1270,71 +1275,59 @@ TEST(FlowCrashTest, CrashWhileReplicaPartitionIsActiveLandsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulated network: node lifecycle
+// Simulated network: a down member
 // ---------------------------------------------------------------------------
 
-TEST(SimnetNodeCrashTest, LifecycleChargesCostsAndRejectsWhileDown) {
+// Crash/Restart status codes and clock charges are one contract for every
+// node space (simnet_test MembershipTest); these cases drive a down member
+// through the replica endpoint, the one a sender addresses directly.
+TEST(SimnetDownMemberTest, RejectsWhileDownAndServesAfterRestart) {
   simnet::Network network;
-  network.ConfigureNodes(2);
-  ASSERT_EQ(network.NodeCount(), 2u);
-  EXPECT_TRUE(network.IsNodeUp(0));
-  EXPECT_TRUE(network.TryTransferToNode(0, 1000).status.ok());
+  network.Configure(Space::kReplica, 2);
+  EXPECT_TRUE(network.TryTransferToReplica(0, 1000).status.ok());
+  ASSERT_TRUE(network.Crash(Space::kReplica, 0).ok());
 
-  ASSERT_TRUE(network.CrashNode(0).ok());
-  EXPECT_FALSE(network.IsNodeUp(0));
-  EXPECT_TRUE(network.IsNodeUp(1));
-  EXPECT_EQ(network.CrashNode(0).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(network.CrashNode(9).code(), StatusCode::kInvalidArgument);
-
-  // Requests to the down node fail Unavailable after one latency charge;
-  // the other node is untouched.
+  // Requests to the down replica fail Unavailable after one latency
+  // charge; the other replica is untouched.
   const double before = network.TotalTransferSeconds();
-  const auto attempt = network.TryTransferToNode(0, 1000);
+  const auto attempt = network.TryTransferToReplica(0, 1000);
   EXPECT_EQ(attempt.status.code(), StatusCode::kUnavailable);
-  EXPECT_GT(network.TotalTransferSeconds(), before);
-  EXPECT_EQ(network.DownNodeRejectCount(), 1u);
-  EXPECT_TRUE(network.TryTransferToNode(1, 1000).status.ok());
+  EXPECT_NEAR(network.TotalTransferSeconds() - before,
+              network.link().latency_seconds, 1e-12);
+  EXPECT_EQ(network.Counters(Space::kReplica, 0).value().rejects, 1u);
+  EXPECT_TRUE(network.TryTransferToReplica(1, 1000).status.ok());
+  EXPECT_EQ(network.Counters(Space::kReplica, 1).value().rejects, 0u);
 
-  ASSERT_TRUE(network.RestartNode(0).ok());
-  EXPECT_TRUE(network.IsNodeUp(0));
-  EXPECT_EQ(network.RestartNode(0).code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(network.TryTransferToNode(0, 1000).status.ok());
-  EXPECT_EQ(network.CrashCount(), 1u);
-  EXPECT_EQ(network.RestartCount(), 1u);
-
-  // Crash detection and restart are charged to the virtual clock.
-  const simnet::NodeCosts costs = network.node_costs();
-  EXPECT_GT(network.TotalTransferSeconds(),
-            costs.crash_detect_seconds + costs.restart_seconds);
+  ASSERT_TRUE(network.Restart(Space::kReplica, 0).ok());
+  EXPECT_TRUE(network.TryTransferToReplica(0, 1000).status.ok());
 
   network.Reset();
-  EXPECT_TRUE(network.IsNodeUp(0));
-  EXPECT_EQ(network.CrashCount(), 0u);
-  EXPECT_EQ(network.DownNodeRejectCount(), 0u);
+  EXPECT_TRUE(network.IsUp(Space::kReplica, 0));
+  EXPECT_EQ(network.Counters(Space::kReplica, 0).value().rejects, 0u);
 }
 
-TEST(SimnetNodeCrashTest, RetrierRidesOutARestart) {
+TEST(SimnetDownMemberTest, RetrierRidesOutARestart) {
   simnet::Network network;
-  network.ConfigureNodes(1);
+  network.Configure(Space::kReplica, 1);
   simnet::RetryPolicy policy;
   policy.initial_backoff_seconds = 0.01;
   simnet::Retrier retrier(policy, &network);
-  ASSERT_TRUE(network.CrashNode(0).ok());
+  ASSERT_TRUE(network.Crash(Space::kReplica, 0).ok());
 
   int attempts = 0;
   const Status status = retrier.Run([&]() -> Status {
     ++attempts;
-    const auto attempt = network.TryTransferToNode(0, 512);
-    if (!attempt.status.ok() && !network.IsNodeUp(0)) {
-      // The node comes back while the sender backs off.
-      EXPECT_TRUE(network.RestartNode(0).ok());
+    const auto attempt = network.TryTransferToReplica(0, 512);
+    if (!attempt.status.ok() && !network.IsUp(Space::kReplica, 0)) {
+      // The replica comes back while the sender backs off.
+      EXPECT_TRUE(network.Restart(Space::kReplica, 0).ok());
     }
     return attempt.status;
   });
   EXPECT_TRUE(status.ok()) << status;
   EXPECT_EQ(attempts, 2);
   EXPECT_EQ(retrier.retry_count(), 1u);
-  EXPECT_EQ(network.DownNodeRejectCount(), 1u);
+  EXPECT_EQ(network.Counters(Space::kReplica, 0).value().rejects, 1u);
 }
 
 }  // namespace

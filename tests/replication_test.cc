@@ -23,6 +23,8 @@
 namespace mmlib {
 namespace {
 
+using simnet::Space;
+
 /// Seed of the fault plans and schedules below; overridable so CI can sweep
 /// several schedules over the same assertions (MMLIB_FAULT_SEED=2 ctest -R
 /// replication ...).
@@ -43,7 +45,7 @@ struct ReplicatedCluster {
                              double fault_rate = 0.0,
                              uint64_t fault_seed = 0)
       : network(simnet::Link{1e6, 1e-3}) {
-    network.ConfigureReplicas(n);
+    network.Configure(Space::kReplica, n);
     std::vector<filestore::RemoteFileStore*> file_ptrs;
     std::vector<docstore::RemoteDocumentStore*> doc_ptrs;
     for (size_t r = 0; r < n; ++r) {
@@ -156,7 +158,7 @@ TEST(ReplicatedStoreTest, WritesReplicateEverywhereAndStatsStayLogical) {
 
 TEST(ReplicatedStoreTest, WritesCommitAtQuorumWithOneReplicaDown) {
   ReplicatedCluster cluster(3);
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 1).ok());
 
   const Bytes content(500, 7);
   const std::string id = cluster.files->SaveFile(content).value();
@@ -168,7 +170,7 @@ TEST(ReplicatedStoreTest, WritesCommitAtQuorumWithOneReplicaDown) {
 
   // Once the replica returns, one anti-entropy pass re-copies the miss and
   // converges every replica to identical trees.
-  ASSERT_TRUE(cluster.network.RestartReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Restart(Space::kReplica, 1).ok());
   repl::Scrubber scrubber(cluster.files.get(), cluster.docs.get(),
                           &cluster.network);
   const repl::ScrubReport report = scrubber.ScrubOnce().value();
@@ -180,8 +182,8 @@ TEST(ReplicatedStoreTest, WritesCommitAtQuorumWithOneReplicaDown) {
 
 TEST(ReplicatedStoreTest, BelowQuorumWritesFailFastAndLeaveNoTornState) {
   ReplicatedCluster cluster(3);
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
-  ASSERT_TRUE(cluster.network.CrashReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 1).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 2).ok());
 
   const double before_seconds = cluster.network.TotalTransferSeconds();
   const auto saved = cluster.files->SaveFile(Bytes(100, 1));
@@ -218,7 +220,7 @@ TEST(ReplicatedStoreTest, IdSequenceIsIdenticalHoweverManyReplicasAreUp) {
   std::vector<std::string> degraded_ids;
   {
     ReplicatedCluster cluster(3);
-    ASSERT_TRUE(cluster.network.CrashReplica(0).ok());
+    ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 0).ok());
     for (int i = 0; i < 4; ++i) {
       degraded_ids.push_back(
           cluster.files->SaveFile(Bytes(64, uint8_t(i))).value());
@@ -284,11 +286,11 @@ TEST(ReplicatedStoreTest, ReadsBelowQuorumFailUnavailable) {
   ReplicatedCluster cluster(3);
   const std::string id = cluster.files->SaveFile(Bytes(100, 3)).value();
 
-  ASSERT_TRUE(cluster.network.Partition({{1, 2}}).ok());
+  ASSERT_TRUE(cluster.network.Partition(Space::kReplica, {{1, 2}}).ok());
   const auto loaded = cluster.files->LoadFile(id);
   EXPECT_EQ(loaded.status().code(), StatusCode::kUnavailable);
 
-  cluster.network.Heal();
+  cluster.network.Heal(Space::kReplica);
   EXPECT_EQ(cluster.files->LoadFile(id).value(), Bytes(100, 3));
 }
 
@@ -296,41 +298,30 @@ TEST(ReplicatedStoreTest, ReadsBelowQuorumFailUnavailable) {
 // simnet: partition groups, per-replica fault streams, scheduled events
 // ---------------------------------------------------------------------------
 
+// The partition contract itself (groups, reachability predicates, bad ids,
+// Heal) is checked once per node space in simnet_test MembershipTest.
 TEST(SimnetReplicaTest, PartitionGroupsGateReachability) {
   simnet::Network network;
-  network.ConfigureReplicas(4);
-  ASSERT_TRUE(network.Partition({{2, 3}}).ok());
+  network.Configure(Space::kReplica, 4);
+  ASSERT_TRUE(network.Partition(Space::kReplica, {{2, 3}}).ok());
 
-  EXPECT_TRUE(network.IsReplicaReachable(0));
-  EXPECT_TRUE(network.IsReplicaReachable(1));
-  EXPECT_FALSE(network.IsReplicaReachable(2));
-  EXPECT_FALSE(network.IsReplicaReachable(3));
-  // Pairs inside one group talk; pairs across the cut do not.
-  EXPECT_TRUE(network.ReplicaPairReachable(0, 1));
-  EXPECT_TRUE(network.ReplicaPairReachable(2, 3));
-  EXPECT_FALSE(network.ReplicaPairReachable(1, 2));
-
+  // Client requests reach group 0 only; replica pairs talk inside a group.
   EXPECT_EQ(network.TryTransferToReplica(2, 100).status.code(),
             StatusCode::kUnavailable);
   EXPECT_TRUE(network.TryTransferToReplica(1, 100).status.ok());
   EXPECT_EQ(network.TryTransferBetweenReplicas(1, 3, 100).status.code(),
             StatusCode::kUnavailable);
   EXPECT_TRUE(network.TryTransferBetweenReplicas(2, 3, 100).status.ok());
+  EXPECT_EQ(network.Counters(Space::kReplica, 2).value().rejects, 1u);
+  EXPECT_EQ(network.Counters(Space::kReplica, 3).value().rejects, 1u);
 
-  // Listing a replica twice (or an unknown one) is a configuration bug.
-  EXPECT_EQ(network.Partition({{0}, {0}}).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(network.Partition({{9}}).code(), StatusCode::kInvalidArgument);
-
-  network.Heal();
-  EXPECT_TRUE(network.IsReplicaReachable(3));
-  EXPECT_EQ(network.PartitionCount(), 1u);
-  EXPECT_EQ(network.HealCount(), 1u);
+  network.Heal(Space::kReplica);
+  EXPECT_TRUE(network.TryTransferToReplica(3, 100).status.ok());
 }
 
 TEST(SimnetReplicaTest, ReplicaFaultStreamsAreIndependent) {
   simnet::Network network;
-  network.ConfigureReplicas(2);
+  network.Configure(Space::kReplica, 2);
   simnet::FaultPlan noisy;
   noisy.drop_probability = 0.5;
   noisy.seed = FaultSeed();
@@ -340,19 +331,19 @@ TEST(SimnetReplicaTest, ReplicaFaultStreamsAreIndependent) {
     (void)network.TryTransferToReplica(0, 100);
     (void)network.TryTransferToReplica(1, 100);
   }
-  EXPECT_GT(network.ReplicaFaultCounters(0).value().Total(), 0u);
-  EXPECT_EQ(network.ReplicaFaultCounters(1).value().Total(), 0u);
-  EXPECT_EQ(network.ReplicaFaultCounters(7).status().code(),
+  EXPECT_GT(network.Counters(Space::kReplica, 0).value().faults.Total(), 0u);
+  EXPECT_EQ(network.Counters(Space::kReplica, 1).value().faults.Total(), 0u);
+  EXPECT_EQ(network.Counters(Space::kReplica, 7).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(SimnetReplicaTest, ScheduledEventsFireOnTheVirtualClock) {
   simnet::Network network(simnet::Link{1e6, 1e-3});
-  network.ConfigureReplicas(2);
-  network.ScheduleReplicaCrash(1, /*at_seconds=*/1.0);
-  network.ScheduleReplicaRestart(1, /*at_seconds=*/2.0);
-  network.SchedulePartition(4.0, {{0}});
-  network.ScheduleHeal(6.0);
+  network.Configure(Space::kReplica, 2);
+  network.Schedule({/*at_seconds=*/1.0, simnet::ReplicaEvent::kCrash, 1});
+  network.Schedule({/*at_seconds=*/2.0, simnet::ReplicaEvent::kRestart, 1});
+  network.Schedule({4.0, simnet::ReplicaEvent::kPartition, 0, {{0}}});
+  network.Schedule({6.0, simnet::ReplicaEvent::kHeal});
 
   // Before t=1 the replica serves.
   EXPECT_TRUE(network.TryTransferToReplica(1, 100).status.ok());
@@ -360,22 +351,22 @@ TEST(SimnetReplicaTest, ScheduledEventsFireOnTheVirtualClock) {
   network.ChargeSeconds(1.5);  // past the crash, before the restart
   EXPECT_EQ(network.TryTransferToReplica(1, 100).status.code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(network.ReplicaCrashCount(1).value(), 1u);
+  EXPECT_EQ(network.Counters(Space::kReplica, 1).value().crashes, 1u);
 
   // Past the restart (t ≈ 2.55; the applied restart itself charges another
   // 0.5 s of reboot time before the message goes out).
   network.ChargeSeconds(1.0);
   EXPECT_TRUE(network.TryTransferToReplica(1, 100).status.ok());
-  EXPECT_EQ(network.ReplicaRestartCount(1).value(), 1u);
+  EXPECT_EQ(network.Counters(Space::kReplica, 1).value().restarts, 1u);
 
   network.ChargeSeconds(1.0);  // past the partition (t ≈ 4.05)
   network.ApplyDueReplicaEvents();
-  EXPECT_FALSE(network.IsReplicaReachable(0));
-  EXPECT_TRUE(network.IsReplicaReachable(1));
+  EXPECT_FALSE(network.IsReachable(Space::kReplica, 0));
+  EXPECT_TRUE(network.IsReachable(Space::kReplica, 1));
 
   network.ChargeSeconds(2.0);  // past the heal (t ≈ 6.05)
   network.ApplyDueReplicaEvents();
-  EXPECT_TRUE(network.IsReplicaReachable(0));
+  EXPECT_TRUE(network.IsReachable(Space::kReplica, 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -450,9 +441,9 @@ TEST(ScrubberTest, QuorumDeleteTombstoneWinsOverStragglerCopy) {
   const std::string id = cluster.files->SaveFile(content).value();
 
   // Replica 1 misses the delete; its copy becomes a straggler.
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 1).ok());
   ASSERT_TRUE(cluster.files->Delete(id).ok());
-  ASSERT_TRUE(cluster.network.RestartReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Restart(Space::kReplica, 1).ok());
   ASSERT_EQ(cluster.file_backends[1]->FileCount(), 1u);
 
   // Anti-entropy must re-delete the straggler, not re-spread it.
@@ -471,7 +462,7 @@ TEST(ScrubberTest, QuorumDeleteTombstoneWinsOverStragglerCopy) {
 TEST(ScrubberTest, SkipsUnreachablePairsAndCatchesUpAfterHeal) {
   ReplicatedCluster cluster(3);
   const std::string id = cluster.files->SaveFile(Bytes(100, 8)).value();
-  ASSERT_TRUE(cluster.network.CrashReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 2).ok());
   Bytes rotted(100, 8);
   rotted[3] ^= 0x02;
   ASSERT_TRUE(cluster.file_backends[2]  // lint:allow(no-direct-replica-write) deliberate bit-rot
@@ -484,7 +475,7 @@ TEST(ScrubberTest, SkipsUnreachablePairsAndCatchesUpAfterHeal) {
   EXPECT_EQ(down.sessions, 1u);  // only (0,1) can talk
   EXPECT_FALSE(down.converged);  // replica 2 still diverges
 
-  ASSERT_TRUE(cluster.network.RestartReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Restart(Space::kReplica, 2).ok());
   const repl::ScrubReport healed = scrubber.ScrubOnce().value();
   EXPECT_EQ(healed.sessions, 3u);
   EXPECT_TRUE(healed.converged);
@@ -532,10 +523,11 @@ ReplicatedFlowOutcome RunReplicatedDistFlow(size_t pool_size, uint64_t seed,
                             /*fault_seed=*/seed);
   if (schedule.enabled) {
     for (size_t replica : schedule.crash_replicas) {
-      cluster.network.ScheduleReplicaCrash(replica, schedule.crash_seconds);
+      cluster.network.Schedule(
+          {schedule.crash_seconds, simnet::ReplicaEvent::kCrash, replica});
       if (schedule.restart) {
-        cluster.network.ScheduleReplicaRestart(replica,
-                                               schedule.restart_seconds);
+        cluster.network.Schedule({schedule.restart_seconds,
+                                  simnet::ReplicaEvent::kRestart, replica});
       }
     }
   }
@@ -564,7 +556,8 @@ ReplicatedFlowOutcome RunReplicatedDistFlow(size_t pool_size, uint64_t seed,
   outcome.code = result.status().code();
   outcome.messages = cluster.network.MessageCount();
   for (size_t r = 0; r < 3; ++r) {
-    outcome.replica_crashes += cluster.network.ReplicaCrashCount(r).value();
+    outcome.replica_crashes +=
+        cluster.network.Counters(Space::kReplica, r).value().crashes;
   }
   outcome.seconds = cluster.network.TotalTransferSeconds();
   if (!result.ok()) {
@@ -727,9 +720,9 @@ TEST(ScrubberTest, DocumentQuorumDeleteTombstoneWinsOverStragglerCopy) {
       cluster.docs->Insert("models", VersionDoc(1)).value();
 
   // Replica 0 misses the delete; its copy becomes a straggler.
-  ASSERT_TRUE(cluster.network.CrashReplica(0).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 0).ok());
   ASSERT_TRUE(cluster.docs->Delete("models", id).ok());
-  ASSERT_TRUE(cluster.network.RestartReplica(0).ok());
+  ASSERT_TRUE(cluster.network.Restart(Space::kReplica, 0).ok());
   ASSERT_EQ(cluster.doc_backends[0]->DocumentCount(), 1u);
 
   repl::Scrubber scrubber(cluster.files.get(), cluster.docs.get(),
@@ -798,8 +791,8 @@ TEST(ReplicatedStoreTest, DocumentDeleteBelowQuorumFailsUnavailable) {
   ReplicatedCluster cluster(3);
   const std::string id =
       cluster.docs->Insert("models", VersionDoc(1)).value();
-  ASSERT_TRUE(cluster.network.CrashReplica(0).ok());
-  ASSERT_TRUE(cluster.network.CrashReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 0).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 2).ok());
 
   EXPECT_EQ(cluster.docs->Delete("models", id).code(),
             StatusCode::kUnavailable);
@@ -810,8 +803,8 @@ TEST(ReplicatedStoreTest, DocumentDeleteBelowQuorumFailsUnavailable) {
   EXPECT_FALSE(cluster.docs->IsTombstoned(
       repl::ReplicatedDocumentStore::KeyFor("models", id)));
 
-  ASSERT_TRUE(cluster.network.RestartReplica(0).ok());
-  ASSERT_TRUE(cluster.network.RestartReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Restart(Space::kReplica, 0).ok());
+  ASSERT_TRUE(cluster.network.Restart(Space::kReplica, 2).ok());
   EXPECT_EQ(cluster.docs->Get("models", id).value().GetInt("version").value(),
             1);
 }
@@ -853,7 +846,7 @@ TEST(ReplicationGoldenTest, ScriptedScenarioTrafficIsPinned) {
   repl::ReplicatedDocumentStore& docs = *cluster.docs;
 
   // Quorum writes while replica 2 is down.
-  ASSERT_TRUE(cluster.network.CrashReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 2).ok());
   std::vector<Bytes> contents;
   std::vector<std::string> file_ids;
   for (int i = 0; i < 5; ++i) {
@@ -864,7 +857,7 @@ TEST(ReplicationGoldenTest, ScriptedScenarioTrafficIsPinned) {
   for (int64_t i = 0; i < 3; ++i) {
     doc_ids.push_back(docs.Insert("models", VersionDoc(i)).value());
   }
-  ASSERT_TRUE(cluster.network.RestartReplica(2).ok());
+  ASSERT_TRUE(cluster.network.Restart(Space::kReplica, 2).ok());
 
   // At-rest damage on each entry's preferred replica, then reads: fallback
   // to a good copy and read-repair of the damaged and the missing ones.
@@ -909,10 +902,10 @@ TEST(ReplicationGoldenTest, ScriptedScenarioTrafficIsPinned) {
   EXPECT_EQ(files.LoadFileHedged(file_ids[4], 0.0).value(), contents[4]);
 
   // Quorum deletes while replica 1 is down leave straggler copies there.
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 1).ok());
   EXPECT_TRUE(files.Delete(file_ids[1]).ok());
   EXPECT_TRUE(docs.Delete("models", doc_ids[1]).ok());
-  ASSERT_TRUE(cluster.network.RestartReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Restart(Space::kReplica, 1).ok());
 
   // One anti-entropy pass heals the misses, the rot and the stragglers.
   repl::Scrubber scrubber(&files, &docs, &cluster.network);

@@ -26,6 +26,8 @@
 namespace mmlib {
 namespace {
 
+using simnet::Space;
+
 /// Overridable so CI can sweep several fault schedules over the same
 /// assertions (MMLIB_FAULT_SEED=3 ctest -R serving ...).
 uint64_t FaultSeed() {
@@ -143,17 +145,17 @@ serve::ServeReport RunScenario(Degradation degradation, uint64_t seed,
                                double rate = 1500.0,
                                double tenant_skew = 1.0) {
   simnet::Network network(simnet::Link{1e9, 1e-4});
-  network.ConfigureReplicas(3);
+  network.Configure(Space::kReplica, 3);
   switch (degradation) {
     case Degradation::kNone:
       break;
     case Degradation::kReplicaCrash:
-      network.ScheduleReplicaCrash(1, 1.0);
-      network.ScheduleReplicaRestart(1, 3.0);
+      network.Schedule({1.0, simnet::ReplicaEvent::kCrash, 1});
+      network.Schedule({3.0, simnet::ReplicaEvent::kRestart, 1});
       break;
     case Degradation::kMinorityPartition:
-      network.SchedulePartition(1.0, {{2}});
-      network.ScheduleHeal(3.0);
+      network.Schedule({1.0, simnet::ReplicaEvent::kPartition, 0, {{2}}});
+      network.Schedule({3.0, simnet::ReplicaEvent::kHeal});
       break;
   }
 
@@ -301,7 +303,7 @@ TEST(DeadlinePropagationTest, RetrierAbandonsPastRequestDeadline) {
 
 struct MiniCluster {
   explicit MiniCluster(size_t n) : network(simnet::Link{1e6, 1e-3}) {
-    network.ConfigureReplicas(n);
+    network.Configure(Space::kReplica, n);
     std::vector<filestore::RemoteFileStore*> ptrs;
     for (size_t r = 0; r < n; ++r) {
       backends.push_back(std::make_unique<filestore::InMemoryFileStore>());
@@ -329,7 +331,7 @@ TEST(HedgedReadTest, HedgesAroundACrashedPreferredReplica) {
   }
   // Crash one replica: every id preferring it must hedge to its second
   // replica and still serve the right bytes.
-  ASSERT_TRUE(cluster.network.CrashReplica(1).ok());
+  ASSERT_TRUE(cluster.network.Crash(Space::kReplica, 1).ok());
   for (const std::string& id : ids) {
     auto loaded = cluster.files->LoadFileHedged(id, /*threshold=*/0.0);
     ASSERT_TRUE(loaded.ok()) << id;
@@ -362,7 +364,7 @@ TEST(HedgedReadTest, SlowPrimaryHedgesOnThreshold) {
 TEST(CoreBackendTest, ServesRealOpsAndCountsCoreOps) {
   auto run_digest = [](uint64_t seed, std::string* digest) {
     simnet::Network network(simnet::Link{300e6, 0.2e-3});
-    network.ConfigureReplicas(3);
+    network.Configure(Space::kReplica, 3);
     std::vector<std::unique_ptr<filestore::InMemoryFileStore>> file_backends;
     std::vector<std::unique_ptr<docstore::InMemoryDocumentStore>>
         doc_backends;
