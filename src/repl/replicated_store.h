@@ -57,13 +57,13 @@ class ReplicatedFileStore
   size_t TotalStoredBytes() const override;
   size_t FileCount() const override;
 
-  /// Replica-set accessors and the scrubber interface (see ReplicaSet).
+  /// Replica-set accessors and the scrubber's read-only probes (see
+  /// ReplicaSet). The Scrubber, a friend, records its repairs on the set.
   using ReplicaSet::replica_count, ReplicaSet::write_quorum,
       ReplicaSet::read_quorum, ReplicaSet::transport,
       ReplicaSet::replica_counters, ReplicaSet::PhysicalStoredBytes,
       ReplicaSet::TransportRetryCount, ReplicaSet::DeadlineExhaustedCount,
-      ReplicaSet::FindExpectedDigest, ReplicaSet::IsTombstoned,
-      ReplicaSet::RecordScrubRepair;
+      ReplicaSet::FindExpectedDigest, ReplicaSet::IsTombstoned;
 
  private:
   friend class Scrubber;
@@ -113,13 +113,13 @@ class ReplicatedDocumentStore
   size_t TotalStoredBytes() const override;
   size_t DocumentCount() const override;
 
-  /// Replica-set accessors and the scrubber interface (see ReplicaSet).
+  /// Replica-set accessors and the scrubber's read-only probes (see
+  /// ReplicaSet). The Scrubber, a friend, records its repairs on the set.
   using ReplicaSet::replica_count, ReplicaSet::write_quorum,
       ReplicaSet::read_quorum, ReplicaSet::transport,
       ReplicaSet::replica_counters, ReplicaSet::PhysicalStoredBytes,
       ReplicaSet::TransportRetryCount, ReplicaSet::DeadlineExhaustedCount,
-      ReplicaSet::FindExpectedDigest, ReplicaSet::IsTombstoned,
-      ReplicaSet::RecordScrubRepair;
+      ReplicaSet::FindExpectedDigest, ReplicaSet::IsTombstoned;
 
   static std::string KeyFor(const std::string& collection,
                             const std::string& id) {
