@@ -152,7 +152,6 @@ class RemoteFileStore : public FileStore {
   /// fails Unavailable. The replicated store binds one RemoteFileStore per
   /// backend replica.
   void BindReplica(size_t replica) { replica_ = replica; }
-  size_t bound_replica() const { return replica_; }
 
   /// Retries performed (attempts beyond the first) across all operations.
   uint64_t retry_count() const { return retrier_.retry_count(); }

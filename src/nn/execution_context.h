@@ -74,7 +74,6 @@ class ExecutionContext {
 
   PhaseTimes* times() { return &times_; }
   const PhaseTimes& times() const { return times_; }
-  void ResetTimes() { times_ = PhaseTimes(); }
 
   /// Per-context scratch pool for step-scoped float temporaries outside the
   /// kernel plans (loss scratch, reduction staging). Lazily created and

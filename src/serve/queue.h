@@ -52,7 +52,6 @@ class TenantQueues {
   std::vector<Request> ExpireBefore(double now_seconds);
 
   size_t TotalQueued() const;
-  size_t QueuedFor(uint32_t tenant) const { return queues_[tenant].size(); }
   uint32_t tenant_count() const {
     return static_cast<uint32_t>(queues_.size());
   }

@@ -64,13 +64,6 @@ double LatencyHistogram::Quantile(double q) const {
   return BucketUpper(kBuckets - 1);
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (size_t i = 0; i < kBuckets; ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  total_ += other.total_;
-}
-
 std::string ServeReport::Digest() const {
   Sha256 hasher;
   HashU64(hasher, counters.arrivals);

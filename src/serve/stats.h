@@ -29,9 +29,6 @@ class LatencyHistogram {
   /// q-th sample falls in (0 when empty). Deterministic by construction.
   double Quantile(double q) const;
 
-  /// Merges `other` into this histogram.
-  void Merge(const LatencyHistogram& other);
-
  private:
   std::array<uint64_t, kBuckets> buckets_{};
   uint64_t total_ = 0;

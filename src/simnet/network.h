@@ -160,7 +160,6 @@ class Network {
   /// Installs a failure model and reseeds the fault stream; replaces any
   /// previous plan. Pass a default-constructed FaultPlan to disable faults.
   void set_fault_plan(const FaultPlan& plan);
-  const FaultPlan& fault_plan() const { return fault_plan_; }
 
   /// Charges one message of `bytes` to the virtual clock; returns the
   /// transfer time in seconds. Never fails — the fault-free cost-model path
@@ -241,10 +240,6 @@ class Network {
     Network* network_;
     double previous_ = 0.0;
   };
-
-  /// Absolute virtual-clock deadline of the in-flight request; 0 when no
-  /// DeadlineScope is open.
-  double RequestDeadlineSeconds() const { return request_deadline_seconds_; }
 
   /// True when a request deadline is set and the virtual clock has passed
   /// it — any further backend work for this request is already wasted.
@@ -357,9 +352,6 @@ class Network {
   /// count change the draw sequence), and it is separate from the storage
   /// stream, so collective faults never shift storage fault decisions.
   void set_collective_fault_plan(const FaultPlan& plan);
-  const FaultPlan& collective_fault_plan() const {
-    return collective_fault_plan_;
-  }
 
   /// Attempts one worker-to-worker message of `bytes` (gradient-exchange
   /// traffic). Rejected when the pair cannot reach each other, so
