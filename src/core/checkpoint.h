@@ -19,9 +19,9 @@ inline constexpr const char* kCheckpointsCollection = "checkpoints";
 
 /// Everything a deterministic training run needs to continue mid-stream and
 /// land bit-identically on the uninterrupted result: the model parameters,
-/// the optimizer's accumulated state (momentum/Adam moments *and* the
-/// scheduled learning rate), the execution context's RNG cursor (dropout
-/// and augmentation draws consumed so far), and the data-loader position.
+/// the optimizer's accumulated state (SGD momentum *and* the scheduled
+/// learning rate), the execution context's RNG cursor (dropout and
+/// augmentation draws consumed so far), and the data-loader position.
 /// The loader itself is stateless given (seed, epoch, batch), so its
 /// position is just the two indices.
 struct TrainCheckpoint {

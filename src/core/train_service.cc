@@ -30,31 +30,6 @@ Result<nn::SgdOptions> SgdOptionsFromJson(const json::Value& doc) {
   return options;
 }
 
-json::Value AdamOptionsToJson(const nn::AdamOptions& options) {
-  json::Value doc = json::Value::MakeObject();
-  doc.Set("learning_rate", static_cast<double>(options.learning_rate));
-  doc.Set("beta1", static_cast<double>(options.beta1));
-  doc.Set("beta2", static_cast<double>(options.beta2));
-  doc.Set("epsilon", static_cast<double>(options.epsilon));
-  doc.Set("weight_decay", static_cast<double>(options.weight_decay));
-  return doc;
-}
-
-Result<nn::AdamOptions> AdamOptionsFromJson(const json::Value& doc) {
-  nn::AdamOptions options;
-  MMLIB_ASSIGN_OR_RETURN(double lr, doc.GetNumber("learning_rate"));
-  MMLIB_ASSIGN_OR_RETURN(double beta1, doc.GetNumber("beta1"));
-  MMLIB_ASSIGN_OR_RETURN(double beta2, doc.GetNumber("beta2"));
-  MMLIB_ASSIGN_OR_RETURN(double epsilon, doc.GetNumber("epsilon"));
-  MMLIB_ASSIGN_OR_RETURN(double wd, doc.GetNumber("weight_decay"));
-  options.learning_rate = static_cast<float>(lr);
-  options.beta1 = static_cast<float>(beta1);
-  options.beta2 = static_cast<float>(beta2);
-  options.epsilon = static_cast<float>(epsilon);
-  options.weight_decay = static_cast<float>(wd);
-  return options;
-}
-
 json::Value LoaderOptionsToJson(const data::DataLoaderOptions& options) {
   json::Value doc = json::Value::MakeObject();
   doc.Set("batch_size", options.batch_size);
@@ -91,10 +66,7 @@ json::Value TrainConfig::ToJson() const {
   doc.Set("epochs", epochs);
   doc.Set("max_batches_per_epoch", max_batches_per_epoch);
   doc.Set("seed", static_cast<int64_t>(seed));
-  doc.Set("optimizer",
-          optimizer == OptimizerKind::kAdam ? "adam" : "sgd");
   doc.Set("sgd", SgdOptionsToJson(sgd));
-  doc.Set("adam", AdamOptionsToJson(adam));
   doc.Set("lr_decay_gamma", lr_decay_gamma);
   doc.Set("lr_decay_every_epochs", lr_decay_every_epochs);
   doc.Set("loader", LoaderOptionsToJson(loader));
@@ -108,18 +80,8 @@ Result<TrainConfig> TrainConfig::FromJson(const json::Value& doc) {
                          doc.GetInt("max_batches_per_epoch"));
   MMLIB_ASSIGN_OR_RETURN(int64_t seed, doc.GetInt("seed"));
   config.seed = static_cast<uint64_t>(seed);
-  MMLIB_ASSIGN_OR_RETURN(std::string optimizer, doc.GetString("optimizer"));
-  if (optimizer == "sgd") {
-    config.optimizer = OptimizerKind::kSgd;
-  } else if (optimizer == "adam") {
-    config.optimizer = OptimizerKind::kAdam;
-  } else {
-    return Status::InvalidArgument("unknown optimizer kind: " + optimizer);
-  }
   MMLIB_ASSIGN_OR_RETURN(const json::Value* sgd, doc.GetMember("sgd"));
   MMLIB_ASSIGN_OR_RETURN(config.sgd, SgdOptionsFromJson(*sgd));
-  MMLIB_ASSIGN_OR_RETURN(const json::Value* adam, doc.GetMember("adam"));
-  MMLIB_ASSIGN_OR_RETURN(config.adam, AdamOptionsFromJson(*adam));
   MMLIB_ASSIGN_OR_RETURN(config.lr_decay_gamma,
                          doc.GetNumber("lr_decay_gamma"));
   MMLIB_ASSIGN_OR_RETURN(config.lr_decay_every_epochs,
@@ -196,19 +158,15 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
   if (resume_from != nullptr) {
     // Rewind to the checkpointed state: parameters first, then force the
     // optimizer to rebuild against them and load the checkpointed
-    // momentum/moments (which carry the scheduled learning rate).
+    // momentum (which carries the scheduled learning rate).
     MMLIB_RETURN_IF_ERROR(model->LoadParams(resume_from->model_params));
     pending_optimizer_state_ = resume_from->optimizer_state;
-    optimizer_ = nullptr;
+    optimizer_.reset();
     bound_model_ = nullptr;
     last_loss_ = resume_from->last_loss;
   }
-  if (optimizer_ == nullptr || bound_model_ != model) {
-    if (config_.optimizer == OptimizerKind::kAdam) {
-      optimizer_ = std::make_unique<nn::AdamOptimizer>(model, config_.adam);
-    } else {
-      optimizer_ = std::make_unique<nn::SgdOptimizer>(model, config_.sgd);
-    }
+  if (!optimizer_.has_value() || bound_model_ != model) {
+    optimizer_.emplace(model, config_.sgd);
     bound_model_ = model;
     if (!pending_optimizer_state_.empty()) {
       MMLIB_RETURN_IF_ERROR(
@@ -355,7 +313,7 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
 Result<ProvenanceData> ImageTrainService::CaptureProvenance() {
   ProvenanceData data;
   data.dataset = dataset_;
-  if (optimizer_ != nullptr) {
+  if (optimizer_.has_value()) {
     data.optimizer_state = optimizer_->SerializeState();
   }
 
@@ -367,13 +325,10 @@ Result<ProvenanceData> ImageTrainService::CaptureProvenance() {
   dataloader_wrapper.Set("import", "data/dataloader.h");
   dataloader_wrapper.Set("config", LoaderOptionsToJson(config_.loader));
 
-  const bool adam = config_.optimizer == OptimizerKind::kAdam;
   json::Value optimizer_wrapper = json::Value::MakeObject();
-  optimizer_wrapper.Set("class_name",
-                        adam ? "nn.AdamOptimizer" : "nn.SgdOptimizer");
-  optimizer_wrapper.Set("import", adam ? "nn/adam.h" : "nn/optimizer.h");
-  optimizer_wrapper.Set("config", adam ? AdamOptionsToJson(config_.adam)
-                                       : SgdOptionsToJson(config_.sgd));
+  optimizer_wrapper.Set("class_name", "nn.SgdOptimizer");
+  optimizer_wrapper.Set("import", "nn/optimizer.h");
+  optimizer_wrapper.Set("config", SgdOptionsToJson(config_.sgd));
   optimizer_wrapper.Set("has_state", !data.optimizer_state.empty());
   // References to other objects are recorded by name; how they are handed
   // over is part of the training logic (the TrainConfig).

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/checkpoint.h"
@@ -10,22 +11,15 @@
 #include "data/dataloader.h"
 #include "data/dataset.h"
 #include "json/json.h"
-#include "nn/adam.h"
 #include "nn/model.h"
 #include "nn/optimizer.h"
 #include "util/result.h"
 
 namespace mmlib::core {
 
-/// Which optimizer a TrainConfig instantiates.
-enum class OptimizerKind {
-  kSgd,
-  kAdam,
-};
-
 /// Everything a training run depends on besides the base model and code:
 /// hyperparameters, epoch/batch limits, the seed for intentional randomness,
-/// optimizer and dataloader configuration. Serializable to JSON — this is
+/// SGD and dataloader configuration. Serializable to JSON — this is
 /// the static part of the provenance data (paper Section 3.3).
 struct TrainConfig {
   int64_t epochs = 2;
@@ -34,9 +28,7 @@ struct TrainConfig {
   /// batches" to keep the extensive evaluation feasible (Section 4.4).
   int64_t max_batches_per_epoch = 2;
   uint64_t seed = 42;
-  OptimizerKind optimizer = OptimizerKind::kSgd;
-  nn::SgdOptions sgd;    // used when optimizer == kSgd
-  nn::AdamOptions adam;  // used when optimizer == kAdam
+  nn::SgdOptions sgd;
   /// Step learning-rate schedule: every `lr_decay_every_epochs` epochs the
   /// learning rate is multiplied by `lr_decay_gamma`. Gamma 1 disables the
   /// schedule. Scheduling is pure training logic — it is replayed from this
@@ -172,7 +164,7 @@ class ImageTrainService : public TrainService {
   /// not yet applied) state before the first Train, empty when neither
   /// exists. Lets tests compare optimizer state across runs byte for byte.
   Bytes SerializedOptimizerState() const {
-    if (optimizer_ != nullptr) {
+    if (optimizer_.has_value()) {
       return optimizer_->SerializeState();
     }
     return pending_optimizer_state_;
@@ -187,7 +179,7 @@ class ImageTrainService : public TrainService {
   std::unique_ptr<data::Dataset> owned_dataset_;
   const data::Dataset* dataset_;
   TrainConfig config_;
-  std::unique_ptr<nn::Optimizer> optimizer_;
+  std::optional<nn::SgdOptimizer> optimizer_;
   nn::Model* bound_model_ = nullptr;
   Bytes pending_optimizer_state_;
   float last_loss_ = 0.0f;

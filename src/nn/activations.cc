@@ -3,7 +3,6 @@
 #include "check/validators.h"
 #include "kernels/activation.h"
 #include "tensor/validate.h"
-#include <cmath>
 
 namespace mmlib::nn {
 
@@ -23,58 +22,6 @@ Result<std::vector<Tensor>> ReLU::Backward(const Tensor& grad_output,
   Tensor grad_input(cached_input_.shape());
   kernels::ReluBackward(cached_input_.data(), grad_output.data(),
                         grad_input.data(), grad_input.numel(), clip_);
-  std::vector<Tensor> grads;
-  grads.push_back(std::move(grad_input));
-  return grads;
-}
-
-Result<Tensor> Sigmoid::Forward(const std::vector<const Tensor*>& inputs,
-                                ExecutionContext* ctx) {
-  (void)ctx;
-  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
-  const Tensor& x = *inputs[0];
-  Tensor y(x.shape());
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    y.data()[i] = 1.0f / (1.0f + std::exp(-x.data()[i]));
-  }
-  cached_output_ = y;
-  return y;
-}
-
-Result<std::vector<Tensor>> Sigmoid::Backward(const Tensor& grad_output,
-                                              ExecutionContext* ctx) {
-  (void)ctx;
-  Tensor grad_input(cached_output_.shape());
-  for (int64_t i = 0; i < grad_input.numel(); ++i) {
-    const float y = cached_output_.data()[i];
-    grad_input.data()[i] = grad_output.data()[i] * y * (1.0f - y);
-  }
-  std::vector<Tensor> grads;
-  grads.push_back(std::move(grad_input));
-  return grads;
-}
-
-Result<Tensor> Tanh::Forward(const std::vector<const Tensor*>& inputs,
-                             ExecutionContext* ctx) {
-  (void)ctx;
-  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
-  const Tensor& x = *inputs[0];
-  Tensor y(x.shape());
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    y.data()[i] = std::tanh(x.data()[i]);
-  }
-  cached_output_ = y;
-  return y;
-}
-
-Result<std::vector<Tensor>> Tanh::Backward(const Tensor& grad_output,
-                                           ExecutionContext* ctx) {
-  (void)ctx;
-  Tensor grad_input(cached_output_.shape());
-  for (int64_t i = 0; i < grad_input.numel(); ++i) {
-    const float y = cached_output_.data()[i];
-    grad_input.data()[i] = grad_output.data()[i] * (1.0f - y * y);
-  }
   std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
   return grads;
@@ -111,25 +58,6 @@ Result<std::vector<Tensor>> Dropout::Backward(const Tensor& grad_output,
       grad_input.data()[i] = mask_[i] ? grad_output.data()[i] * scale : 0.0f;
     }
   }
-  std::vector<Tensor> grads;
-  grads.push_back(std::move(grad_input));
-  return grads;
-}
-
-Result<Tensor> Flatten::Forward(const std::vector<const Tensor*>& inputs,
-                                ExecutionContext* ctx) {
-  (void)ctx;
-  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
-  const Tensor& x = *inputs[0];
-  input_shape_ = x.shape();
-  const int64_t batch = x.shape().dim(0);
-  return x.Reshape(Shape{batch, x.numel() / batch});
-}
-
-Result<std::vector<Tensor>> Flatten::Backward(const Tensor& grad_output,
-                                              ExecutionContext* ctx) {
-  (void)ctx;
-  MMLIB_ASSIGN_OR_RETURN(Tensor grad_input, grad_output.Reshape(input_shape_));
   std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
   return grads;

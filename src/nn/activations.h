@@ -44,54 +44,6 @@ class Dropout : public Layer {
   std::vector<uint8_t> mask_;
 };
 
-/// Elementwise logistic sigmoid.
-class Sigmoid : public Layer {
- public:
-  explicit Sigmoid(std::string name) : Layer(std::move(name)) {}
-
-  std::string_view type() const override { return "sigmoid"; }
-
-  Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
-                         ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
-
- private:
-  Tensor cached_output_;
-};
-
-/// Elementwise hyperbolic tangent.
-class Tanh : public Layer {
- public:
-  explicit Tanh(std::string name) : Layer(std::move(name)) {}
-
-  std::string_view type() const override { return "tanh"; }
-
-  Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
-                         ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
-
- private:
-  Tensor cached_output_;
-};
-
-/// Flattens [N, ...] to [N, prod(...)].
-class Flatten : public Layer {
- public:
-  explicit Flatten(std::string name) : Layer(std::move(name)) {}
-
-  std::string_view type() const override { return "flatten"; }
-
-  Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
-                         ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
-
- private:
-  Shape input_shape_;
-};
-
 /// Elementwise sum of two or more inputs (residual connections).
 class Add : public Layer {
  public:

@@ -1,7 +1,5 @@
 #include "nn/optimizer.h"
 
-#include <cstdio>
-
 #include "kernels/sgd.h"
 
 namespace mmlib::nn {
@@ -94,15 +92,6 @@ Status SgdOptimizer::LoadState(const Bytes& data) {
     return Status::Corruption("trailing bytes after optimizer state");
   }
   return Status::OK();
-}
-
-std::string SgdOptimizer::DescribeConfig() const {
-  char buffer[128];
-  std::snprintf(buffer, sizeof(buffer),
-                "SGD(lr=%g, momentum=%g, weight_decay=%g)",
-                options_.learning_rate, options_.momentum,
-                options_.weight_decay);
-  return buffer;
 }
 
 }  // namespace mmlib::nn

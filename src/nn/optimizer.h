@@ -1,44 +1,11 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "nn/model.h"
 #include "util/bytes.h"
 
 namespace mmlib::nn {
-
-/// Abstract optimizer over a model's trainable parameters. Optimizers may
-/// hold internal state that cannot be recovered from their constructor
-/// arguments alone — the paper's canonical example of a *stateful* object
-/// that the model provenance approach must snapshot to a state file
-/// (Section 3.3, Figure 5).
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update step from the accumulated gradients.
-  virtual void Step() = 0;
-
-  /// Zeroes all parameter gradients.
-  virtual void ZeroGrad() = 0;
-
-  /// Serializes the optimizer's internal state (the "state file").
-  virtual Bytes SerializeState() const = 0;
-
-  /// Restores state produced by SerializeState; the model's trainable
-  /// parameter set must match.
-  virtual Status LoadState(const Bytes& data) = 0;
-
-  /// Structural description for provenance metadata, e.g. "SGD(lr=0.01...)".
-  virtual std::string DescribeConfig() const = 0;
-
-  /// Current learning rate; adjustable by learning-rate schedules. The rate
-  /// is part of the serialized state, so a restored optimizer resumes with
-  /// the scheduled value.
-  virtual float learning_rate() const = 0;
-  virtual void SetLearningRate(float learning_rate) = 0;
-};
 
 /// Hyperparameters of the SGD optimizer.
 struct SgdOptions {
@@ -47,21 +14,31 @@ struct SgdOptions {
   float weight_decay = 0.0f;
 };
 
-/// SGD with momentum. Stateful only when momentum is non-zero (the state
-/// file then holds the velocity buffers).
-class SgdOptimizer : public Optimizer {
+/// SGD with momentum over a model's trainable parameters. It is the paper's
+/// canonical *stateful* object: with non-zero momentum its velocity buffers
+/// cannot be recovered from the constructor arguments, so the model
+/// provenance approach snapshots them to a state file (Section 3.3,
+/// Figure 5). Without momentum the state file holds only the
+/// hyperparameters and parameter names.
+class SgdOptimizer {
  public:
   SgdOptimizer(Model* model, SgdOptions options);
 
-  const SgdOptions& options() const { return options_; }
+  /// Applies one update step from the accumulated gradients.
+  void Step();
+  /// Zeroes all parameter gradients.
+  void ZeroGrad() { model_->ZeroGrad(); }
+  /// Serializes the optimizer's internal state (the "state file").
+  Bytes SerializeState() const;
+  /// Restores state produced by SerializeState; the model's trainable
+  /// parameter set must match.
+  Status LoadState(const Bytes& data);
 
-  void Step() override;
-  void ZeroGrad() override { model_->ZeroGrad(); }
-  Bytes SerializeState() const override;
-  Status LoadState(const Bytes& data) override;
-  std::string DescribeConfig() const override;
-  float learning_rate() const override { return options_.learning_rate; }
-  void SetLearningRate(float learning_rate) override {
+  /// Current learning rate; adjustable by learning-rate schedules. The rate
+  /// is part of the serialized state, so a restored optimizer resumes with
+  /// the scheduled value.
+  float learning_rate() const { return options_.learning_rate; }
+  void SetLearningRate(float learning_rate) {
     options_.learning_rate = learning_rate;
   }
 

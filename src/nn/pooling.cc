@@ -84,104 +84,6 @@ Result<std::vector<Tensor>> MaxPool2d::Backward(const Tensor& grad_output,
   return grads;
 }
 
-AvgPool2d::AvgPool2d(std::string name, int64_t kernel_size, int64_t stride,
-                     int64_t padding)
-    : Layer(std::move(name)),
-      kernel_size_(kernel_size),
-      stride_(stride),
-      padding_(padding) {}
-
-Result<Tensor> AvgPool2d::Forward(const std::vector<const Tensor*>& inputs,
-                                  ExecutionContext* ctx) {
-  (void)ctx;
-  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
-  const Tensor& x = *inputs[0];
-  if (x.shape().rank() != 4) {
-    return Status::InvalidArgument("avgpool " + name_ + ": bad input shape");
-  }
-  input_shape_ = x.shape();
-  const int64_t batch = x.shape().dim(0);
-  const int64_t channels = x.shape().dim(1);
-  const int64_t height = x.shape().dim(2);
-  const int64_t width = x.shape().dim(3);
-  const int64_t out_h = (height + 2 * padding_ - kernel_size_) / stride_ + 1;
-  const int64_t out_w = (width + 2 * padding_ - kernel_size_) / stride_ + 1;
-  if (out_h <= 0 || out_w <= 0) {
-    return Status::InvalidArgument("avgpool " + name_ + ": input too small");
-  }
-  const float inv_window =
-      1.0f / static_cast<float>(kernel_size_ * kernel_size_);
-
-  Tensor y(Shape{batch, channels, out_h, out_w});
-  int64_t out_idx = 0;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      const float* plane = x.data() + ((n * channels + c) * height) * width;
-      for (int64_t oy = 0; oy < out_h; ++oy) {
-        for (int64_t ox = 0; ox < out_w; ++ox) {
-          float sum = 0.0f;
-          for (int64_t ky = 0; ky < kernel_size_; ++ky) {
-            const int64_t yy = oy * stride_ - padding_ + ky;
-            if (yy < 0 || yy >= height) {
-              continue;
-            }
-            for (int64_t kx = 0; kx < kernel_size_; ++kx) {
-              const int64_t xx = ox * stride_ - padding_ + kx;
-              if (xx >= 0 && xx < width) {
-                sum += plane[yy * width + xx];
-              }
-            }
-          }
-          y.data()[out_idx++] = sum * inv_window;
-        }
-      }
-    }
-  }
-  return y;
-}
-
-Result<std::vector<Tensor>> AvgPool2d::Backward(const Tensor& grad_output,
-                                                ExecutionContext* ctx) {
-  (void)ctx;
-  const int64_t batch = input_shape_.dim(0);
-  const int64_t channels = input_shape_.dim(1);
-  const int64_t height = input_shape_.dim(2);
-  const int64_t width = input_shape_.dim(3);
-  const int64_t out_h = grad_output.shape().dim(2);
-  const int64_t out_w = grad_output.shape().dim(3);
-  const float inv_window =
-      1.0f / static_cast<float>(kernel_size_ * kernel_size_);
-
-  Tensor grad_input(input_shape_);
-  int64_t out_idx = 0;
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < channels; ++c) {
-      float* plane =
-          grad_input.data() + ((n * channels + c) * height) * width;
-      for (int64_t oy = 0; oy < out_h; ++oy) {
-        for (int64_t ox = 0; ox < out_w; ++ox) {
-          const float g = grad_output.data()[out_idx++] * inv_window;
-          for (int64_t ky = 0; ky < kernel_size_; ++ky) {
-            const int64_t yy = oy * stride_ - padding_ + ky;
-            if (yy < 0 || yy >= height) {
-              continue;
-            }
-            for (int64_t kx = 0; kx < kernel_size_; ++kx) {
-              const int64_t xx = ox * stride_ - padding_ + kx;
-              if (xx >= 0 && xx < width) {
-                plane[yy * width + xx] += g;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  std::vector<Tensor> grads;
-  grads.push_back(std::move(grad_input));
-  return grads;
-}
-
 Result<Tensor> GlobalAvgPool::Forward(const std::vector<const Tensor*>& inputs,
                                       ExecutionContext* ctx) {
   (void)ctx;

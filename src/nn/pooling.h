@@ -28,27 +28,6 @@ class MaxPool2d : public Layer {
   std::vector<int64_t> argmax_;  // flat input index per output element
 };
 
-/// Windowed average pooling over NCHW inputs (zero-padded borders count
-/// toward the divisor, matching count_include_pad semantics).
-class AvgPool2d : public Layer {
- public:
-  AvgPool2d(std::string name, int64_t kernel_size, int64_t stride,
-            int64_t padding = 0);
-
-  std::string_view type() const override { return "avgpool2d"; }
-
-  Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
-                         ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
-
- private:
-  int64_t kernel_size_;
-  int64_t stride_;
-  int64_t padding_;
-  Shape input_shape_;
-};
-
 /// Global average pooling: [N, C, H, W] -> [N, C].
 class GlobalAvgPool : public Layer {
  public:

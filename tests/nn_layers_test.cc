@@ -319,65 +319,6 @@ TEST(MaxPoolTest, PaddingKeepsSpatialSize) {
   EXPECT_EQ(output.shape(), (Shape{1, 2, 4, 4}));
 }
 
-TEST(AvgPoolTest, AveragesWindow) {
-  AvgPool2d pool("p", 2, 2);
-  Tensor input(Shape{1, 1, 2, 2}, {1, 3, 5, 7});
-  ExecutionContext ctx = DetCtx();
-  Tensor output = pool.Forward({&input}, &ctx).value();
-  EXPECT_EQ(output.shape(), (Shape{1, 1, 1, 1}));
-  EXPECT_FLOAT_EQ(output.at(0), 4.0f);
-}
-
-TEST(AvgPoolTest, PaddingCountsTowardDivisor) {
-  // count_include_pad semantics: the window divisor is k*k even when part
-  // of the window is padding.
-  AvgPool2d pool("p", 3, 3, 1);
-  Tensor input = Tensor::Full(Shape{1, 1, 2, 2}, 9.0f);
-  ExecutionContext ctx = DetCtx();
-  Tensor output = pool.Forward({&input}, &ctx).value();
-  // Window covers all 4 real pixels + 5 padded zeros: 36 / 9 = 4.
-  EXPECT_FLOAT_EQ(output.at(0), 4.0f);
-}
-
-TEST(AvgPoolTest, GradientsMatchFiniteDifferences) {
-  AvgPool2d pool("p", 2, 2);
-  CheckGradients(&pool, RandomTensor(Shape{1, 2, 4, 4}, 27), 28);
-}
-
-TEST(AvgPoolTest, StridedGradients) {
-  AvgPool2d pool("p", 3, 2, 1);
-  CheckGradients(&pool, RandomTensor(Shape{1, 1, 6, 6}, 29), 30);
-}
-
-TEST(SigmoidTest, KnownValuesAndRange) {
-  Sigmoid sigmoid("s");
-  Tensor input(Shape{3}, {0.0f, 100.0f, -100.0f});
-  ExecutionContext ctx = DetCtx();
-  Tensor output = sigmoid.Forward({&input}, &ctx).value();
-  EXPECT_FLOAT_EQ(output.at(0), 0.5f);
-  EXPECT_NEAR(output.at(1), 1.0f, 1e-6f);
-  EXPECT_NEAR(output.at(2), 0.0f, 1e-6f);
-}
-
-TEST(SigmoidTest, GradientsMatchFiniteDifferences) {
-  Sigmoid sigmoid("s");
-  CheckGradients(&sigmoid, RandomTensor(Shape{2, 5}, 31), 32);
-}
-
-TEST(TanhTest, KnownValues) {
-  Tanh tanh_layer("t");
-  Tensor input(Shape{2}, {0.0f, 1.0f});
-  ExecutionContext ctx = DetCtx();
-  Tensor output = tanh_layer.Forward({&input}, &ctx).value();
-  EXPECT_FLOAT_EQ(output.at(0), 0.0f);
-  EXPECT_NEAR(output.at(1), 0.7615942f, 1e-6f);
-}
-
-TEST(TanhTest, GradientsMatchFiniteDifferences) {
-  Tanh tanh_layer("t");
-  CheckGradients(&tanh_layer, RandomTensor(Shape{3, 4}, 33), 34);
-}
-
 TEST(GlobalAvgPoolTest, AveragesPlane) {
   GlobalAvgPool pool("gap");
   Tensor input(Shape{1, 2, 1, 2}, {2, 4, 10, 30});
@@ -518,16 +459,6 @@ TEST(DropoutTest, BackwardUsesSameMask) {
   for (int64_t i = 0; i < 64; ++i) {
     EXPECT_FLOAT_EQ(grads[0].at(i), output.at(i));
   }
-}
-
-TEST(FlattenTest, RoundtripThroughBackward) {
-  Flatten flatten("f");
-  Tensor input = RandomTensor(Shape{2, 3, 4, 5}, 24);
-  ExecutionContext ctx = DetCtx();
-  Tensor output = flatten.Forward({&input}, &ctx).value();
-  EXPECT_EQ(output.shape(), (Shape{2, 60}));
-  auto grads = flatten.Backward(output, &ctx).value();
-  EXPECT_TRUE(grads[0].Equals(input));
 }
 
 TEST(AddTest, SumsInputsAndFansOutGradient) {

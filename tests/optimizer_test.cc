@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "nn/adam.h"
 #include "nn/linear.h"
 #include "nn/model.h"
 #include "nn/optimizer.h"
@@ -135,146 +134,12 @@ TEST(SgdTest, LoadStateRejectsCorruption) {
   EXPECT_FALSE(optimizer.LoadState(state).ok());
 }
 
-TEST(SgdTest, DescribeConfigMentionsHyperparameters) {
-  Model model = MakeTinyModel();
-  SgdOptions options;
-  options.learning_rate = 0.25f;
-  SgdOptimizer optimizer(&model, options);
-  const std::string description = optimizer.DescribeConfig();
-  EXPECT_NE(description.find("0.25"), std::string::npos);
-  EXPECT_NE(description.find("SGD"), std::string::npos);
-}
-
 TEST(SgdTest, ZeroGradDelegatesToModel) {
   Model model = MakeTinyModel();
   SgdOptimizer optimizer(&model, SgdOptions{});
   SetGradients(&model, 5.0f);
   optimizer.ZeroGrad();
   EXPECT_EQ(model.layer(0)->params()[0].grad.at(0), 0.0f);
-}
-
-// --- Adam ---
-
-TEST(AdamTest, FirstStepMovesByLearningRate) {
-  // With bias correction, the very first Adam step is approximately
-  // -lr * sign(grad) regardless of gradient magnitude.
-  Model model = MakeTinyModel();
-  AdamOptions options;
-  options.learning_rate = 0.1f;
-  AdamOptimizer optimizer(&model, options);
-  const float before = model.layer(0)->params()[0].value.at(0);
-  SetGradients(&model, 3.0f);
-  optimizer.Step();
-  EXPECT_NEAR(model.layer(0)->params()[0].value.at(0), before - 0.1f, 1e-4f);
-  EXPECT_EQ(optimizer.step_count(), 1);
-}
-
-TEST(AdamTest, NegativeGradientMovesUp) {
-  Model model = MakeTinyModel();
-  AdamOptions options;
-  options.learning_rate = 0.1f;
-  AdamOptimizer optimizer(&model, options);
-  const float before = model.layer(0)->params()[0].value.at(0);
-  SetGradients(&model, -2.0f);
-  optimizer.Step();
-  EXPECT_NEAR(model.layer(0)->params()[0].value.at(0), before + 0.1f, 1e-4f);
-}
-
-TEST(AdamTest, StateRoundtripReproducesTrajectory) {
-  Model model = MakeTinyModel();
-  AdamOptions options;
-  AdamOptimizer optimizer(&model, options);
-  SetGradients(&model, 1.0f);
-  optimizer.Step();
-  SetGradients(&model, -0.5f);
-  optimizer.Step();
-  const Bytes state = optimizer.SerializeState();
-
-  Model twin = MakeTinyModel();
-  ASSERT_TRUE(twin.LoadParams(model.SerializeParams()).ok());
-  AdamOptimizer restored(&twin, options);
-  ASSERT_TRUE(restored.LoadState(state).ok());
-  EXPECT_EQ(restored.step_count(), 2);
-
-  SetGradients(&model, 2.0f);
-  optimizer.Step();
-  SetGradients(&twin, 2.0f);
-  restored.Step();
-  EXPECT_EQ(model.ParamsHash(), twin.ParamsHash());
-}
-
-TEST(AdamTest, FreshOptimizerDivergesWithoutState) {
-  // Adam is always stateful: replaying a step with a fresh optimizer (no
-  // state restored) gives a different result.
-  Model model = MakeTinyModel();
-  AdamOptimizer optimizer(&model, AdamOptions{});
-  SetGradients(&model, 1.0f);
-  optimizer.Step();
-  const Bytes snapshot = model.SerializeParams();
-  SetGradients(&model, 2.0f);
-  optimizer.Step();
-  const Digest with_state = model.ParamsHash();
-
-  Model twin = MakeTinyModel();
-  ASSERT_TRUE(twin.LoadParams(snapshot).ok());
-  AdamOptimizer fresh(&twin, AdamOptions{});
-  SetGradients(&twin, 2.0f);
-  fresh.Step();
-  EXPECT_NE(twin.ParamsHash(), with_state);
-}
-
-TEST(AdamTest, LoadStateRejectsMismatchedModel) {
-  Model model = MakeTinyModel();
-  AdamOptimizer optimizer(&model, AdamOptions{});
-  const Bytes state = optimizer.SerializeState();
-
-  Model bigger("bigger");
-  Rng rng(3);
-  bigger.AddSequential(std::make_unique<Linear>("fc", 3, 3, &rng));
-  AdamOptimizer other(&bigger, AdamOptions{});
-  EXPECT_FALSE(other.LoadState(state).ok());
-}
-
-TEST(AdamTest, LoadStateRejectsCorruption) {
-  Model model = MakeTinyModel();
-  AdamOptimizer optimizer(&model, AdamOptions{});
-  Bytes state = optimizer.SerializeState();
-  state.resize(state.size() - 8);
-  EXPECT_FALSE(optimizer.LoadState(state).ok());
-}
-
-TEST(AdamTest, FrozenParamsAreNotUpdated) {
-  Model model = MakeTinyModel();
-  model.SetTrainableAll(false);
-  AdamOptimizer optimizer(&model, AdamOptions{});
-  const Digest before = model.ParamsHash();
-  SetGradients(&model, 3.0f);
-  optimizer.Step();
-  EXPECT_EQ(model.ParamsHash(), before);
-}
-
-TEST(AdamTest, DescribeConfigMentionsHyperparameters) {
-  Model model = MakeTinyModel();
-  AdamOptions options;
-  options.learning_rate = 0.005f;
-  AdamOptimizer optimizer(&model, options);
-  const std::string description = optimizer.DescribeConfig();
-  EXPECT_NE(description.find("Adam"), std::string::npos);
-  EXPECT_NE(description.find("0.005"), std::string::npos);
-}
-
-TEST(OptimizerInterfaceTest, PolymorphicUse) {
-  Model model = MakeTinyModel();
-  std::vector<std::unique_ptr<Optimizer>> optimizers;
-  optimizers.push_back(std::make_unique<SgdOptimizer>(&model, SgdOptions{}));
-  optimizers.push_back(
-      std::make_unique<AdamOptimizer>(&model, AdamOptions{}));
-  for (auto& optimizer : optimizers) {
-    SetGradients(&model, 1.0f);
-    optimizer->Step();
-    EXPECT_FALSE(optimizer->DescribeConfig().empty());
-    EXPECT_FALSE(optimizer->SerializeState().empty());
-  }
 }
 
 }  // namespace

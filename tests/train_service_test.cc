@@ -86,14 +86,30 @@ TEST_F(TrainServiceTest, SeedChangesResult) {
 }
 
 TEST_F(TrainServiceTest, ConfigJsonRoundtrip) {
-  const json::Value doc = config_.ToJson();
-  auto restored = TrainConfig::FromJson(doc).value();
-  EXPECT_EQ(restored.epochs, config_.epochs);
-  EXPECT_EQ(restored.max_batches_per_epoch, config_.max_batches_per_epoch);
-  EXPECT_EQ(restored.seed, config_.seed);
-  EXPECT_EQ(restored.sgd.momentum, config_.sgd.momentum);
-  EXPECT_EQ(restored.loader.batch_size, config_.loader.batch_size);
-  EXPECT_EQ(restored.loader.seed, config_.loader.seed);
+  // Every field off its default: a field that FromJson drops or misreads
+  // comes back as its default and changes the re-serialized text.
+  TrainConfig config;
+  config.epochs = 3;
+  config.max_batches_per_epoch = 5;
+  config.seed = 1234;
+  config.sgd.learning_rate = 0.125f;
+  config.sgd.momentum = 0.5f;
+  config.sgd.weight_decay = 0.25f;
+  config.lr_decay_gamma = 0.75;
+  config.lr_decay_every_epochs = 2;
+  config.loader.batch_size = 7;
+  config.loader.image_size = 20;
+  config.loader.num_classes = 9;
+  config.loader.shuffle = false;
+  config.loader.augment = true;
+  config.loader.seed = 99;
+  config.loader.preprocess.center_crop = true;
+  config.loader.preprocess.mean = {0.25f, 0.375f, 0.625f};
+  config.loader.preprocess.stddev = {2.0f, 4.0f, 8.0f};
+  const json::Value doc = config.ToJson();
+  auto restored = TrainConfig::FromJson(doc);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->ToJson().Dump(), doc.Dump());
 }
 
 TEST_F(TrainServiceTest, ConfigFromJsonRejectsMissingFields) {
@@ -120,6 +136,8 @@ TEST_F(TrainServiceTest, CaptureProvenanceDescribesWrappers) {
   EXPECT_TRUE(dataloader->Has("import"));
   const json::Value* optimizer = wrappers->FindMember("optimizer");
   ASSERT_NE(optimizer, nullptr);
+  EXPECT_EQ(optimizer->GetString("class_name").value(), "nn.SgdOptimizer");
+  EXPECT_EQ(optimizer->GetString("import").value(), "nn/optimizer.h");
   EXPECT_FALSE(optimizer->GetBool("has_state").value());
 }
 
@@ -194,48 +212,6 @@ TEST_F(TrainServiceTest, OptimizerStateCarriesAcrossTrainCalls) {
   }
 }
 
-TEST_F(TrainServiceTest, AdamTrainingIsReproducibleViaProvenance) {
-  // The stronger state-file test: Adam is always stateful, so replaying a
-  // second training only succeeds when the captured moments are restored.
-  TrainConfig config = config_;
-  config.optimizer = OptimizerKind::kAdam;
-  config.adam.learning_rate = 0.01f;
-
-  nn::Model model = FreshModel();
-  ImageTrainService service(dataset_.get(), config);
-  ASSERT_TRUE(service.Train(&model, true, 0).ok());
-  const Bytes snapshot = model.SerializeParams();
-  auto provenance = service.CaptureProvenance().value();
-  ASSERT_FALSE(provenance.optimizer_state.empty());
-  EXPECT_EQ(provenance.train_service_doc.FindMember("wrappers")
-                ->FindMember("optimizer")
-                ->GetString("class_name")
-                .value(),
-            "nn.AdamOptimizer");
-  ASSERT_TRUE(service.Train(&model, true, 0).ok());
-  const Digest after_second = model.ParamsHash();
-
-  nn::Model replay = FreshModel();
-  ASSERT_TRUE(replay.LoadParams(snapshot).ok());
-  auto restored = RestoreTrainService(
-                      provenance.train_service_doc,
-                      provenance.optimizer_state,
-                      std::make_unique<data::SyntheticImageDataset>(
-                          data::PaperDatasetId::kCocoOutdoor512, 4096))
-                      .value();
-  ASSERT_TRUE(restored->Train(&replay, true, 0).ok());
-  EXPECT_EQ(replay.ParamsHash(), after_second);
-}
-
-TEST_F(TrainServiceTest, AdamConfigJsonRoundtrip) {
-  TrainConfig config = config_;
-  config.optimizer = OptimizerKind::kAdam;
-  config.adam.beta1 = 0.8f;
-  auto restored = TrainConfig::FromJson(config.ToJson()).value();
-  EXPECT_EQ(restored.optimizer, OptimizerKind::kAdam);
-  EXPECT_EQ(restored.adam.beta1, 0.8f);
-}
-
 TEST_F(TrainServiceTest, LrScheduleChangesTrainingAndIsReplayable) {
   TrainConfig config = config_;
   config.epochs = 3;
@@ -277,12 +253,6 @@ TEST_F(TrainServiceTest, LrScheduleRoundtripsThroughJson) {
   auto restored = TrainConfig::FromJson(config.ToJson()).value();
   EXPECT_DOUBLE_EQ(restored.lr_decay_gamma, 0.25);
   EXPECT_EQ(restored.lr_decay_every_epochs, 2);
-}
-
-TEST_F(TrainServiceTest, ConfigRejectsUnknownOptimizer) {
-  json::Value doc = config_.ToJson();
-  doc.Set("optimizer", "rmsprop");
-  EXPECT_FALSE(TrainConfig::FromJson(doc).ok());
 }
 
 TEST_F(TrainServiceTest, RestoreRejectsUnknownClass) {
