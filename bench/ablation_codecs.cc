@@ -27,7 +27,8 @@ int main() {
     data::DatasetArchiver archiver(codec);
 
     Stopwatch archive_watch;
-    const Bytes archive = archiver.Archive(dataset).value();
+    const Bytes archive =
+        archiver.Archive(dataset, dataset.ContentHash()).value();
     const double archive_seconds = archive_watch.ElapsedSeconds();
 
     Stopwatch extract_watch;

@@ -63,7 +63,8 @@ int main() {
     }
 
     data::DatasetArchiver archiver(Codec::ForKind(CodecKind::kLz77));
-    const size_t archive_bytes = archiver.Archive(dataset).value().size();
+    const size_t archive_bytes =
+        archiver.Archive(dataset, dataset.ContentHash()).value().size();
     char momentum_buf[16];
     std::snprintf(momentum_buf, sizeof(momentum_buf), "%.1f", momentum);
     char share[16];

@@ -1,7 +1,17 @@
 /// Reproduces paper Figure 9: MPA storage consumption across datasets
 /// (CF-512 vs CO-512) for MobileNetV2 and ResNet-152 — the storage depends
 /// on the training dataset, not the model architecture.
+///
+/// `--check` gates the paper's three findings and exits 1 unless they all
+/// hold: (1) every U3 row of MobileNetV2 is within 1% of ResNet-152's, per
+/// dataset; (2) every U3 row's CF-512 − CO-512 difference is within 5% of
+/// the Table 1 size difference scaled by the dataset divisor; (3) U1
+/// differs by more than 1% between the architectures.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <utility>
 
 #include "bench/bench_common.h"
 
@@ -11,7 +21,17 @@ using namespace mmlib::dist;
 
 namespace {
 
-void Panel(const char* panel_id, models::Architecture arch) {
+constexpr double kArchTolerance = 0.01;
+constexpr double kDatasetDiffTolerance = 0.05;
+
+/// One panel's two flows: CF-512 and CO-512 as the U3 dataset.
+struct PanelResult {
+  FlowResult cf;
+  FlowResult co;
+  uint64_t dataset_divisor = 0;
+};
+
+PanelResult Panel(const char* panel_id, models::Architecture arch) {
   std::printf("--- Figure 9(%s): %s, fully updated, MPA ---\n", panel_id,
               std::string(models::ArchitectureName(arch)).c_str());
   std::vector<std::string> headers = {"use case", "CF-512", "CO-512"};
@@ -35,18 +55,112 @@ void Panel(const char* panel_id, models::Architecture arch) {
   }
   table.Print(std::cout);
   std::printf("\n");
+  return {std::move(results[0]), std::move(results[1]),
+          MatchedDatasetDivisor(StorageScaleModel(arch))};
+}
+
+double RelativeGap(double a, double b) {
+  return std::abs(a - b) / std::max(std::abs(a), std::abs(b));
+}
+
+bool IsU3(const std::string& label) { return label.rfind("U3", 0) == 0; }
+
+uint64_t PaperBytes(data::PaperDatasetId id) {
+  for (const data::Table1Row& row : data::Table1Reference()) {
+    if (row.id == id) {
+      return row.paper_bytes;
+    }
+  }
+  return 0;
+}
+
+/// Prints one finding's verdict with its worst case; returns `holds`.
+bool Report(const char* finding, bool holds, double worst, double bound) {
+  std::printf("  %s: %s (worst %.2f%%, bound %.0f%%)\n", finding,
+              holds ? "yes" : "NO", 100.0 * worst, 100.0 * bound);
+  return holds;
+}
+
+bool CheckFindings(const PanelResult& mobilenet, const PanelResult& resnet) {
+  std::printf("finding check: median storage per use case\n");
+
+  // (1) U3 storage is architecture-independent.
+  double arch_worst = 0.0;
+  for (const auto& [mn, rn] : {std::pair{&mobilenet.cf, &resnet.cf},
+                               std::pair{&mobilenet.co, &resnet.co}}) {
+    for (const std::string& label : mn->Labels()) {
+      if (IsU3(label)) {
+        arch_worst = std::max(
+            arch_worst,
+            RelativeGap(static_cast<double>(mn->MedianStorage(label)),
+                        static_cast<double>(rn->MedianStorage(label))));
+      }
+    }
+  }
+  bool holds = Report("(1) U3 MobileNetV2 ~ ResNet-152",
+                      arch_worst <= kArchTolerance, arch_worst,
+                      kArchTolerance);
+
+  // (2) CF-512 rows exceed CO-512 rows by the scaled dataset-size gap.
+  double diff_worst = 0.0;
+  for (const PanelResult* panel : {&mobilenet, &resnet}) {
+    const double expected =
+        static_cast<double>(
+            PaperBytes(data::PaperDatasetId::kCocoFood512) -
+            PaperBytes(data::PaperDatasetId::kCocoOutdoor512)) /
+        static_cast<double>(panel->dataset_divisor);
+    for (const std::string& label : panel->cf.Labels()) {
+      if (IsU3(label)) {
+        const double diff =
+            static_cast<double>(panel->cf.MedianStorage(label) -
+                                panel->co.MedianStorage(label));
+        diff_worst =
+            std::max(diff_worst, std::abs(diff - expected) / expected);
+      }
+    }
+  }
+  holds &= Report("(2) U3 CF-512 - CO-512 ~ dataset size gap",
+                  diff_worst <= kDatasetDiffTolerance, diff_worst,
+                  kDatasetDiffTolerance);
+
+  // (3) U1 follows the baseline logic, so it differs per architecture.
+  double u1_gap = 1.0;
+  for (const auto& [mn, rn] : {std::pair{&mobilenet.cf, &resnet.cf},
+                               std::pair{&mobilenet.co, &resnet.co}}) {
+    u1_gap = std::min(
+        u1_gap, RelativeGap(static_cast<double>(mn->MedianStorage("U1")),
+                            static_cast<double>(rn->MedianStorage("U1"))));
+  }
+  std::printf("  (3) U1 differs per architecture: %s (smallest gap %.2f%%, "
+              "must exceed %.0f%%)\n",
+              u1_gap > kArchTolerance ? "yes" : "NO", 100.0 * u1_gap,
+              100.0 * kArchTolerance);
+  return holds && u1_gap > kArchTolerance;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
+      return 2;
+    }
+  }
+
   PrintHeader(
       "Figure 9", "MPA storage across datasets",
       "Paper findings to reproduce: (1) U3 storage is nearly identical\n"
       "between MobileNetV2 and ResNet-152 (architecture-independent);\n"
       "(2) CF-512 rows exceed CO-512 rows by roughly the dataset size\n"
       "difference; (3) U1 differs per architecture (BA logic).");
-  Panel("a", models::Architecture::kMobileNetV2);
-  Panel("b", models::Architecture::kResNet152);
-  return 0;
+  const PanelResult a = Panel("a", models::Architecture::kMobileNetV2);
+  const PanelResult b = Panel("b", models::Architecture::kResNet152);
+  if (!check) {
+    return 0;
+  }
+  return CheckFindings(a, b) ? 0 : 1;
 }

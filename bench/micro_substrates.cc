@@ -140,7 +140,8 @@ void BM_DatasetArchive(benchmark::State& state) {
       data::PaperDatasetId::kCocoOutdoor512, 512));
   const data::DatasetArchiver archiver(Codec::ForKind(CodecKind::kLz77));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(archiver.Archive(*dataset));
+    benchmark::DoNotOptimize(
+        archiver.Archive(*dataset, dataset->ContentHash()));
   }
   state.SetBytesProcessed(state.iterations() * dataset->TotalByteSize());
 }

@@ -132,7 +132,6 @@ class RingSession {
   RingSession(size_t workers, RingOptions options, simnet::Network* network);
 
   size_t worker_count() const { return workers_; }
-  const RingOptions& options() const { return options_; }
 
   /// Starts (or re-enters) update `update_index`: step coordinates passed
   /// to AllReduce are interpreted within this update. Re-entering the same

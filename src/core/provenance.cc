@@ -1,5 +1,7 @@
 #include "core/provenance.h"
 
+#include <utility>
+
 #include "data/archive.h"
 
 namespace mmlib::core {
@@ -38,15 +40,24 @@ Result<SaveResult> ProvenanceSaveService::SaveModel(
 
     // Training data: compressed to a single file and referenced — or, with
     // an external dataset manager, referenced by content hash only.
+    const data::Dataset& dataset = *prov.dataset;
+    const Digest content_hash = dataset.ContentHash();
     if (options_.external_dataset_manager) {
-      prov_doc.Set("dataset_ref",
-                   prov.dataset->ContentHash().ToHex());
-      prov_doc.Set("dataset_name", prov.dataset->name());
+      prov_doc.Set("dataset_ref", content_hash.ToHex());
+      prov_doc.Set("dataset_name", dataset.name());
     } else {
-      data::DatasetArchiver archiver(Codec::ForKind(options_.dataset_codec));
-      MMLIB_ASSIGN_OR_RETURN(Bytes archive, archiver.Archive(*prov.dataset));
+      if (memo_archive_.empty() || memo_hash_ != content_hash ||
+          memo_name_ != dataset.name()) {
+        data::DatasetArchiver archiver(
+            Codec::ForKind(options_.dataset_codec));
+        MMLIB_ASSIGN_OR_RETURN(Bytes archive,
+                               archiver.Archive(dataset, content_hash));
+        memo_name_ = dataset.name();
+        memo_hash_ = content_hash;
+        memo_archive_ = std::move(archive);
+      }
       MMLIB_ASSIGN_OR_RETURN(std::string dataset_file,
-                             txn.SaveFile(archive));
+                             txn.SaveFile(memo_archive_));
       prov_doc.Set("dataset_file", dataset_file);
     }
 

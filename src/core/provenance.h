@@ -1,7 +1,11 @@
 #pragma once
 
+#include <string>
+
 #include "compress/codec.h"
 #include "core/save_service.h"
+#include "hash/sha256.h"
+#include "util/bytes.h"
 
 namespace mmlib::core {
 
@@ -21,6 +25,13 @@ struct ProvenanceOptions {
 /// training process (TrainService and wrapper documents), (2) the training
 /// environment, (3) the training data (archived to one file), and (4) a
 /// reference to the base model — instead of any parameters.
+///
+/// The service memoises the archive of the most recent dataset, keyed by
+/// (name, content hash): the archive is a pure function of those and of the
+/// fixed codec, so derived saves that train on one dataset compress it once
+/// and every save still writes its own, byte-identical dataset file. The
+/// memo makes SaveModel non-reentrant; no caller shares one service across
+/// threads (flows and the serving backend save from one thread each).
 class ProvenanceSaveService : public SaveService {
  public:
   ProvenanceSaveService(StorageBackends backends, ProvenanceOptions options)
@@ -36,6 +47,10 @@ class ProvenanceSaveService : public SaveService {
 
  private:
   ProvenanceOptions options_;
+  // Archive of the last archived dataset; empty until the first archive.
+  std::string memo_name_;
+  Digest memo_hash_{};
+  Bytes memo_archive_;
 };
 
 }  // namespace mmlib::core

@@ -4,7 +4,8 @@
 
 namespace mmlib::data {
 
-Result<Bytes> DatasetArchiver::Archive(const Dataset& dataset) const {
+Result<Bytes> DatasetArchiver::Archive(const Dataset& dataset,
+                                       const Digest& content_hash) const {
   BytesWriter payload;
   payload.WriteString(dataset.name());
   payload.WriteU64(dataset.size());
@@ -15,7 +16,6 @@ Result<Bytes> DatasetArchiver::Archive(const Dataset& dataset) const {
     payload.WriteI64(image.label);
     payload.WriteBlob(image.pixels.data(), image.pixels.size());
   }
-  const Digest content_hash = dataset.ContentHash();
 
   BytesWriter archive;
   archive.WriteRaw(content_hash.bytes.data(), content_hash.bytes.size());

@@ -21,8 +21,10 @@ class DatasetArchiver {
 
   /// Serializes every image and label of `dataset` and compresses the
   /// payload with the configured codec. The archive embeds the dataset name
-  /// and a content hash for post-extraction verification.
-  Result<Bytes> Archive(const Dataset& dataset) const;
+  /// and `content_hash`, which must be dataset.ContentHash() (callers have
+  /// it already), for post-extraction verification.
+  Result<Bytes> Archive(const Dataset& dataset,
+                        const Digest& content_hash) const;
 
   /// Restores the dataset from an archive; verifies the embedded content
   /// hash and fails with Corruption on any mismatch.

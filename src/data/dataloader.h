@@ -39,7 +39,6 @@ class DataLoader {
  public:
   DataLoader(const Dataset* dataset, DataLoaderOptions options);
 
-  const DataLoaderOptions& options() const { return options_; }
   const Dataset* dataset() const { return dataset_; }
 
   /// Number of batches per epoch (last partial batch included).

@@ -516,7 +516,7 @@ TEST(Lz77CompressTest, DatasetArchiveMatchesGoldenDigest) {
                                       512);
   const Bytes archive =
       data::DatasetArchiver(Codec::ForKind(CodecKind::kLz77))
-          .Archive(dataset)
+          .Archive(dataset, dataset.ContentHash())
           .value();
   EXPECT_EQ(archive.size(), 98988u);
   EXPECT_EQ(Sha256::Hash(archive).ToHex(),

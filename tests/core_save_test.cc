@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/adaptive.h"
 #include "core/baseline.h"
@@ -9,6 +10,7 @@
 #include "core/param_update.h"
 #include "core/provenance.h"
 #include "core/recover.h"
+#include "data/archive.h"
 #include "docstore/document_store.h"
 #include "filestore/file_store.h"
 #include "models/zoo.h"
@@ -62,15 +64,31 @@ class SaveServiceTest : public ::testing::Test {
   }
 
   /// Trains `model` via a fresh service, capturing provenance first.
-  Result<ProvenanceData> TrainOnce(nn::Model* model, uint64_t seed) {
+  /// Trains on `dataset`, or on the fixture's CO-512 when it is null.
+  Result<ProvenanceData> TrainOnce(nn::Model* model, uint64_t seed,
+                                   const data::Dataset* dataset = nullptr) {
     TrainConfig config = TinyTrainConfig();
     config.seed = seed;
     config.loader.seed = seed;
-    service_ = std::make_unique<ImageTrainService>(dataset_.get(), config);
+    service_ = std::make_unique<ImageTrainService>(
+        dataset != nullptr ? dataset : dataset_.get(), config);
     MMLIB_ASSIGN_OR_RETURN(ProvenanceData provenance,
                            service_->CaptureProvenance());
     MMLIB_RETURN_IF_ERROR(service_->Train(model, true, 0).status());
     return provenance;
+  }
+
+  /// The dataset file an MPA save of `model_id` stored.
+  Result<Bytes> StoredDatasetFile(const std::string& model_id) {
+    MMLIB_ASSIGN_OR_RETURN(json::Value model_doc,
+                           docs_.Get(kModelsCollection, model_id));
+    MMLIB_ASSIGN_OR_RETURN(std::string prov_id,
+                           model_doc.GetString("provenance_doc"));
+    MMLIB_ASSIGN_OR_RETURN(json::Value prov_doc,
+                           docs_.Get(kProvenanceCollection, prov_id));
+    MMLIB_ASSIGN_OR_RETURN(std::string file_id,
+                           prov_doc.GetString("dataset_file"));
+    return files_.LoadFile(file_id);
   }
 
   docstore::InMemoryDocumentStore docs_;
@@ -310,6 +328,67 @@ TEST_F(SaveServiceTest, ProvenanceChainRecoversTransitively) {
   EXPECT_EQ(recoverer.BaseChainLength(base_id).value(), 3u);
   auto recovered = recoverer.Recover(base_id, RecoverOptions{}).value();
   EXPECT_EQ(recovered.model.ParamsHash(), final_hash);
+}
+
+// The service memoises the last dataset archive. Every derived save still
+// stores its own dataset file, byte-equal to a fresh archive.
+TEST_F(SaveServiceTest, ProvenanceRepeatedSavesStoreFreshArchives) {
+  ProvenanceSaveService service(backends_);
+  auto initial = service.SaveModel(MakeRequest(model_.get())).value();
+  const Bytes fresh =
+      data::DatasetArchiver(Codec::ForKind(CodecKind::kLz77))
+          .Archive(*dataset_, dataset_->ContentHash())
+          .value();
+
+  std::string base_id = initial.model_id;
+  for (uint64_t round = 0; round < 3; ++round) {
+    auto provenance = TrainOnce(model_.get(), 40 + round);
+    ASSERT_TRUE(provenance.ok());
+    SaveRequest request = MakeRequest(model_.get(), base_id);
+    request.provenance = &provenance.value();
+    base_id = service.SaveModel(request).value().model_id;
+    EXPECT_EQ(StoredDatasetFile(base_id).value(), fresh) << "round " << round;
+  }
+}
+
+// A changed pixel under the same name, then the same content under another
+// name, each miss the memo: the stored archive is the new dataset's, and
+// recovery replays training on the new data.
+TEST_F(SaveServiceTest, ProvenanceChangedDatasetArchivesAfresh) {
+  const auto original = data::Materialize(*dataset_);
+  std::vector<data::Image> images;
+  for (size_t i = 0; i < original->size(); ++i) {
+    images.push_back(original->GetImage(i));
+  }
+  images[0].pixels[0] ^= 0x01;
+  const data::InMemoryDataset changed(original->name(), images);
+  const data::InMemoryDataset renamed("Coco-outdoor-512-copy", images);
+  ASSERT_NE(changed.ContentHash(), original->ContentHash());
+  ASSERT_EQ(renamed.ContentHash(), changed.ContentHash());
+
+  ProvenanceSaveService service(backends_);
+  const data::DatasetArchiver archiver(Codec::ForKind(CodecKind::kLz77));
+  std::string base_id =
+      service.SaveModel(MakeRequest(model_.get())).value().model_id;
+  uint64_t seed = 50;
+  for (const data::Dataset* dataset :
+       {static_cast<const data::Dataset*>(original.get()),
+        static_cast<const data::Dataset*>(&changed),
+        static_cast<const data::Dataset*>(&renamed)}) {
+    auto provenance = TrainOnce(model_.get(), seed++, dataset);
+    ASSERT_TRUE(provenance.ok());
+    const Digest trained_hash = model_->ParamsHash();
+    SaveRequest request = MakeRequest(model_.get(), base_id);
+    request.provenance = &provenance.value();
+    base_id = service.SaveModel(request).value().model_id;
+
+    EXPECT_EQ(StoredDatasetFile(base_id).value(),
+              archiver.Archive(*dataset, dataset->ContentHash()).value())
+        << dataset->name();
+    ModelRecoverer recoverer(backends_);
+    auto recovered = recoverer.Recover(base_id, RecoverOptions{}).value();
+    EXPECT_EQ(recovered.model.ParamsHash(), trained_hash) << dataset->name();
+  }
 }
 
 TEST_F(SaveServiceTest, ExternalDatasetManagerStoresReferenceOnly) {

@@ -276,7 +276,8 @@ TEST_P(ArchiverRoundtrip, ExtractReproducesDataset) {
   SyntheticImageDataset dataset(PaperDatasetId::kCocoOutdoor512,
                                 kTestDivisor);
   DatasetArchiver archiver(Codec::ForKind(GetParam()));
-  const Bytes archive = archiver.Archive(dataset).value();
+  const Bytes archive =
+      archiver.Archive(dataset, dataset.ContentHash()).value();
   auto restored = DatasetArchiver::Extract(archive);
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ((*restored)->name(), dataset.name());
@@ -293,15 +294,15 @@ TEST(ArchiverTest, ArchiveSizeTracksDatasetSize) {
   SyntheticImageDataset cf(PaperDatasetId::kCocoFood512, kTestDivisor);
   SyntheticImageDataset co(PaperDatasetId::kCocoOutdoor512, kTestDivisor);
   DatasetArchiver archiver(Codec::ForKind(CodecKind::kIdentity));
-  EXPECT_GT(archiver.Archive(cf).value().size(),
-            archiver.Archive(co).value().size());
+  EXPECT_GT(archiver.Archive(cf, cf.ContentHash()).value().size(),
+            archiver.Archive(co, co.ContentHash()).value().size());
 }
 
 TEST(ArchiverTest, ExtractDetectsCorruption) {
   SyntheticImageDataset dataset(PaperDatasetId::kCocoOutdoor512,
                                 kTestDivisor);
   DatasetArchiver archiver(Codec::ForKind(CodecKind::kIdentity));
-  Bytes archive = archiver.Archive(dataset).value();
+  Bytes archive = archiver.Archive(dataset, dataset.ContentHash()).value();
   archive[archive.size() / 2] ^= 0x01;
   EXPECT_FALSE(DatasetArchiver::Extract(archive).ok());
 }
@@ -310,7 +311,7 @@ TEST(ArchiverTest, ExtractDetectsTruncation) {
   SyntheticImageDataset dataset(PaperDatasetId::kCocoOutdoor512,
                                 kTestDivisor);
   DatasetArchiver archiver(Codec::ForKind(CodecKind::kLz77));
-  Bytes archive = archiver.Archive(dataset).value();
+  Bytes archive = archiver.Archive(dataset, dataset.ContentHash()).value();
   archive.resize(archive.size() - 20);
   EXPECT_FALSE(DatasetArchiver::Extract(archive).ok());
 }
