@@ -1,7 +1,13 @@
 /// Reproduces paper Figure 8: storage consumption (baseline approach) and
 /// number of parameters per model architecture — storage grows
-/// proportionally with the parameter count.
+/// proportionally with the parameter count. Exits 1 unless every model
+/// stores 4.0-4.3 bytes per parameter and storage rises strictly with the
+/// parameter count.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/baseline.h"
@@ -20,6 +26,9 @@ int main() {
   const env::EnvironmentInfo environment = env::CollectEnvironment();
   TablePrinter table({"model", "#params", "storage", "bytes/param",
                       "paper #params (full)"});
+  // (#params, storage bytes) per model, for the proportionality check.
+  std::vector<std::pair<int64_t, uint64_t>> points;
+  bool ratios_in_band = true;
   for (const models::Table2Row& paper_row : models::Table2Reference()) {
     const models::Architecture arch =
         models::ArchitectureFromName(paper_row.name).value();
@@ -34,18 +43,31 @@ int main() {
     request.environment = &environment;
     const auto save = service.SaveModel(request).value();
 
+    const double bytes_per_param = static_cast<double>(save.storage_bytes) /
+                                   model.TrainableParamCount();
+    ratios_in_band =
+        ratios_in_band && bytes_per_param >= 4.0 && bytes_per_param <= 4.3;
+    points.emplace_back(model.TrainableParamCount(), save.storage_bytes);
     char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.2f",
-                  static_cast<double>(save.storage_bytes) /
-                      model.TrainableParamCount());
+    std::snprintf(ratio, sizeof(ratio), "%.2f", bytes_per_param);
     table.AddRow({paper_row.name, std::to_string(model.TrainableParamCount()),
                   Mb(save.storage_bytes), ratio,
                   std::to_string(paper_row.params)});
   }
   table.Print(std::cout);
+  std::sort(points.begin(), points.end());
+  bool rising = true;
+  for (size_t i = 1; i < points.size(); ++i) {
+    rising = rising && points[i].first > points[i - 1].first &&
+             points[i].second > points[i - 1].second;
+  }
   std::printf(
       "\nStorage increases proportionally with the parameter count\n"
       "(~4 bytes/param plus layer-name and metadata overhead), as in the "
       "paper.\n");
-  return 0;
+  std::printf("Bytes per parameter within [4.0, 4.3]: %s\n",
+              ratios_in_band ? "YES" : "NO");
+  std::printf("Storage rises strictly with #params: %s\n",
+              rising ? "YES" : "NO");
+  return ratios_in_band && rising ? 0 : 1;
 }

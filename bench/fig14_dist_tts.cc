@@ -15,7 +15,8 @@ int main() {
       "Figure 14", "DIST-20 median TTS, fully updated MobileNetV2",
       "Expected shape (paper Section 4.6): per-use-case TTS is flat across\n"
       "iterations; BA ~ PUA (fully updated => full-size update); MPA is\n"
-      "several times higher because it persists the dataset archive.");
+      "higher (about 2x BA in U3, more in U2) because it persists the\n"
+      "dataset archive.");
 
   std::vector<std::string> headers = {"use case"};
   std::vector<FlowResult> results;

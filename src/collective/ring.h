@@ -137,7 +137,6 @@ class RingSession {
   /// to AllReduce are interpreted within this update. Re-entering the same
   /// index after a crash recovery replays membership identically.
   void BeginUpdate(int64_t update_index);
-  int64_t current_update() const { return update_; }
 
   /// Arms a one-shot simulated kill of `worker`: crash site `site` (one of
   /// "collective.send", "collective.reduce", "collective.commit") fires at

@@ -42,42 +42,6 @@ Result<size_t> ModelRecoverer::BaseChainLength(const std::string& id) {
   }
 }
 
-void ModelRecoverer::EnableSnapshotCache(size_t capacity_bytes) {
-  cache_enabled_ = true;
-  cache_capacity_bytes_ = capacity_bytes;
-}
-
-const Bytes* ModelRecoverer::CacheLookup(const std::string& id) {
-  if (!cache_enabled_) {
-    return nullptr;
-  }
-  auto it = cache_.find(id);
-  if (it == cache_.end()) {
-    ++cache_misses_;
-    return nullptr;
-  }
-  ++cache_hits_;
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second.second);
-  return &it->second.first;
-}
-
-void ModelRecoverer::CacheInsert(const std::string& id, Bytes snapshot) {
-  if (!cache_enabled_ || snapshot.size() > cache_capacity_bytes_ ||
-      cache_.count(id) > 0) {
-    return;
-  }
-  cache_size_bytes_ += snapshot.size();
-  cache_lru_.push_front(id);
-  cache_.emplace(id, std::make_pair(std::move(snapshot), cache_lru_.begin()));
-  while (cache_size_bytes_ > cache_capacity_bytes_ && !cache_lru_.empty()) {
-    const std::string& victim = cache_lru_.back();
-    auto it = cache_.find(victim);
-    cache_size_bytes_ -= it->second.first.size();
-    cache_.erase(it);
-    cache_lru_.pop_back();
-  }
-}
-
 Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
                                                   RecoverBreakdown* breakdown,
                                                   int depth) {
@@ -90,20 +54,6 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
                          backends_.docs->Get(kModelsCollection, id));
   MMLIB_ASSIGN_OR_RETURN(std::string approach, doc.GetString("approach"));
   breakdown->load_seconds += doc_timer.ElapsedSeconds();
-
-  // Snapshot cache: reuse a previously recovered state of this model.
-  if (const Bytes* snapshot = CacheLookup(id); snapshot != nullptr) {
-    PhaseTimer recover_timer(backends_.network);
-    MMLIB_ASSIGN_OR_RETURN(std::string code_id, doc.GetString("code_doc"));
-    MMLIB_ASSIGN_OR_RETURN(json::Value code_doc,
-                           backends_.docs->Get(kCodeCollection, code_id));
-    MMLIB_ASSIGN_OR_RETURN(const json::Value* descriptor,
-                           code_doc.GetMember("descriptor"));
-    MMLIB_ASSIGN_OR_RETURN(nn::Model model,
-                           BuildModelFromCode(*descriptor, *snapshot));
-    breakdown->recover_seconds += recover_timer.ElapsedSeconds();
-    return model;
-  }
 
   // Full snapshot (baseline saves, and the initial model of PUA/MPA chains).
   if (doc.FindMember("params_file") != nullptr) {
@@ -122,9 +72,6 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
     MMLIB_ASSIGN_OR_RETURN(nn::Model model,
                            BuildModelFromCode(*descriptor, params));
     breakdown->recover_seconds += recover_timer.ElapsedSeconds();
-    if (cache_enabled_) {
-      CacheInsert(id, std::move(params));
-    }
     return model;
   }
 
@@ -148,9 +95,6 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
     PhaseTimer recover_timer(backends_.network);
     MMLIB_RETURN_IF_ERROR(model.MergeLayerSubset(update));
     breakdown->recover_seconds += recover_timer.ElapsedSeconds();
-    if (cache_enabled_) {
-      CacheInsert(id, model.SerializeParams());
-    }
     return model;
   }
 
@@ -214,9 +158,6 @@ Result<nn::Model> ModelRecoverer::RecoverInternal(const std::string& id,
                                       /*scheduler_seed=*/0)
                               .status());
     breakdown->recover_seconds += recover_timer.ElapsedSeconds();
-    if (cache_enabled_) {
-      CacheInsert(id, model.SerializeParams());
-    }
     return model;
   }
 

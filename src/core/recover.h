@@ -1,7 +1,5 @@
 #pragma once
 
-#include <list>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,17 +50,6 @@ class ModelRecoverer {
     dataset_resolver_ = resolver;
   }
 
-  /// Enables an in-memory LRU cache of recovered parameter snapshots
-  /// (capacity in bytes). Recovering a derived model then reuses cached
-  /// base-model states instead of walking the whole chain — flattening the
-  /// TTR staircase of the PUA/MPA at the cost of memory (the
-  /// storage-retraining trade-off knob of paper Section 4.7).
-  void EnableSnapshotCache(size_t capacity_bytes);
-
-  /// Cache statistics since construction (0/0 when disabled).
-  size_t cache_hits() const { return cache_hits_; }
-  size_t cache_misses() const { return cache_misses_; }
-
   /// Payloads re-fetched because their per-chunk CRC-32 (or structural)
   /// check failed — the copy in the store is intact, so a payload damaged
   /// in flight is simply requested again instead of aborting the recovery.
@@ -86,23 +73,9 @@ class ModelRecoverer {
   /// frames and re-fetching when a chunk checksum fails.
   Result<Bytes> FetchParamsPayload(const std::string& file_id);
 
-  /// Returns the cached snapshot for `id`, refreshing its LRU position;
-  /// nullptr on miss or when the cache is disabled.
-  const Bytes* CacheLookup(const std::string& id);
-  void CacheInsert(const std::string& id, Bytes snapshot);
-
   StorageBackends backends_;
   DatasetResolver* dataset_resolver_ = nullptr;
   uint64_t corruption_refetches_ = 0;
-
-  bool cache_enabled_ = false;
-  size_t cache_capacity_bytes_ = 0;
-  size_t cache_size_bytes_ = 0;
-  size_t cache_hits_ = 0;
-  size_t cache_misses_ = 0;
-  std::list<std::string> cache_lru_;  // front = most recent
-  std::map<std::string, std::pair<Bytes, std::list<std::string>::iterator>>
-      cache_;
 };
 
 }  // namespace mmlib::core

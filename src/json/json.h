@@ -64,7 +64,6 @@ class Value {
   /// in debug builds). Use Get* for checked access.
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
   const std::string& as_string() const { return string_; }
   const Array& as_array() const { return array_; }
   Array& as_array() { return array_; }

@@ -27,9 +27,6 @@ ConvPlan::ConvPlan(const ConvGeom& geom) : geom_(geom) {
   const bool depthwise = geom.group_in() == 1 && geom.group_out() == 1;
   if (depthwise || m * k * n < kMinGemmWork) {
     algo_ = ConvAlgo::kDirect;
-    backward_chunks_ = util::NumChunks(
-        geom.batch,
-        util::GrainForMaxChunks(geom.batch, kDirectMaxBackwardChunks));
     return;
   }
   algo_ = geom.is_pointwise() ? ConvAlgo::kPointwiseGemm
@@ -43,10 +40,6 @@ ConvPlan::ConvPlan(const ConvGeom& geom) : geom_(geom) {
   nc_ = std::min(nc, CeilDiv(n, kGemmNR) * kGemmNR);
   kc_ = std::min<int64_t>(kGemmKC, k);
   forward_col_tiles_ = CeilDiv(n, nc_);
-  backward_chunks_ =
-      util::NumChunks(geom.batch * geom.groups,
-                      util::GrainForMaxChunks(geom.batch * geom.groups,
-                                              kMaxBackwardChunks));
 
   // Loop orders: keep the smaller operand cache-resident (see GemmPacked).
   forward_rows_outer_ = m > nc_;           // A = weights (m x k)

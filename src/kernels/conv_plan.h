@@ -40,10 +40,6 @@ class ConvPlan {
   int64_t nc() const { return nc_; }
   /// Reduction block (the GEMM's KC).
   int64_t kc() const { return kc_; }
-  /// Backward chunk count over (sample, group) tasks (over samples for
-  /// kDirect); sizes the weight-gradient scratch and fixes the reduction
-  /// order.
-  int64_t backward_chunks() const { return backward_chunks_; }
 
   util::ScratchPool* scratch() const { return &scratch_; }
 
@@ -70,7 +66,6 @@ class ConvPlan {
   int64_t nc_ = 0;
   int64_t kc_ = 0;
   int64_t forward_col_tiles_ = 0;
-  int64_t backward_chunks_ = 0;
   bool forward_rows_outer_ = false;
   bool data_grad_rows_outer_ = false;
   bool weight_grad_rows_outer_ = false;

@@ -28,9 +28,6 @@ CoreBackend::CoreBackend(const CoreBackendContext& context)
 
 StatusCode CoreBackend::CountCoreOp(const Status& status) {
   ++core_ops_;
-  if (!status.ok()) {
-    ++core_failures_;
-  }
   return CodeOf(status);
 }
 

@@ -50,9 +50,8 @@ class CoreBackend : public ServeBackend {
   BackendOutcome Execute(const Request& request, size_t batch_size,
                          double now_seconds) override;
 
-  /// Save and recover ops this backend ran, and how many of them failed.
+  /// Save and recover ops this backend ran.
   uint64_t core_ops() const { return core_ops_; }
-  uint64_t core_failures() const { return core_failures_; }
   /// Hedged-read traffic of the inference path (mirrors the store's own
   /// counters, scoped to this backend's lifetime).
   uint64_t hedged_reads() const;
@@ -63,12 +62,11 @@ class CoreBackend : public ServeBackend {
   BackendOutcome ExecuteRecover(const Request& request);
   BackendOutcome ExecuteProbe(const Request& request);
   BackendOutcome ExecuteInference(const Request& request, size_t batch_size);
-  /// Counts one save or recover outcome in core_ops() / core_failures().
+  /// Counts one save or recover op in core_ops(); returns its status code.
   StatusCode CountCoreOp(const Status& status);
 
   CoreBackendContext context_;
   uint64_t core_ops_ = 0;
-  uint64_t core_failures_ = 0;
   uint64_t base_hedged_reads_ = 0;
   uint64_t base_hedge_wins_ = 0;
 };

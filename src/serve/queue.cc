@@ -66,12 +66,4 @@ std::vector<Request> TenantQueues::ExpireBefore(double now_seconds) {
   return expired;
 }
 
-size_t TenantQueues::TotalQueued() const {
-  size_t total = 0;
-  for (const std::deque<Request>& queue : queues_) {
-    total += queue.size();
-  }
-  return total;
-}
-
 }  // namespace mmlib::serve

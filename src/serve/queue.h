@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -51,7 +52,6 @@ class TenantQueues {
   /// requests from consuming worker slots.
   std::vector<Request> ExpireBefore(double now_seconds);
 
-  size_t TotalQueued() const;
   uint32_t tenant_count() const {
     return static_cast<uint32_t>(queues_.size());
   }

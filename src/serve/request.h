@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace mmlib::serve {
 
@@ -15,20 +14,6 @@ enum class RequestKind : uint8_t {
 };
 
 inline constexpr int kRequestKindCount = 4;
-
-inline std::string_view RequestKindName(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kSave:
-      return "save";
-    case RequestKind::kRecover:
-      return "recover";
-    case RequestKind::kProbe:
-      return "probe";
-    case RequestKind::kInference:
-      return "inference";
-  }
-  return "unknown";
-}
 
 /// One client request as the front end sees it. Everything about a request
 /// — tenant, kind, service-time jitter, replica preference — is a pure
@@ -66,21 +51,5 @@ enum class RequestOutcome : uint8_t {
 };
 
 inline constexpr int kRequestOutcomeCount = 5;
-
-inline std::string_view RequestOutcomeName(RequestOutcome outcome) {
-  switch (outcome) {
-    case RequestOutcome::kServed:
-      return "served";
-    case RequestOutcome::kShed:
-      return "shed";
-    case RequestOutcome::kDeadlineExpired:
-      return "deadline_expired";
-    case RequestOutcome::kBreakerRejected:
-      return "breaker_rejected";
-    case RequestOutcome::kBackendFailed:
-      return "backend_failed";
-  }
-  return "unknown";
-}
 
 }  // namespace mmlib::serve

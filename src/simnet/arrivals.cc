@@ -9,7 +9,6 @@ double ArrivalProcess::NextArrivalSeconds() {
   // [0, 1); flip to (0, 1] so the log argument is never zero.
   const double u = 1.0 - rng_.NextDouble();
   next_seconds_ += -std::log(u) / rate_;
-  ++count_;
   return next_seconds_;
 }
 

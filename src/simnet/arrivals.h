@@ -25,20 +25,14 @@ class ArrivalProcess {
   ArrivalProcess(double rate_per_second, uint64_t seed)
       : rate_(rate_per_second), rng_(seed) {}
 
-  double rate_per_second() const { return rate_; }
-
   /// Virtual time of the next arrival (strictly increasing). The first call
   /// returns the first arrival after time 0.
   double NextArrivalSeconds();
-
-  /// Arrivals generated so far.
-  uint64_t arrival_count() const { return count_; }
 
  private:
   double rate_;
   Rng rng_;
   double next_seconds_ = 0.0;
-  uint64_t count_ = 0;
 };
 
 /// A population of virtual clients behind an arrival stream. The population

@@ -53,39 +53,6 @@ void Tensor::AddInPlace(const Tensor& other) {
   }
 }
 
-void Tensor::SubInPlace(const Tensor& other) {
-  MMLIB_CHECK(shape_ == other.shape_)
-      << "SubInPlace: shape mismatch " << shape_.ToString() << " vs "
-      << other.shape_.ToString();
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] -= other.data_[i];
-  }
-}
-
-void Tensor::MulScalarInPlace(float s) {
-  for (float& v : data_) {
-    v *= s;
-  }
-}
-
-void Tensor::AddScaledInPlace(const Tensor& other, float s) {
-  MMLIB_CHECK(shape_ == other.shape_)
-      << "AddScaledInPlace: shape mismatch " << shape_.ToString() << " vs "
-      << other.shape_.ToString();
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += other.data_[i] * s;
-  }
-}
-
-Result<Tensor> Tensor::Reshape(Shape new_shape) const {
-  if (new_shape.numel() != shape_.numel()) {
-    return Status::InvalidArgument("reshape element count mismatch: " +
-                                   shape_.ToString() + " -> " +
-                                   new_shape.ToString());
-  }
-  return Tensor(std::move(new_shape), data_);
-}
-
 bool Tensor::Equals(const Tensor& other) const {
   if (shape_ != other.shape_) {
     return false;

@@ -53,12 +53,6 @@ class Tensor {
   /// Elementwise in-place operations.
   void Fill(float value);
   void AddInPlace(const Tensor& other);
-  void SubInPlace(const Tensor& other);
-  void MulScalarInPlace(float s);
-  void AddScaledInPlace(const Tensor& other, float s);
-
-  /// Returns a reshaped view copy; numel must match.
-  Result<Tensor> Reshape(Shape new_shape) const;
 
   /// Exact elementwise equality (bit-for-bit on the float values).
   bool Equals(const Tensor& other) const;

@@ -52,12 +52,6 @@ void BytesWriter::WriteF32(float v) {
   WriteU32(bits);
 }
 
-void BytesWriter::WriteF64(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
-
 void BytesWriter::WriteString(std::string_view s) {
   WriteU64(s.size());
   WriteRaw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
@@ -119,13 +113,6 @@ Result<int64_t> BytesReader::ReadI64() {
 Result<float> BytesReader::ReadF32() {
   MMLIB_ASSIGN_OR_RETURN(uint32_t bits, ReadU32());
   float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-Result<double> BytesReader::ReadF64() {
-  MMLIB_ASSIGN_OR_RETURN(uint64_t bits, ReadU64());
-  double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
@@ -198,14 +185,6 @@ Result<Bytes> FromHex(std::string_view hex) {
     out.push_back(static_cast<uint8_t>((hi << 4) | lo));
   }
   return out;
-}
-
-Bytes StringToBytes(std::string_view s) {
-  return Bytes(s.begin(), s.end());
-}
-
-std::string BytesToString(const Bytes& b) {
-  return std::string(b.begin(), b.end());
 }
 
 }  // namespace mmlib

@@ -26,7 +26,6 @@ class BytesWriter {
   void WriteU64(uint64_t v);
   void WriteI64(int64_t v) { WriteU64(static_cast<uint64_t>(v)); }
   void WriteF32(float v);
-  void WriteF64(double v);
   /// Writes a length-prefixed (u64) string.
   void WriteString(std::string_view s);
   /// Writes a length-prefixed (u64) blob.
@@ -60,7 +59,6 @@ class BytesReader {
   Result<uint64_t> ReadU64();
   Result<int64_t> ReadI64();
   Result<float> ReadF32();
-  Result<double> ReadF64();
   Result<std::string> ReadString();
   Result<Bytes> ReadBlob();
   /// Like ReadBlob, but returns a view into the buffer instead of a copy;
@@ -87,10 +85,6 @@ std::string ToHex(const Bytes& data);
 
 /// Parses a hex string back into bytes; fails on odd length or non-hex chars.
 Result<Bytes> FromHex(std::string_view hex);
-
-/// Convenience conversions between Bytes and std::string payloads.
-Bytes StringToBytes(std::string_view s);
-std::string BytesToString(const Bytes& b);
 
 }  // namespace mmlib
 

@@ -106,6 +106,4 @@ void Rng::Shuffle(std::vector<size_t>* indices) {
   }
 }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 }  // namespace mmlib

@@ -64,9 +64,6 @@ class Rng {
   /// Fisher-Yates shuffles `indices` in place.
   void Shuffle(std::vector<size_t>* indices);
 
-  /// Forks a new independent generator; deterministic given this one's state.
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   bool have_cached_gaussian_ = false;

@@ -73,11 +73,6 @@ class [[nodiscard]] Result {
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
-  /// Returns the held value or `fallback` when in error state.
-  T value_or(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   void CheckHoldsValue() const {
     if (!ok()) {

@@ -54,9 +54,6 @@ class [[nodiscard]] Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
   }

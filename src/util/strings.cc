@@ -71,12 +71,6 @@ std::string FormatBytes(uint64_t bytes) {
   return buffer;
 }
 
-std::string FormatSeconds(double seconds) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.3f s", seconds);
-  return buffer;
-}
-
 std::string PadLeft(std::string_view s, size_t width) {
   std::string out;
   if (s.size() < width) {

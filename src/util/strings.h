@@ -25,9 +25,6 @@ std::string_view StripWhitespace(std::string_view s);
 /// Formats a byte count as a human readable string, e.g. "14.3 MB".
 std::string FormatBytes(uint64_t bytes);
 
-/// Formats seconds with millisecond precision, e.g. "0.812 s".
-std::string FormatSeconds(double seconds);
-
 /// Left-pads `s` with spaces to `width` characters.
 std::string PadLeft(std::string_view s, size_t width);
 

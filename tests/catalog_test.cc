@@ -201,73 +201,5 @@ TEST_F(CatalogTest, DeleteUnknownModelFails) {
   EXPECT_EQ(catalog.DeleteModel("ghost").code(), StatusCode::kNotFound);
 }
 
-// --- Snapshot cache ---
-
-TEST_F(CatalogTest, SnapshotCacheFlattensChainRecovery) {
-  ParamUpdateSaveService service(backends_);
-  std::string id = Save(&service);
-  for (uint64_t round = 0; round < 4; ++round) {
-    Perturb(20 + round);
-    id = Save(&service, id);
-  }
-  const Digest expected = model_->ParamsHash();
-
-  ModelRecoverer recoverer(backends_);
-  recoverer.EnableSnapshotCache(64 << 20);
-  // First recovery fills the cache (all misses)...
-  auto first = recoverer.Recover(id, RecoverOptions{}).value();
-  EXPECT_EQ(first.model.ParamsHash(), expected);
-  EXPECT_EQ(recoverer.cache_hits(), 0u);
-  const size_t misses_after_first = recoverer.cache_misses();
-  EXPECT_GT(misses_after_first, 0u);
-  // ... the second recovery of the same model is a single cache hit.
-  auto second = recoverer.Recover(id, RecoverOptions{}).value();
-  EXPECT_EQ(second.model.ParamsHash(), expected);
-  EXPECT_EQ(recoverer.cache_hits(), 1u);
-  EXPECT_EQ(recoverer.cache_misses(), misses_after_first);
-}
-
-TEST_F(CatalogTest, SnapshotCacheServesBaseOfNewChainLinks) {
-  ParamUpdateSaveService service(backends_);
-  const std::string root = Save(&service);
-  Perturb(30);
-  const std::string a = Save(&service, root);
-  Perturb(31);
-  const std::string b = Save(&service, a);
-
-  ModelRecoverer recoverer(backends_);
-  recoverer.EnableSnapshotCache(64 << 20);
-  recoverer.Recover(a, RecoverOptions{}).value();
-  // Recovering b reuses a's cached state instead of re-walking to the root.
-  recoverer.Recover(b, RecoverOptions{}).value();
-  EXPECT_GE(recoverer.cache_hits(), 1u);
-}
-
-TEST_F(CatalogTest, SnapshotCacheEvictsUnderPressure) {
-  ParamUpdateSaveService service(backends_);
-  std::string id = Save(&service);
-  for (uint64_t round = 0; round < 3; ++round) {
-    Perturb(40 + round);
-    id = Save(&service, id);
-  }
-  ModelRecoverer recoverer(backends_);
-  // Capacity for roughly one snapshot only.
-  recoverer.EnableSnapshotCache(model_->ParamByteSize() + (64 << 10));
-  recoverer.Recover(id, RecoverOptions{}).value();
-  auto result = recoverer.Recover(id, RecoverOptions{});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->model.ParamsHash(), model_->ParamsHash());
-}
-
-TEST_F(CatalogTest, CacheDisabledByDefault) {
-  ParamUpdateSaveService service(backends_);
-  const std::string id = Save(&service);
-  ModelRecoverer recoverer(backends_);
-  recoverer.Recover(id, RecoverOptions{}).value();
-  recoverer.Recover(id, RecoverOptions{}).value();
-  EXPECT_EQ(recoverer.cache_hits(), 0u);
-  EXPECT_EQ(recoverer.cache_misses(), 0u);
-}
-
 }  // namespace
 }  // namespace mmlib::core

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adaptive.h"
@@ -311,23 +313,32 @@ TEST_F(SaveServiceTest, ProvenanceRequiresProvenanceForDerived) {
 
 TEST_F(SaveServiceTest, ProvenanceChainRecoversTransitively) {
   ProvenanceSaveService service(backends_);
-  auto initial = service.SaveModel(MakeRequest(model_.get())).value();
-
-  std::string base_id = initial.model_id;
-  Digest final_hash{};
+  // (model id, parameter hash at save) for every link, root first.
+  std::vector<std::pair<std::string, Digest>> links;
+  links.emplace_back(
+      service.SaveModel(MakeRequest(model_.get())).value().model_id,
+      model_->ParamsHash());
   for (uint64_t round = 0; round < 3; ++round) {
     auto provenance = TrainOnce(model_.get(), 20 + round);
     ASSERT_TRUE(provenance.ok());
-    final_hash = model_->ParamsHash();
-    SaveRequest request = MakeRequest(model_.get(), base_id);
+    const Digest saved_hash = model_->ParamsHash();
+    SaveRequest request = MakeRequest(model_.get(), links.back().first);
     request.provenance = &provenance.value();
-    base_id = service.SaveModel(request).value().model_id;
+    links.emplace_back(service.SaveModel(request).value().model_id,
+                       saved_hash);
   }
 
   ModelRecoverer recoverer(backends_);
-  EXPECT_EQ(recoverer.BaseChainLength(base_id).value(), 3u);
-  auto recovered = recoverer.Recover(base_id, RecoverOptions{}).value();
-  EXPECT_EQ(recovered.model.ParamsHash(), final_hash);
+  EXPECT_EQ(recoverer.BaseChainLength(links.back().first).value(), 3u);
+  // One recoverer serves every recovery: each link, recovered twice, comes
+  // back with the parameters it was saved with.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [id, saved_hash] : links) {
+      auto recovered = recoverer.Recover(id, RecoverOptions{}).value();
+      EXPECT_EQ(recovered.model.ParamsHash(), saved_hash)
+          << "pass " << pass << ", model " << id;
+    }
+  }
 }
 
 // The service memoises the last dataset archive. Every derived save still

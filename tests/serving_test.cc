@@ -105,7 +105,6 @@ TEST(TenantQueuesTest, AdmissionIsBounded) {
   EXPECT_FALSE(queues.Admit(request));  // full: shed
   request.tenant = 1;
   EXPECT_TRUE(queues.Admit(request));  // other tenant unaffected
-  EXPECT_EQ(queues.TotalQueued(), 4u);
 }
 
 TEST(TenantQueuesTest, DeficitRoundRobinInterleavesTenants) {

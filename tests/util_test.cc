@@ -76,7 +76,6 @@ TEST(ResultTest, HoldsError) {
   Result<int> r = ParsePositive(-1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(r.value_or(42), 42);
 }
 
 TEST(ResultTest, AssignOrReturnMacroPropagates) {
@@ -104,7 +103,6 @@ TEST(BytesTest, PrimitiveRoundtrip) {
   writer.WriteU64(0x0123456789abcdefULL);
   writer.WriteI64(-42);
   writer.WriteF32(3.5f);
-  writer.WriteF64(-2.25);
   writer.WriteString("hello");
   writer.WriteBlob(Bytes{1, 2, 3});
 
@@ -114,7 +112,6 @@ TEST(BytesTest, PrimitiveRoundtrip) {
   EXPECT_EQ(reader.ReadU64().value(), 0x0123456789abcdefULL);
   EXPECT_EQ(reader.ReadI64().value(), -42);
   EXPECT_EQ(reader.ReadF32().value(), 3.5f);
-  EXPECT_EQ(reader.ReadF64().value(), -2.25);
   EXPECT_EQ(reader.ReadString().value(), "hello");
   EXPECT_EQ(reader.ReadBlob().value(), (Bytes{1, 2, 3}));
   EXPECT_TRUE(reader.AtEnd());
@@ -146,10 +143,6 @@ TEST(BytesTest, HexRejectsBadInput) {
   EXPECT_EQ(FromHex("abc").status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(FromHex("zz").status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(FromHex("ABCDEF").ok());  // uppercase accepted
-}
-
-TEST(BytesTest, StringConversions) {
-  EXPECT_EQ(BytesToString(StringToBytes("round trip")), "round trip");
 }
 
 // --- Strings ---
@@ -258,15 +251,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(seen.size(), 100u);
   EXPECT_EQ(*seen.begin(), 0u);
   EXPECT_EQ(*seen.rbegin(), 99u);
-}
-
-TEST(RngTest, ForkIsIndependentButDeterministic) {
-  Rng a(5);
-  Rng b(5);
-  Rng fa = a.Fork();
-  Rng fb = b.Fork();
-  EXPECT_EQ(fa.NextU64(), fb.NextU64());
-  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 TEST(RngTest, ShuffleEmptyIsNoOp) {
