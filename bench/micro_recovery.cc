@@ -1,12 +1,10 @@
 /// Recovery-under-crash microbenchmark: runs a DIST-5-style evaluation flow
 /// with a fixed node-crash schedule while sweeping the training checkpoint
 /// interval K, and measures what recovery costs — virtual time added over
-/// the crash-free run, optimizer steps retrained, storage retries — and
-/// what the non-blocking checkpoint pipeline saves on the clean run
-/// (synchronous vs async checkpoint writes). Training compute is charged to
-/// the virtual clock (step_compute_seconds), so redone steps and checkpoint
-/// stalls are visible in every number. Verifies that the crashed-and-resumed
-/// and async runs leave the stores bit-identical to the clean synchronous
+/// the crash-free run, optimizer steps retrained, storage retries. Training
+/// compute is charged to the virtual clock (step_compute_seconds), so redone
+/// steps and checkpoint stalls are visible in every number. Verifies that
+/// the crashed-and-resumed run leaves the stores bit-identical to the clean
 /// one. Writes BENCH_recovery.json.
 #include <cstdio>
 #include <string>
@@ -24,8 +22,8 @@ constexpr int64_t kIntervalSweep[] = {1, 2, 4, 8};
 /// Virtual cost of one optimizer step — roughly 10x the ~23 ms transfer of
 /// one checkpoint over the 300 MB/s storage link. Big enough that redoing
 /// steps after a crash dominates the recovery cost (the axis the K sweep
-/// measures) and that a checkpoint save always has compute to overlap with,
-/// while the per-checkpoint stall stays visible on the clean sync run.
+/// measures), while the per-checkpoint stall stays visible on the clean
+/// run.
 constexpr double kStepComputeSeconds = 0.25;
 
 struct Measurement {
@@ -34,13 +32,12 @@ struct Measurement {
   uint64_t restarts = 0;
   uint64_t retrained_steps = 0;
   uint64_t retries = 0;
-  double clean_sync_seconds = 0.0;
-  double clean_async_seconds = 0.0;
-  double crash_async_seconds = 0.0;
+  double clean_seconds = 0.0;
+  double crash_seconds = 0.0;
   bool bit_identical = false;
 };
 
-dist::FlowConfig RecoveryFlowConfig(int64_t every_steps, bool async_writes) {
+dist::FlowConfig RecoveryFlowConfig(int64_t every_steps) {
   dist::FlowConfig config;
   config.approach = dist::ApproachKind::kBaseline;
   config.model = models::DefaultConfig(models::Architecture::kMobileNetV2);
@@ -64,7 +61,6 @@ dist::FlowConfig RecoveryFlowConfig(int64_t every_steps, bool async_writes) {
   config.train.loader.num_classes = 10;
   config.train.loader.seed = config.train.seed;
   config.checkpoint_every_steps = every_steps;
-  config.async_checkpoints = async_writes;
   config.step_compute_seconds = kStepComputeSeconds;
   return config;
 }
@@ -97,11 +93,10 @@ struct RunOutcome {
   int64_t total_storage = 0;
 };
 
-RunOutcome RunOnce(int64_t every_steps, bool async_writes,
-                   bool with_crashes) {
+RunOutcome RunOnce(int64_t every_steps, bool with_crashes) {
   bench::RemoteBacking backing;
   backing.network.set_fault_plan(LossyPlan());
-  dist::FlowConfig config = RecoveryFlowConfig(every_steps, async_writes);
+  dist::FlowConfig config = RecoveryFlowConfig(every_steps);
   if (with_crashes) {
     config.crash_schedule = CrashSchedule();
   }
@@ -120,9 +115,8 @@ RunOutcome RunOnce(int64_t every_steps, bool async_writes,
   return outcome;
 }
 
-/// Neither the crash/resume path nor async checkpointing may change what
-/// ends up stored: same record stream (ids and sizes) and the same artifact
-/// counts as the clean synchronous run.
+/// The crash/resume path may not change what ends up stored: same record
+/// stream (ids and sizes) and the same artifact counts as the clean run.
 bool StoresBitIdentical(const RunOutcome& clean, const RunOutcome& other) {
   if (clean.file_count != other.file_count ||
       clean.document_count != other.document_count ||
@@ -149,43 +143,33 @@ int main() {
       "250 ms virtual compute per step) with three scheduled node kills on\n"
       "a 2%-drop storage link. Sweeping checkpoint interval K trades\n"
       "checkpoint traffic in the crash-free run against steps retrained\n"
-      "after a crash; async checkpoint writes overlap training compute.\n"
-      "Crashed and async runs must land bit-identical to the clean\n"
-      "synchronous run.");
+      "after a crash. Crashed runs must land bit-identical to the clean\n"
+      "run.");
 
   std::vector<Measurement> measurements;
   for (int64_t every_steps : kIntervalSweep) {
-    const RunOutcome clean_sync =
-        RunOnce(every_steps, /*async_writes=*/false, /*with_crashes=*/false);
-    const RunOutcome clean_async =
-        RunOnce(every_steps, /*async_writes=*/true, /*with_crashes=*/false);
-    const RunOutcome crashed =
-        RunOnce(every_steps, /*async_writes=*/true, /*with_crashes=*/true);
+    const RunOutcome clean = RunOnce(every_steps, /*with_crashes=*/false);
+    const RunOutcome crashed = RunOnce(every_steps, /*with_crashes=*/true);
     Measurement m;
     m.every_steps = every_steps;
     m.crashes = crashed.result.TotalCrashes();
     m.restarts = crashed.result.TotalRestarts();
     m.retrained_steps = crashed.result.TotalRetrainedSteps();
     m.retries = crashed.result.TotalRetries();
-    m.clean_sync_seconds = clean_sync.virtual_seconds;
-    m.clean_async_seconds = clean_async.virtual_seconds;
-    m.crash_async_seconds = crashed.virtual_seconds;
-    m.bit_identical = StoresBitIdentical(clean_sync, clean_async) &&
-                      StoresBitIdentical(clean_sync, crashed);
+    m.clean_seconds = clean.virtual_seconds;
+    m.crash_seconds = crashed.virtual_seconds;
+    m.bit_identical = StoresBitIdentical(clean, crashed);
     measurements.push_back(m);
   }
 
-  TablePrinter table({"K", "crashes", "retrained", "retries", "clean sync",
-                      "clean async", "crash async", "recovery cost",
-                      "stall saved", "bit-identical"});
+  TablePrinter table({"K", "crashes", "retrained", "retries", "clean",
+                      "crashed", "recovery cost", "bit-identical"});
   for (const Measurement& m : measurements) {
     table.AddRow(
         {std::to_string(m.every_steps), std::to_string(m.crashes),
          std::to_string(m.retrained_steps), std::to_string(m.retries),
-         bench::Secs(m.clean_sync_seconds), bench::Secs(m.clean_async_seconds),
-         bench::Secs(m.crash_async_seconds),
-         bench::Secs(m.crash_async_seconds - m.clean_async_seconds),
-         bench::Secs(m.clean_sync_seconds - m.clean_async_seconds),
+         bench::Secs(m.clean_seconds), bench::Secs(m.crash_seconds),
+         bench::Secs(m.crash_seconds - m.clean_seconds),
          m.bit_identical ? "yes" : "NO"});
   }
   table.Print(std::cout);
@@ -200,13 +184,9 @@ int main() {
     row.Set("restarts", static_cast<int64_t>(m.restarts));
     row.Set("retrained_steps", static_cast<int64_t>(m.retrained_steps));
     row.Set("storage_retries", static_cast<int64_t>(m.retries));
-    row.Set("clean_sync_virtual_seconds", m.clean_sync_seconds);
-    row.Set("clean_virtual_seconds", m.clean_async_seconds);
-    row.Set("crash_virtual_seconds", m.crash_async_seconds);
-    row.Set("recovery_cost_seconds",
-            m.crash_async_seconds - m.clean_async_seconds);
-    row.Set("async_stall_saved_seconds",
-            m.clean_sync_seconds - m.clean_async_seconds);
+    row.Set("clean_virtual_seconds", m.clean_seconds);
+    row.Set("crash_virtual_seconds", m.crash_seconds);
+    row.Set("recovery_cost_seconds", m.crash_seconds - m.clean_seconds);
     row.Set("bit_identical", m.bit_identical);
     rows.Append(std::move(row));
   }
@@ -228,7 +208,7 @@ int main() {
     std::printf("\nwrote BENCH_recovery.json\n");
   }
 
-  std::printf("async/crashed runs bit-identical to clean sync runs: %s\n",
+  std::printf("crashed runs bit-identical to clean runs: %s\n",
               all_identical ? "yes" : "NO");
   return all_identical ? 0 : 1;
 }

@@ -1,8 +1,7 @@
 #include "core/checkpoint.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "core/save_txn.h"
 #include "json/json.h"
@@ -59,134 +58,32 @@ Status DecodeState(const Bytes& data, TrainCheckpoint* out) {
 }  // namespace
 
 CheckpointManager::CheckpointManager(const StorageBackends& backends,
-                                     CheckpointOptions options)
-    : backends_(backends), options_(options) {
-  // Suite-wide sweep hook: CI runs the whole crash matrix in both modes by
-  // exporting MMLIB_ASYNC_CHECKPOINTS, without touching each test's config.
-  if (const char* env = std::getenv("MMLIB_ASYNC_CHECKPOINTS")) {
-    options_.async_write = env[0] == '1';
-  }
-}
+                                     int64_t every_steps)
+    : backends_(backends), every_steps_(every_steps) {}
 
 CheckpointManager::~CheckpointManager() {
-  // The worker drains queued saves before joining; a crash stashed by the
-  // last save has no surviving training thread to resurface on.
-  FinishInFlight();
-}
-
-Result<std::string> CheckpointManager::Write(TrainCheckpoint checkpoint) {
-  if (!options_.async_write) {
-    SettleCompute();
-    return WriteNow(checkpoint);
-  }
-  // Kill window before the snapshot leaves the training thread: nothing of
-  // this checkpoint is durable, the previous save may or may not be.
-  MMLIB_CRASH_POINT("checkpoint.enqueue");
-  MMLIB_RETURN_IF_ERROR(AwaitInFlight());
+  // Steps a run finished before its manager went away did run; their
+  // compute stays on the clock.
   SettleCompute();
-  SubmitCheckpointSave(std::move(checkpoint));
-  return std::string("checkpoint-async-pending");
 }
 
-void CheckpointManager::SubmitCheckpointSave(TrainCheckpoint checkpoint) {
-  worker_.Submit([this, snapshot = std::move(checkpoint)]() {
-    simnet::Network* network = backends_.network;
-    const double start_seconds =
-        network != nullptr ? network->TotalTransferSeconds() : 0.0;
-    try {
-      const Result<std::string> written = WriteNow(snapshot);
-      if (!written.ok()) {
-        std::lock_guard<std::mutex> lock(async_mu_);
-        if (async_status_.ok()) {
-          async_status_ = written.status();
-        }
-      }
-    } catch (const util::CrashException&) {
-      // A simulated kill landed mid-async-save. Leave the stores exactly as
-      // the kill would (SaveTransaction already skipped rollback) and carry
-      // the exception back to the training thread, which rethrows it at the
-      // next Write/Drain — the moment the "process" observes its own death.
-      std::lock_guard<std::mutex> lock(async_mu_);
-      pending_crash_ = std::current_exception();
-    }
-    if (network != nullptr) {
-      std::lock_guard<std::mutex> lock(async_mu_);
-      unabsorbed_save_seconds_ +=
-          network->TotalTransferSeconds() - start_seconds;
-    }
-  });
-}
-
-Status CheckpointManager::AwaitInFlight() {
-  worker_.Drain();
-  std::exception_ptr crash;
-  Status status;
-  {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    crash = std::exchange(pending_crash_, nullptr);
-    status = std::exchange(async_status_, Status::OK());
+void CheckpointManager::ChargeCompute(double seconds) {
+  if (seconds > 0.0) {
+    pending_compute_seconds_ += seconds;
   }
-  if (crash != nullptr) {
-    std::rethrow_exception(crash);
-  }
-  return status;
 }
 
 void CheckpointManager::SettleCompute() {
-  // Worker is quiet here (every settle point runs after AwaitInFlight/Drain
-  // on the calling thread), so this is effectively single-threaded; the
-  // lock pairs with the worker's writes for the memory model.
-  double charge = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    const double overlap =
-        std::min(pending_compute_seconds_, unabsorbed_save_seconds_);
-    charge = pending_compute_seconds_ - overlap;
-    overlapped_seconds_ += overlap;
-    pending_compute_seconds_ = 0.0;
-    // A save's idle remainder (save longer than the compute it overlapped)
-    // is already-elapsed time; it cannot absorb future windows.
-    unabsorbed_save_seconds_ = 0.0;
-  }
+  const double charge = pending_compute_seconds_;
+  pending_compute_seconds_ = 0.0;
   if (charge > 0.0 && backends_.network != nullptr) {
     backends_.network->ChargeSeconds(charge);
   }
 }
 
-void CheckpointManager::ChargeCompute(double seconds) {
-  if (seconds <= 0.0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(async_mu_);
-  pending_compute_seconds_ += seconds;
-}
-
-Status CheckpointManager::Drain() {
-  Status status = AwaitInFlight();
-  SettleCompute();
-  return status;
-}
-
-void CheckpointManager::FinishInFlight() {
-  worker_.Drain();
-  {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    pending_crash_ = nullptr;
-    async_status_ = Status::OK();
-  }
-  // The steps that raced the save did run before the kill; their compute
-  // stays on the clock (recovery will redo them — that is the cost being
-  // measured).
-  SettleCompute();
-}
-
-double CheckpointManager::overlapped_seconds() const {
-  std::lock_guard<std::mutex> lock(async_mu_);
-  return overlapped_seconds_;
-}
-
-Result<std::string> CheckpointManager::WriteNow(
+Result<std::string> CheckpointManager::Write(
     const TrainCheckpoint& checkpoint) {
+  SettleCompute();
   SaveTransaction txn(backends_);
   MMLIB_CRASH_POINT("checkpoint.write");
   MMLIB_ASSIGN_OR_RETURN(std::string params_file,
@@ -204,19 +101,17 @@ Result<std::string> CheckpointManager::WriteNow(
   MMLIB_RETURN_IF_ERROR(txn.Commit());
   ++checkpoints_written_;
 
-  if (options_.prune_previous) {
-    // Older checkpoints of the run are superseded the moment the new one is
-    // durable. Pruning after the commit is crash-safe in the lazy sense: a
-    // kill mid-prune leaves stale-but-complete checkpoints that the next
-    // prune or DeleteRun removes, never a dangling latest.
-    MMLIB_ASSIGN_OR_RETURN(
-        std::vector<std::string> ids,
-        backends_.docs->FindByField(kCheckpointsCollection, "run_id",
-                                    checkpoint.run_id));
-    for (const std::string& id : ids) {
-      if (id != doc_id) {
-        MMLIB_RETURN_IF_ERROR(DeleteCheckpointDoc(id));
-      }
+  // Older checkpoints of the run are superseded the moment the new one is
+  // durable. Pruning after the commit is crash-safe in the lazy sense: a
+  // kill mid-prune leaves stale-but-complete checkpoints that the next
+  // prune or DeleteRun removes, never a dangling latest.
+  MMLIB_ASSIGN_OR_RETURN(
+      std::vector<std::string> ids,
+      backends_.docs->FindByField(kCheckpointsCollection, "run_id",
+                                  checkpoint.run_id));
+  for (const std::string& id : ids) {
+    if (id != doc_id) {
+      MMLIB_RETURN_IF_ERROR(DeleteCheckpointDoc(id));
     }
   }
   return doc_id;
@@ -239,10 +134,7 @@ Status CheckpointManager::DeleteCheckpointDoc(const std::string& doc_id) {
 
 Result<bool> CheckpointManager::LoadLatest(const std::string& run_id,
                                            TrainCheckpoint* out) {
-  // An in-flight async save may hold the run's newest step; reads see it or
-  // they would resume from a stale checkpoint the synchronous run would
-  // never have picked.
-  MMLIB_RETURN_IF_ERROR(Drain());
+  SettleCompute();
   MMLIB_ASSIGN_OR_RETURN(
       std::vector<std::string> ids,
       backends_.docs->FindByField(kCheckpointsCollection, "run_id", run_id));
@@ -274,7 +166,7 @@ Result<bool> CheckpointManager::LoadLatest(const std::string& run_id,
 }
 
 Status CheckpointManager::DeleteRun(const std::string& run_id) {
-  MMLIB_RETURN_IF_ERROR(Drain());
+  SettleCompute();
   MMLIB_ASSIGN_OR_RETURN(
       std::vector<std::string> ids,
       backends_.docs->FindByField(kCheckpointsCollection, "run_id", run_id));

@@ -146,10 +146,7 @@ Status ImageTrainService::WriteCheckpoint(nn::Model* model, const Rng& rng,
   checkpoint.optimizer_state = optimizer_->SerializeState();
   checkpoint.rng = rng.SaveState();
   checkpoint.last_loss = last_loss_;
-  // The checkpoint struct IS the copy-on-write snapshot: params/state were
-  // serialized into fresh Bytes above, so the async writer owns them
-  // outright while training mutates the live model.
-  return checkpoints_->Write(std::move(checkpoint)).status();
+  return checkpoints_->Write(checkpoint).status();
 }
 
 Result<nn::PhaseTimes> ImageTrainService::RunTraining(
@@ -266,8 +263,8 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
         prefetch.Recycle(std::move(batch));
         ++step;
         if (checkpointing && step_compute_seconds_ > 0.0) {
-          // Virtual compute cost of this step; settled against any
-          // overlapping async save at the manager's next settle point.
+          // Virtual compute cost of this step, charged to the clock at the
+          // manager's next settle point.
           checkpoints_->ChargeCompute(step_compute_seconds_);
         }
         if (checkpoint_interval > 0 && step % checkpoint_interval == 0) {
@@ -291,15 +288,9 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
     }
     return Status::OK();
   };
-  Status run_status = run_epochs();
+  const Status run_status = run_epochs();
   if (checkpointing) {
-    // The last async save must be durable (and its deferred crash/error
-    // surfaced) before the caller touches storage again — RunTraining's
-    // return is the synchronous point the rest of the pipeline relies on.
-    Status drain_status = checkpoints_->Drain();
-    if (run_status.ok()) {
-      run_status = drain_status;
-    }
+    checkpoints_->SettleCompute();
   }
   recorder.reset();
   MMLIB_RETURN_IF_ERROR(run_status);

@@ -138,8 +138,8 @@ class ImageTrainService : public TrainService {
 
   /// Virtual-clock cost charged per optimizer step through the checkpoint
   /// manager (simnet flows only; 0 disables). Makes training compute
-  /// visible on the simulated clock so checkpoint stalls, async overlap,
-  /// and retrained steps have measurable cost. Requires set_checkpoints.
+  /// visible on the simulated clock so checkpoint stalls and retrained
+  /// steps have measurable cost. Requires set_checkpoints.
   void set_step_compute_seconds(double seconds) {
     step_compute_seconds_ = seconds;
   }

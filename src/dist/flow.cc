@@ -344,11 +344,8 @@ Result<FlowResult> EvaluationFlow::Run() {
   int completed_u3_iterations = 0;
   std::unique_ptr<core::CheckpointManager> checkpoints;
   if (config_.checkpoint_every_steps > 0) {
-    core::CheckpointOptions checkpoint_options;
-    checkpoint_options.every_steps = config_.checkpoint_every_steps;
-    checkpoint_options.async_write = config_.async_checkpoints;
     checkpoints = std::make_unique<core::CheckpointManager>(
-        backends_, checkpoint_options);
+        backends_, config_.checkpoint_every_steps);
   }
   // Retries are attributed to a node by differencing the remote stores'
   // cumulative retry counters around its iteration.
@@ -494,11 +491,9 @@ Result<FlowResult> EvaluationFlow::Run() {
         if (crashed) {
           util::CrashPoint::ResetAfterCrash();
           if (checkpoints != nullptr) {
-            // The kill raced any background checkpoint save; let it finish
-            // (a kill lands between background I/O operations, and the
-            // serial worker makes "just after the save" the deterministic
-            // interleaving) and drop deferred outcomes — this node is dead.
-            checkpoints->FinishInFlight();
+            // The steps the kill cut short did run: their compute stays on
+            // the clock (recovery redoes them — that is the cost measured).
+            checkpoints->SettleCompute();
           }
           FlowResult::NodeCounters& counters = result.node_counters[n];
           ++counters.crashes;

@@ -112,17 +112,11 @@ struct FlowConfig {
   /// run's checkpoints are deleted once its model is durably saved, so the
   /// flow's storage measurements are unaffected.
   int64_t checkpoint_every_steps = 0;
-  /// Write checkpoints through the background worker (non-blocking saves
-  /// overlapping the next training steps) instead of stalling each step.
-  /// Stores, records, and fault draws stay bit-identical to synchronous
-  /// mode; only the virtual clock reads lower. Overridable per process via
-  /// MMLIB_ASYNC_CHECKPOINTS (see core::CheckpointOptions).
-  bool async_checkpoints = false;
   /// Virtual seconds of training compute per optimizer step, charged to the
-  /// simnet clock (0 keeps the legacy pure-I/O clock). With this set, a
-  /// synchronous checkpoint stalls compute while an async one overlaps it,
-  /// and every step a crash forces training to redo costs clock time — the
-  /// recovery-cost axis the checkpoint-interval sweep measures.
+  /// simnet clock (0 keeps the legacy pure-I/O clock). With this set, every
+  /// checkpoint save adds its transfer time to the compute, and every step
+  /// a crash forces training to redo costs clock time — the recovery-cost
+  /// axis the checkpoint-interval sweep measures.
   double step_compute_seconds = 0.0;
   /// Scheduled node crashes. Requires TrainingMode::kReal (a simulated
   /// update has no steps to crash in) and checkpoint_every_steps >= 1.

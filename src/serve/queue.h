@@ -10,8 +10,8 @@
 namespace mmlib::serve {
 
 struct QueueOptions {
-  /// Capacity of each per-tenant queue; arrivals beyond it are shed with
-  /// ResourceExhausted. Must be >= 1 — a serving queue is bounded by
+  /// Capacity of each per-tenant queue; arrivals beyond it are shed
+  /// (RequestOutcome::kShed). Must be >= 1 — a serving queue is bounded by
   /// definition here (see the no-unbounded-queue lint rule).
   size_t per_tenant_capacity = 64;
   /// Deficit-round-robin quantum: requests one tenant may dispatch per

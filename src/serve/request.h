@@ -39,8 +39,7 @@ struct Request {
 enum class RequestOutcome : uint8_t {
   /// Served successfully within its deadline.
   kServed = 0,
-  /// Rejected at admission (queue full or tenant over quota) —
-  /// ResourceExhausted to the client.
+  /// Rejected at admission because the tenant's queue was full.
   kShed = 1,
   /// Admitted but abandoned: its deadline expired before or during service.
   kDeadlineExpired = 2,

@@ -10,8 +10,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kCorruption:
       return "Corruption";
     case StatusCode::kIoError:
@@ -28,8 +26,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "Unavailable";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
   }
   return "Unknown";
 }

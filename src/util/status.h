@@ -14,7 +14,6 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
   kCorruption,
   kIoError,
   kFailedPrecondition,
@@ -27,10 +26,6 @@ enum class StatusCode {
   /// The operation did not complete within its (virtual) deadline; safe to
   /// retry.
   kDeadlineExceeded,
-  /// A capacity limit was hit — a bounded request queue is full or a tenant
-  /// exhausted its quota. The serving layer's load-shedding answer: the
-  /// caller should back off and reduce offered load, not blind-retry.
-  kResourceExhausted,
 };
 
 /// Returns a stable human-readable name for a status code, e.g. "NotFound".
@@ -77,9 +72,6 @@ class [[nodiscard]] Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

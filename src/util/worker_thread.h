@@ -12,11 +12,11 @@ namespace mmlib::util {
 /// Single background thread executing submitted tasks strictly in FIFO
 /// order, one at a time.
 ///
-/// This is the house primitive for overlapping slow side work (asynchronous
-/// checkpoint saves) with the main thread: serial execution means the side
+/// This is the house primitive for overlapping slow side work (batch
+/// prefetching) with the main thread: serial execution means the side
 /// work keeps exactly the order the main thread submitted it in, so any
-/// order-sensitive state the tasks touch (the simnet fault RNG, the virtual
-/// clock) sees the same sequence as a synchronous run. Tasks should catch
+/// order-sensitive state the tasks touch sees the same sequence as a
+/// synchronous run. Tasks should catch
 /// inside the task and stash errors for the submitter; as a safety net, an
 /// exception that does escape a task is captured (first one wins, later
 /// tasks still run) and rethrown from the next Drain(). An exception still

@@ -532,9 +532,8 @@ class TrainCheckpointTest : public ::testing::Test {
     filestore::InMemoryFileStore files;
     core::StorageBackends backends{&docs, &files, nullptr, nullptr};
     core::CheckpointManager manager;
-    explicit CheckpointBacking(int64_t every_steps, bool async_write = false)
-        : manager(backends,
-                  core::CheckpointOptions{every_steps, true, async_write}) {}
+    explicit CheckpointBacking(int64_t every_steps)
+        : manager(backends, every_steps) {}
   };
 
   /// Uninterrupted reference run; returns the final model.
@@ -666,8 +665,7 @@ TEST_F(TrainCheckpointTest, CheckpointWriteCrashRollsBackThenResumes) {
   {
     PersistentBacking backing;
     OpenBacking(root, &backing);
-    core::CheckpointManager manager(backing.backends,
-                                    core::CheckpointOptions{2, true});
+    core::CheckpointManager manager(backing.backends, /*every_steps=*/2);
     core::ImageTrainService service(dataset_.get(), config_);
     service.set_checkpoints(&manager, "run");
     // Hit 1 is the step-0 checkpoint; crash inside the second write.
@@ -686,8 +684,7 @@ TEST_F(TrainCheckpointTest, CheckpointWriteCrashRollsBackThenResumes) {
   PersistentBacking reopened;
   OpenBacking(root, &reopened);
   EXPECT_EQ(reopened.journal->PendingRecordCount(), 0u);
-  core::CheckpointManager manager(reopened.backends,
-                                  core::CheckpointOptions{2, true});
+  core::CheckpointManager manager(reopened.backends, /*every_steps=*/2);
   nn::Model restarted = FreshModel();
   core::ImageTrainService service(dataset_.get(), config_);
   service.set_checkpoints(&manager, "run");
@@ -696,50 +693,13 @@ TEST_F(TrainCheckpointTest, CheckpointWriteCrashRollsBackThenResumes) {
   EXPECT_EQ(reference.SerializeParams(), restarted.SerializeParams());
 }
 
-// ---------------------------------------------------------------------------
-// Non-blocking (async) checkpoint writes
-// ---------------------------------------------------------------------------
-
-/// MMLIB_ASYNC_CHECKPOINTS overrides CheckpointOptions::async_write at
-/// manager construction; tests that *require* the async path skip when the
-/// environment forces synchronous mode.
-bool AsyncForcedOff() {
-  const char* env = std::getenv("MMLIB_ASYNC_CHECKPOINTS");
-  return env != nullptr && *env == '0';
-}
-
-TEST_F(TrainCheckpointTest, AsyncWriteMatchesSyncRunBitwise) {
-  CheckpointBacking sync_backing(/*every_steps=*/2, /*async_write=*/false);
-  CheckpointBacking async_backing(/*every_steps=*/2, /*async_write=*/true);
-  nn::Model sync_model = RunReference(&sync_backing);
-  const Bytes sync_state = reference_service_->SerializedOptimizerState();
-  nn::Model async_model = RunReference(&async_backing);
-
-  EXPECT_EQ(sync_model.SerializeParams(), async_model.SerializeParams());
-  EXPECT_EQ(sync_state, reference_service_->SerializedOptimizerState());
-  EXPECT_EQ(sync_backing.manager.checkpoints_written(),
-            async_backing.manager.checkpoints_written());
-  // Identical store contents: the background worker replays exactly the
-  // synchronous operation sequence.
-  EXPECT_EQ(sync_backing.files.FileCount(), async_backing.files.FileCount());
-  EXPECT_EQ(sync_backing.docs.DocumentCount(),
-            async_backing.docs.DocumentCount());
-  EXPECT_EQ(sync_backing.files.TotalStoredBytes(),
-            async_backing.files.TotalStoredBytes());
-}
-
-TEST_F(TrainCheckpointTest, AsyncCrashMidSaveResumesBitIdentically) {
-  if (AsyncForcedOff()) {
-    GTEST_SKIP() << "MMLIB_ASYNC_CHECKPOINTS=0 disables the async path";
-  }
+TEST_F(TrainCheckpointTest, CrashInCheckpointWriteResumesBitIdentically) {
   CheckpointBacking reference_backing(/*every_steps=*/2);
   nn::Model reference = RunReference(&reference_backing);
 
-  // Kill inside the background save of the step-2 checkpoint (hit 1 is the
-  // step-0 save). The worker catches the kill; it surfaces on the training
-  // thread at the next Write, modeling training dying while its checkpoint
-  // is still in flight.
-  CheckpointBacking crash_backing(/*every_steps=*/2, /*async_write=*/true);
+  // Kill inside the save of the step-2 checkpoint (hit 1 is the step-0
+  // save): training dies with its checkpoint half written.
+  CheckpointBacking crash_backing(/*every_steps=*/2);
   nn::Model model = FreshModel();
   {
     core::ImageTrainService service(dataset_.get(), config_);
@@ -771,72 +731,11 @@ TEST_F(TrainCheckpointTest, AsyncCrashMidSaveResumesBitIdentically) {
   EXPECT_EQ(crash_backing.manager.checkpoints_written(), 3u);
 }
 
-TEST_F(TrainCheckpointTest, AsyncCrashBeforeHandoffResumesBitIdentically) {
-  if (AsyncForcedOff()) {
-    GTEST_SKIP() << "MMLIB_ASYNC_CHECKPOINTS=0 disables the async path";
-  }
-  CheckpointBacking reference_backing(/*every_steps=*/2);
-  nn::Model reference = RunReference(&reference_backing);
-
-  // Kill on the training thread at the step-2 Write, before the snapshot
-  // reaches the worker: the checkpoint is lost entirely.
-  CheckpointBacking crash_backing(/*every_steps=*/2, /*async_write=*/true);
-  nn::Model model = FreshModel();
-  {
-    core::ImageTrainService service(dataset_.get(), config_);
-    service.set_checkpoints(&crash_backing.manager, "run");
-    util::CrashPoint::Arm("checkpoint.enqueue", /*fire_on_hit=*/2);
-    bool crashed = false;
-    try {
-      EXPECT_TRUE(service.Train(&model, true, 0).ok());
-    } catch (const util::CrashException& e) {
-      crashed = true;
-      EXPECT_EQ(e.site(), "checkpoint.enqueue");
-    }
-    ASSERT_TRUE(crashed);
-    util::CrashPoint::ResetAfterCrash();
-  }
-
-  nn::Model restarted = FreshModel();
-  resumed_service_ =
-      std::make_unique<core::ImageTrainService>(dataset_.get(), config_);
-  resumed_service_->set_checkpoints(&crash_backing.manager, "run");
-  ASSERT_TRUE(resumed_service_->Resume(&restarted).ok());
-  EXPECT_EQ(resumed_service_->resumed_from_step(), 0);
-  EXPECT_EQ(reference.SerializeParams(), restarted.SerializeParams());
-}
-
-TEST_F(TrainCheckpointTest, AsyncResumeIsBitIdenticalAcrossPoolSizes) {
-  if (AsyncForcedOff()) {
-    GTEST_SKIP() << "MMLIB_ASYNC_CHECKPOINTS=0 disables the async path";
-  }
-  // Synchronous single-threaded reference vs async crash+resume at pool
-  // sizes 2 and 8: the bit-identity contract holds across both the
-  // checkpoint-write mode and the compute pool size.
-  util::ThreadPool pool1(1);
-  CheckpointBacking reference_backing(/*every_steps=*/2,
-                                      /*async_write=*/false);
-  nn::Model reference = RunReference(&reference_backing, &pool1);
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE("pool=" + std::to_string(threads));
-    util::ThreadPool pool(threads);
-    CheckpointBacking crash_backing(/*every_steps=*/2, /*async_write=*/true);
-    nn::Model resumed =
-        RunCrashAndResume(&crash_backing, /*at_step=*/3, &pool);
-    EXPECT_EQ(resumed_service_->resumed_from_step(), 2);
-    EXPECT_EQ(reference.SerializeParams(), resumed.SerializeParams());
-    EXPECT_EQ(reference_service_->SerializedOptimizerState(),
-              resumed_service_->SerializedOptimizerState());
-  }
-}
-
 TEST(CheckpointManagerTest, LoadLatestRestoresHighestCommittedStep) {
   docstore::InMemoryDocumentStore docs;
   filestore::InMemoryFileStore files;
   core::StorageBackends backends{&docs, &files, nullptr, nullptr};
-  // Pruning off, so all three checkpoints stay visible to LoadLatest.
-  core::CheckpointManager manager(
-      backends, core::CheckpointOptions{1, /*prune_previous=*/false});
+  core::CheckpointManager manager(backends, /*every_steps=*/1);
 
   auto make = [](int64_t step) {
     core::TrainCheckpoint checkpoint;
@@ -847,11 +746,21 @@ TEST(CheckpointManagerTest, LoadLatestRestoresHighestCommittedStep) {
     checkpoint.optimizer_state = Bytes(8, static_cast<uint8_t>(step + 1));
     return checkpoint;
   };
-  // Committed out of order: the latest *step* must win, not the latest
-  // insert.
-  for (int64_t step : {0, 4, 2}) {
-    ASSERT_TRUE(manager.Write(make(step)).ok());
-  }
+  ASSERT_TRUE(manager.Write(make(0)).ok());
+  ASSERT_TRUE(manager.Write(make(4)).ok());
+  // A kill mid-prune leaves a stale lower-step checkpoint behind. Inserted
+  // after the step-4 write, it is the latest insert: the latest *step* must
+  // still win.
+  auto stale_params = files.SaveFile(make(2).model_params);
+  auto stale_state = files.SaveFile(make(2).optimizer_state);
+  ASSERT_TRUE(stale_params.ok() && stale_state.ok());
+  json::Value stale = json::Value::MakeObject();
+  stale.Set("kind", "checkpoint");
+  stale.Set("run_id", "run");
+  stale.Set("step", int64_t{2});
+  stale.Set("params_file", *stale_params);
+  stale.Set("state_file", *stale_state);
+  ASSERT_TRUE(docs.Insert(core::kCheckpointsCollection, std::move(stale)).ok());
 
   core::TrainCheckpoint loaded;
   auto found = manager.LoadLatest("run", &loaded);
@@ -861,49 +770,55 @@ TEST(CheckpointManagerTest, LoadLatestRestoresHighestCommittedStep) {
   EXPECT_EQ(loaded.model_params, make(4).model_params);
   EXPECT_EQ(loaded.optimizer_state, make(4).optimizer_state);
 
+  // The next write prunes the stale checkpoint along with its predecessor.
+  ASSERT_TRUE(manager.Write(make(5)).ok());
+  auto remaining =
+      docs.FindByField(core::kCheckpointsCollection, "run_id", "run");
+  ASSERT_TRUE(remaining.ok()) << remaining.status();
+  EXPECT_EQ(remaining->size(), 1u);
+  EXPECT_EQ(files.FileCount(), 2u);
+
   core::TrainCheckpoint missing;
   auto none = manager.LoadLatest("other-run", &missing);
   ASSERT_TRUE(none.ok()) << none.status();
   EXPECT_FALSE(none.value());
 }
 
-TEST(CheckpointOverlapTest, AsyncSavesAbsorbComputeIntoSaveWindows) {
-  if (std::getenv("MMLIB_ASYNC_CHECKPOINTS") != nullptr) {
-    GTEST_SKIP() << "env override forces both managers into one mode";
-  }
-  // Identical Write/ChargeCompute sequences against a simulated storage
-  // link: the sync manager pays save + compute, the async manager pays
-  // max(save, compute) per window, and the difference is exactly what it
-  // reports as overlapped.
-  auto run = [](bool async_write, double* clock_out) -> double {
+TEST(CheckpointManagerTest, ComputeIsChargedAtSettlePoints) {
+  // Identical Write sequences against a simulated storage link, with and
+  // without ChargeCompute(c) after each Write. Reported compute reaches the
+  // clock only at the next settle point (the next Write, or SettleCompute),
+  // and then the clock reads the transfer time plus N * c.
+  constexpr int kRounds = 4;
+  constexpr double kCompute = 0.005;
+  auto run = [](double compute, double* before_settle) -> double {
     docstore::InMemoryDocumentStore docs_raw;
     filestore::InMemoryFileStore files_raw;
     simnet::Network network{simnet::Link{300e6, 0.2e-3}};
     docstore::RemoteDocumentStore docs{&docs_raw, &network};
     filestore::RemoteFileStore files{&files_raw, &network};
     core::StorageBackends backends{&docs, &files, &network};
-    core::CheckpointManager manager(
-        backends, core::CheckpointOptions{1, true, async_write});
+    core::CheckpointManager manager(backends, /*every_steps=*/1);
     core::TrainCheckpoint checkpoint;
     checkpoint.run_id = "run";
     checkpoint.model_params = Bytes(3 << 20, 7);  // ~10 ms on the link
-    for (int64_t step = 0; step < 4; ++step) {
+    for (int64_t step = 0; step < kRounds; ++step) {
       checkpoint.step = step;
       EXPECT_TRUE(manager.Write(checkpoint).ok());
-      manager.ChargeCompute(0.005);  // less than one save: fully absorbed
+      manager.ChargeCompute(compute);
     }
-    EXPECT_TRUE(manager.Drain().ok());
-    *clock_out = network.TotalTransferSeconds();
-    return manager.overlapped_seconds();
+    *before_settle = network.TotalTransferSeconds();
+    manager.SettleCompute();
+    return network.TotalTransferSeconds();
   };
 
-  double sync_clock = 0.0, async_clock = 0.0;
-  const double sync_overlap = run(false, &sync_clock);
-  const double async_overlap = run(true, &async_clock);
-  EXPECT_EQ(sync_overlap, 0.0);
-  EXPECT_GT(async_overlap, 0.0);
-  EXPECT_LT(async_clock, sync_clock);
-  EXPECT_NEAR(sync_clock - async_clock, async_overlap, 1e-9);
+  double transfer_before = 0.0, charged_before = 0.0;
+  const double transfer = run(0.0, &transfer_before);
+  const double charged = run(kCompute, &charged_before);
+  EXPECT_GT(transfer, 0.0);
+  EXPECT_EQ(transfer_before, transfer);
+  EXPECT_NEAR(charged_before, transfer + (kRounds - 1) * kCompute, 1e-12);
+  EXPECT_NEAR(charged, transfer + kRounds * kCompute, 1e-12);
 }
 
 // ---------------------------------------------------------------------------
@@ -1020,7 +935,6 @@ TEST(FlowCrashTest, RetrainedStepsFollowCheckpointInterval) {
   config.train.max_batches_per_epoch = 4;  // 8 optimizer steps per update
   config.train.sgd.momentum = 0.9f;
   config.train.sgd.learning_rate = 2e-4f;
-  config.async_checkpoints = true;
   config.crash_schedule.push_back(
       dist::NodeCrashEvent{/*phase=*/1, /*iteration=*/1, /*node=*/0,
                            /*at_step=*/8});

@@ -40,10 +40,10 @@ TEST(StatusTest, WithContextPrefixesMessage) {
 TEST(StatusTest, AllCodesHaveNames) {
   for (StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
-        StatusCode::kAlreadyExists, StatusCode::kCorruption,
-        StatusCode::kIoError, StatusCode::kFailedPrecondition,
-        StatusCode::kUnimplemented, StatusCode::kInternal,
-        StatusCode::kOutOfRange}) {
+        StatusCode::kCorruption, StatusCode::kIoError,
+        StatusCode::kFailedPrecondition, StatusCode::kUnimplemented,
+        StatusCode::kInternal, StatusCode::kOutOfRange,
+        StatusCode::kUnavailable, StatusCode::kDeadlineExceeded}) {
     EXPECT_FALSE(StatusCodeName(code).empty());
     EXPECT_NE(StatusCodeName(code), "Unknown");
   }
