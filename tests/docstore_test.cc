@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "docstore/document_store.h"
+#include "wire_charge.h"
 
 namespace mmlib::docstore {
 namespace {
@@ -199,34 +200,72 @@ TEST(RemoteDocumentStoreTest, EveryOperationIsARequestResponsePair) {
   InMemoryDocumentStore backend;
   simnet::Network network(simnet::Link{1000.0, 0.0});
   RemoteDocumentStore remote(&backend, &network);
+  constexpr uint64_t kScalar = sizeof(uint64_t);
+  constexpr uint64_t kDigest = sizeof(Digest{}.bytes);
 
-  const std::string id = remote.Insert("c", MakeDoc("x", 1)).value();
-  uint64_t messages = network.MessageCount();
-  EXPECT_EQ(messages, 2u);  // document upload + id acknowledgement
+  // Document upload, acknowledged with the generated id.
+  const json::Value doc = MakeDoc("x", 1);
+  std::string id;
+  const WireCharge insert = Charge(&network, [&]() -> Status {
+    MMLIB_ASSIGN_OR_RETURN(id, remote.Insert("c", doc));
+    return Status::OK();
+  });
+  EXPECT_EQ(insert, (WireCharge{2, 1 + doc.Dump().size() + id.size(),
+                                "doc.insert"}));
 
-  remote.Get("c", id).value();
-  EXPECT_EQ(network.MessageCount(), messages + 2);
-  messages = network.MessageCount();
+  std::string allocated;
+  const WireCharge alloc = Charge(&network, [&]() -> Status {
+    MMLIB_ASSIGN_OR_RETURN(allocated, remote.AllocateDocId("c"));
+    return Status::OK();
+  });
+  EXPECT_EQ(alloc, (WireCharge{2, 1 + allocated.size(), "doc.alloc"}));
 
-  remote.ListIds("c").value();
-  EXPECT_EQ(network.MessageCount(), messages + 2);
-  messages = network.MessageCount();
+  json::Value tagged = json::Value::MakeObject();
+  tagged.Set("tag", "a");
+  EXPECT_EQ(
+      Charge(&network,
+             [&] { return remote.InsertWithId("c", allocated, tagged); }),
+      (WireCharge{2, 1 + allocated.size() + tagged.Dump().size() + kScalar,
+                  "doc.insert"}));
 
-  remote.FindByField("c", "x", "nope").value();
-  EXPECT_EQ(network.MessageCount(), messages + 2);
-  messages = network.MessageCount();
+  const size_t stored_doc_bytes = backend.Get("c", id)->Dump().size();
+  EXPECT_EQ(Charge(&network, [&] { return remote.Get("c", id).status(); }),
+            (WireCharge{2, 1 + id.size() + stored_doc_bytes, "doc.get"}));
+  EXPECT_EQ(Charge(&network, [&] { return remote.ListIds("c").status(); }),
+            (WireCharge{2, 1 + id.size() + allocated.size(), "doc.list"}));
+  // The query runs on the database host; only the matching id travels.
+  EXPECT_EQ(Charge(&network,
+                   [&] { return remote.FindByField("c", "tag", "a").status(); }),
+            (WireCharge{2, 1 + 3 + 1 + allocated.size(), "doc.find"}));
+  EXPECT_EQ(
+      Charge(&network, [&] { return remote.ListCollections().status(); }),
+      (WireCharge{2, kScalar + 1, "doc.list"}));
+  EXPECT_EQ(Charge(&network,
+                   [&] { return remote.DocumentDigest("c", id).status(); }),
+            (WireCharge{2, 1 + id.size() + kDigest, "doc.digest"}));
 
-  // Stats pass-throughs are charged too: metric reads are not free.
-  EXPECT_EQ(remote.DocumentCount(), 1u);
-  EXPECT_EQ(network.MessageCount(), messages + 2);
-  messages = network.MessageCount();
+  // Stats pass-throughs are charged too (metric reads are not free), but
+  // never fault: even a link that drops everything answers them.
+  size_t count = 0;
+  EXPECT_EQ(Charge(&network,
+                   [&] {
+                     count = remote.DocumentCount();
+                     return Status::OK();
+                   }),
+            (WireCharge{2, 2 * kScalar, ""}));
+  EXPECT_EQ(count, 2u);
+  size_t stored = 0;
+  EXPECT_EQ(Charge(&network,
+                   [&] {
+                     stored = remote.TotalStoredBytes();
+                     return Status::OK();
+                   }),
+            (WireCharge{2, 2 * kScalar, ""}));
+  EXPECT_GT(stored, 0u);
 
-  EXPECT_GT(remote.TotalStoredBytes(), 0u);
-  EXPECT_EQ(network.MessageCount(), messages + 2);
-  messages = network.MessageCount();
-
-  EXPECT_TRUE(remote.Delete("c", id).ok());
-  EXPECT_EQ(network.MessageCount(), messages + 2);
+  EXPECT_EQ(Charge(&network, [&] { return remote.Delete("c", id); }),
+            (WireCharge{2, 1 + id.size() + kScalar, "doc.delete"}));
+  EXPECT_EQ(backend.DocumentCount(), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "filestore/file_store.h"
+#include "wire_charge.h"
 
 namespace mmlib::filestore {
 namespace {
@@ -129,26 +130,60 @@ TEST(RemoteFileStoreTest, EveryOperationIsARequestResponsePair) {
   InMemoryFileStore backend;
   simnet::Network network(simnet::Link{1e6, 1e-3});
   RemoteFileStore remote(&backend, &network);
+  constexpr uint64_t kScalar = sizeof(uint64_t);
+  constexpr uint64_t kDigest = sizeof(Digest{}.bytes);
 
-  const std::string id = remote.SaveFile(Bytes(64, 1)).value();
-  uint64_t messages = network.MessageCount();
-  EXPECT_EQ(messages, 2u);
+  // Upload of the payload, acknowledged with the generated id.
+  std::string id;
+  const WireCharge save = Charge(&network, [&]() -> Status {
+    MMLIB_ASSIGN_OR_RETURN(id, remote.SaveFile(Bytes(64, 1)));
+    return Status::OK();
+  });
+  EXPECT_EQ(save, (WireCharge{2, 64 + id.size(), "file.save"}));
 
-  EXPECT_EQ(remote.FileSize(id).value(), 64u);
-  EXPECT_EQ(network.MessageCount(), messages + 2);
-  messages = network.MessageCount();
+  std::string allocated;
+  const WireCharge alloc = Charge(&network, [&]() -> Status {
+    MMLIB_ASSIGN_OR_RETURN(allocated, remote.AllocateFileId());
+    return Status::OK();
+  });
+  EXPECT_EQ(alloc, (WireCharge{2, kScalar + allocated.size(), "file.alloc"}));
 
-  // Stats pass-throughs are charged too: metric reads are not free.
-  EXPECT_EQ(remote.TotalStoredBytes(), 64u);
-  EXPECT_EQ(network.MessageCount(), messages + 2);
-  messages = network.MessageCount();
+  EXPECT_EQ(Charge(&network,
+                   [&] { return remote.WriteAllocated(allocated, Bytes(32, 2)); }),
+            (WireCharge{2, allocated.size() + 32 + kScalar, "file.write"}));
+  EXPECT_EQ(Charge(&network, [&] { return remote.LoadFile(id).status(); }),
+            (WireCharge{2, id.size() + 64, "file.load"}));
+  EXPECT_EQ(Charge(&network, [&] { return remote.FileSize(id).status(); }),
+            (WireCharge{2, id.size() + kScalar, "file.size"}));
+  EXPECT_EQ(Charge(&network, [&] { return remote.ListFileIds().status(); }),
+            (WireCharge{2, kScalar + id.size() + allocated.size(),
+                        "file.list"}));
+  EXPECT_EQ(
+      Charge(&network, [&] { return remote.ContentDigest(id).status(); }),
+      (WireCharge{2, id.size() + kDigest, "file.digest"}));
 
-  EXPECT_EQ(remote.FileCount(), 1u);
-  EXPECT_EQ(network.MessageCount(), messages + 2);
-  messages = network.MessageCount();
+  // Stats pass-throughs are charged too (metric reads are not free), but
+  // never fault: even a link that drops everything answers them.
+  size_t stored = 0;
+  EXPECT_EQ(Charge(&network,
+                   [&] {
+                     stored = remote.TotalStoredBytes();
+                     return Status::OK();
+                   }),
+            (WireCharge{2, 2 * kScalar, ""}));
+  EXPECT_EQ(stored, 64u + 32u);
+  size_t count = 0;
+  EXPECT_EQ(Charge(&network,
+                   [&] {
+                     count = remote.FileCount();
+                     return Status::OK();
+                   }),
+            (WireCharge{2, 2 * kScalar, ""}));
+  EXPECT_EQ(count, 2u);
 
-  EXPECT_TRUE(remote.Delete(id).ok());
-  EXPECT_EQ(network.MessageCount(), messages + 2);
+  EXPECT_EQ(Charge(&network, [&] { return remote.Delete(id); }),
+            (WireCharge{2, id.size() + kScalar, "file.delete"}));
+  EXPECT_EQ(backend.FileCount(), 1u);
 }
 
 }  // namespace
