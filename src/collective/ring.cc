@@ -350,7 +350,6 @@ Status RingSession::AllReduce(
     }
   }
   report_.retries = retrier_.retry_count();
-  report_.deadline_exhausted = retrier_.deadline_exhausted_count();
   return Status::OK();
 }
 

@@ -98,8 +98,6 @@ struct SessionReport {
   uint64_t stalled_steps = 0;
   /// Collective messages retried by the session's Retrier.
   uint64_t retries = 0;
-  /// Messages abandoned on the retry deadline (feeds peer removal).
-  uint64_t deadline_exhausted = 0;
   /// Peers removed mid-step after their messages exhausted the retrier.
   uint64_t peers_removed = 0;
   std::vector<RingWorkerCounters> workers;

@@ -635,7 +635,6 @@ Result<FlowResult> EvaluationFlow::Run() {
     for (size_t r = 0; r < store->replica_count(); ++r) {
       result.replica_counters[r] += store->replica_counters(r);
     }
-    result.deadline_exhausted += store->DeadlineExhaustedCount();
   };
   report_replicas(replicated_files);
   report_replicas(replicated_docs);

@@ -190,9 +190,6 @@ struct FlowResult {
   /// ("file.load", "doc.insert", ...). Counters are reset at Run() start,
   /// so repeated flows over one network report per-flow numbers.
   std::map<std::string, simnet::FaultCounters> op_faults;
-  /// Reads/writes abandoned on the fail-fast retry deadline (replicated
-  /// backends only).
-  uint64_t deadline_exhausted = 0;
 
   /// Ring all-reduce accounting when data_parallel_workers >= 1 (all-zero
   /// otherwise): committed/degraded/stalled steps, collective retries, and

@@ -22,9 +22,6 @@ namespace {
 /// Suffix of persisted documents; only these count as stored data.
 constexpr const char* kJsonSuffix = ".json";
 
-/// Charge for a fixed-size control answer (an 8-byte ack or count).
-constexpr uint64_t kScalarResponseBytes = sizeof(uint64_t);
-
 Result<std::string> ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -43,14 +40,6 @@ Status WriteWholeFile(const std::string& path, const std::string& content) {
 
 Status ValidateDocName(const std::string& name, std::string_view what) {
   return check::ValidateResourceName(name, /*allow_dot=*/true, what);
-}
-
-size_t IdListBytes(const std::vector<std::string>& ids) {
-  size_t bytes = 0;
-  for (const std::string& id : ids) {
-    bytes += id.size();
-  }
-  return bytes;
 }
 
 }  // namespace
@@ -299,200 +288,86 @@ size_t PersistentDocumentStore::DocumentCount() const {
   return util::CountFilesWithSuffix(root_, kJsonSuffix, /*recursive=*/true);
 }
 
+using simnet::Reply;
+
 Result<std::string> RemoteDocumentStore::Insert(const std::string& collection,
                                                 json::Value doc) {
-  const size_t request_bytes = collection.size() + doc.Dump().size();
-  simnet::Network::OpScope scope(network_, "doc.insert");
-  return retrier_.Run([&]() -> Result<std::string> {
-    // Request carries the document. A corrupted upload is malformed JSON at
-    // the receiver and rejected before the backend mutates.
-    simnet::TransferAttempt request = Attempt(request_bytes);
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("insert rejected: document corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(std::string id, backend_->Insert(collection, doc));
-    // Acknowledgement carrying the generated id; modeled reliable so a
-    // completed insert is never retried into a duplicate.
-    network_->Transfer(id.size());
-    return id;
-  });
+  return endpoint_.Call<Reply::kAck>(
+      "doc.insert", collection.size() + doc.Dump().size(),
+      [&] { return backend_->Insert(collection, doc); });
 }
 
 Result<std::string> RemoteDocumentStore::AllocateDocId(
     const std::string& collection) {
-  simnet::Network::OpScope scope(network_, "doc.alloc");
-  return retrier_.Run([&]() -> Result<std::string> {
-    // A lost request burns an id on the backend's generator; ids are never
-    // reused, so a re-sent allocation is harmless.
-    simnet::TransferAttempt request = Attempt(collection.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(std::string id,
-                           backend_->AllocateDocId(collection));
-    network_->Transfer(id.size());  // reliable acknowledgement with the id
-    return id;
-  });
+  // A lost request burns an id on the backend's generator; ids are never
+  // reused, so a re-sent allocation is harmless.
+  return endpoint_.Call<Reply::kAck>(
+      "doc.alloc", collection.size(),
+      [&] { return backend_->AllocateDocId(collection); });
 }
 
 Status RemoteDocumentStore::InsertWithId(const std::string& collection,
                                          const std::string& id,
                                          json::Value doc) {
-  const size_t request_bytes =
-      collection.size() + id.size() + doc.Dump().size();
-  simnet::Network::OpScope scope(network_, "doc.insert");
-  return retrier_.Run([&]() -> Status {
-    // Writing a pre-allocated id is idempotent (same id, same document), so
-    // unlike Insert a retried upload cannot create a duplicate.
-    simnet::TransferAttempt request = Attempt(request_bytes);
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("insert rejected: document corrupted in flight");
-    }
-    MMLIB_RETURN_IF_ERROR(backend_->InsertWithId(collection, id, doc));
-    network_->Transfer(kScalarResponseBytes);  // reliable acknowledgement
-    return Status::OK();
-  });
+  // Writing a pre-allocated id is idempotent (same id, same document), so
+  // unlike Insert a retried upload cannot create a duplicate.
+  return endpoint_.Call<Reply::kAck>(
+      "doc.insert", collection.size() + id.size() + doc.Dump().size(),
+      [&] { return backend_->InsertWithId(collection, id, doc); });
 }
 
 Result<json::Value> RemoteDocumentStore::Get(const std::string& collection,
                                              const std::string& id) {
-  simnet::Network::OpScope scope(network_, "doc.get");
-  return retrier_.Run([&]() -> Result<json::Value> {
-    simnet::TransferAttempt request =
-        Attempt(collection.size() + id.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(json::Value doc, backend_->Get(collection, id));
-    simnet::TransferAttempt response =
-        Attempt(doc.Dump().size());
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      // A damaged document no longer parses as JSON; the client detects the
-      // malformed response and re-requests.
-      return Status::Unavailable("response corrupted in flight");
-    }
-    return doc;
-  });
+  return endpoint_.Call<Reply::kChecked>(
+      "doc.get", collection.size() + id.size(),
+      [&] { return backend_->Get(collection, id); },
+      [](const json::Value& doc) -> uint64_t { return doc.Dump().size(); });
 }
 
 Status RemoteDocumentStore::Delete(const std::string& collection,
                                    const std::string& id) {
-  simnet::Network::OpScope scope(network_, "doc.delete");
-  return retrier_.Run([&]() -> Status {
-    simnet::TransferAttempt request =
-        Attempt(collection.size() + id.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_RETURN_IF_ERROR(backend_->Delete(collection, id));
-    network_->Transfer(kScalarResponseBytes);  // reliable acknowledgement
-    return Status::OK();
-  });
+  return endpoint_.Call<Reply::kAck>(
+      "doc.delete", collection.size() + id.size(),
+      [&] { return backend_->Delete(collection, id); });
 }
 
 Result<std::vector<std::string>> RemoteDocumentStore::ListIds(
     const std::string& collection) {
-  simnet::Network::OpScope scope(network_, "doc.list");
-  return retrier_.Run([&]() -> Result<std::vector<std::string>> {
-    simnet::TransferAttempt request = Attempt(collection.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(std::vector<std::string> ids,
-                           backend_->ListIds(collection));
-    simnet::TransferAttempt response = Attempt(IdListBytes(ids));
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      return Status::Unavailable("response corrupted in flight");
-    }
-    return ids;
-  });
+  return endpoint_.Call<Reply::kChecked>(
+      "doc.list", collection.size(),
+      [&] { return backend_->ListIds(collection); });
 }
 
 Result<std::vector<std::string>> RemoteDocumentStore::FindByField(
     const std::string& collection, const std::string& key,
     const std::string& value) {
   // The query executes on the database host; only the matching ids travel.
-  simnet::Network::OpScope scope(network_, "doc.find");
-  return retrier_.Run([&]() -> Result<std::vector<std::string>> {
-    simnet::TransferAttempt request = Attempt(
-        collection.size() + key.size() + value.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(std::vector<std::string> ids,
-                           backend_->FindByField(collection, key, value));
-    simnet::TransferAttempt response = Attempt(IdListBytes(ids));
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      return Status::Unavailable("response corrupted in flight");
-    }
-    return ids;
-  });
+  return endpoint_.Call<Reply::kChecked>(
+      "doc.find", collection.size() + key.size() + value.size(),
+      [&] { return backend_->FindByField(collection, key, value); });
 }
 
 Result<std::vector<std::string>> RemoteDocumentStore::ListCollections() {
-  simnet::Network::OpScope scope(network_, "doc.list");
-  return retrier_.Run([&]() -> Result<std::vector<std::string>> {
-    simnet::TransferAttempt request = Attempt(kScalarResponseBytes);
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                           backend_->ListCollections());
-    simnet::TransferAttempt response = Attempt(IdListBytes(names));
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      return Status::Unavailable("response corrupted in flight");
-    }
-    return names;
-  });
+  return endpoint_.Call<Reply::kChecked>(
+      "doc.list", simnet::kScalarResponseBytes,
+      [&] { return backend_->ListCollections(); });
 }
 
 Result<Digest> RemoteDocumentStore::DocumentDigest(
     const std::string& collection, const std::string& id) {
-  simnet::Network::OpScope scope(network_, "doc.digest");
-  return retrier_.Run([&]() -> Result<Digest> {
-    simnet::TransferAttempt request = Attempt(collection.size() + id.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    // The server hashes where the document lives; only the 32-byte digest
-    // travels. This is what makes anti-entropy probes cheap.
-    MMLIB_ASSIGN_OR_RETURN(Digest digest,
-                           backend_->DocumentDigest(collection, id));
-    simnet::TransferAttempt response = Attempt(sizeof(digest.bytes));
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      return Status::Unavailable("response corrupted in flight");
-    }
-    return digest;
-  });
+  // The server hashes where the document lives; only the 32-byte digest
+  // travels. This is what makes anti-entropy probes cheap.
+  return endpoint_.Call<Reply::kChecked>(
+      "doc.digest", collection.size() + id.size(),
+      [&] { return backend_->DocumentDigest(collection, id); });
 }
 
 size_t RemoteDocumentStore::TotalStoredBytes() const {
-  // Stats queries feed the experiment's cost metering; charged as a
-  // request/response pair but fault-free so a flaky link cannot poison
-  // measurements with failed metric reads.
-  network_->Transfer(kScalarResponseBytes);
-  network_->Transfer(kScalarResponseBytes);
-  return backend_->TotalStoredBytes();
+  return endpoint_.Query([&] { return backend_->TotalStoredBytes(); });
 }
 
 size_t RemoteDocumentStore::DocumentCount() const {
-  network_->Transfer(kScalarResponseBytes);
-  network_->Transfer(kScalarResponseBytes);
-  return backend_->DocumentCount();
+  return endpoint_.Query([&] { return backend_->DocumentCount(); });
 }
 
 }  // namespace mmlib::docstore

@@ -7,8 +7,7 @@
 
 #include "hash/sha256.h"
 #include "json/json.h"
-#include "simnet/network.h"
-#include "simnet/retry.h"
+#include "simnet/remote.h"
 #include "util/id_generator.h"
 #include "persist/journal.h"
 #include "util/result.h"
@@ -152,34 +151,26 @@ class PersistentDocumentStore : public DocumentStore {
 };
 
 /// Decorator charging every operation to a simulated network link as a
-/// request/response message pair — models a MongoDB instance running on a
-/// separate machine, as in the paper's three-machine setup (Section 4.1).
-/// Under an active FaultPlan messages can drop, time out, or corrupt;
-/// transient failures are retried with the store's RetryPolicy. Document
-/// payloads are small and self-describing, so a corrupted message (either
-/// direction) is detected by the receiving side and handled as a transient
-/// rejection, never delivered as damaged metadata.
+/// request/response message pair (simnet::RemoteEndpoint) — models a
+/// MongoDB instance running on a separate machine, as in the paper's
+/// three-machine setup (Section 4.1). Writes are at-most-once: a corrupted
+/// upload is malformed JSON at the receiver and rejected before the backend
+/// mutates, and acknowledgements are reliable. Document payloads are small
+/// and self-describing, so a corrupted response is detected by the client
+/// and retried, never delivered as damaged metadata.
 class RemoteDocumentStore : public DocumentStore {
  public:
   RemoteDocumentStore(DocumentStore* backend, simnet::Network* network)
-      : backend_(backend),
-        network_(network),
-        retrier_(simnet::RetryPolicy{}, network) {}
+      : backend_(backend), endpoint_(network) {}
 
   /// Routes this store's messages to simnet replica node `replica` — while
   /// that replica is down or partitioned away, every faultable operation
   /// fails Unavailable. The replicated store binds one RemoteDocumentStore
   /// per backend replica.
-  void BindReplica(size_t replica) { replica_ = replica; }
+  void BindReplica(size_t replica) { endpoint_.BindReplica(replica); }
 
   /// Retries performed (attempts beyond the first) across all operations.
-  uint64_t retry_count() const { return retrier_.retry_count(); }
-
-  /// Operations abandoned because the retry budget ran out (fail-fast path
-  /// of below-quorum reads; see RetryPolicy::total_deadline_seconds).
-  uint64_t deadline_exhausted_count() const {
-    return retrier_.deadline_exhausted_count();
-  }
+  uint64_t retry_count() const { return endpoint_.retry_count(); }
 
   Result<std::string> Insert(const std::string& collection,
                              json::Value doc) override;
@@ -204,19 +195,8 @@ class RemoteDocumentStore : public DocumentStore {
   DocumentStore* backend() const { return backend_; }
 
  private:
-  /// One faultable message of `bytes` to this store's server: the bound
-  /// replica node when set, the anonymous shared server otherwise.
-  simnet::TransferAttempt Attempt(uint64_t bytes) {
-    if (replica_ != simnet::kNoReplica) {
-      return network_->TryTransferToReplica(replica_, bytes);
-    }
-    return network_->TryTransfer(bytes);
-  }
-
   DocumentStore* backend_;
-  simnet::Network* network_;
-  simnet::Retrier retrier_;
-  size_t replica_ = simnet::kNoReplica;
+  simnet::RemoteEndpoint endpoint_;
 };
 
 }  // namespace mmlib::docstore

@@ -17,9 +17,6 @@ namespace {
 /// Suffix of persisted file-store entries; only these count as stored data.
 constexpr const char* kBinSuffix = ".bin";
 
-/// Charge for a fixed-size control answer (an 8-byte count or size).
-constexpr uint64_t kScalarResponseBytes = sizeof(uint64_t);
-
 }  // namespace
 
 Result<Digest> FileStore::ContentDigest(const std::string& id) {
@@ -205,168 +202,65 @@ size_t LocalDirFileStore::FileCount() const {
   return util::CountFilesWithSuffix(root_, kBinSuffix);
 }
 
+using simnet::Reply;
+
 Result<std::string> RemoteFileStore::SaveFile(const Bytes& content) {
-  simnet::Network::OpScope scope(network_, "file.save");
-  return retrier_.Run([&]() -> Result<std::string> {
-    // Request carries the payload. A corrupted upload is caught by the
-    // receiver's checksum and rejected before the backend mutates, keeping
-    // writes at-most-once.
-    simnet::TransferAttempt request = Attempt(content.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("upload rejected: payload corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(std::string id, backend_->SaveFile(content));
-    // Acknowledgement carrying the generated id; modeled reliable so a
-    // completed write is never retried into a duplicate.
-    network_->Transfer(id.size());
-    return id;
+  return endpoint_.Call<Reply::kAck>("file.save", content.size(), [&] {
+    return backend_->SaveFile(content);
   });
 }
 
 Result<std::string> RemoteFileStore::AllocateFileId() {
-  simnet::Network::OpScope scope(network_, "file.alloc");
-  return retrier_.Run([&]() -> Result<std::string> {
-    // A lost request burns an id on the backend's generator; ids are never
-    // reused, so a re-sent allocation is harmless.
-    simnet::TransferAttempt request = Attempt(kScalarResponseBytes);
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(std::string id, backend_->AllocateFileId());
-    network_->Transfer(id.size());  // reliable acknowledgement with the id
-    return id;
-  });
+  // A lost request burns an id on the backend's generator; ids are never
+  // reused, so a re-sent allocation is harmless.
+  return endpoint_.Call<Reply::kAck>(
+      "file.alloc", simnet::kScalarResponseBytes,
+      [&] { return backend_->AllocateFileId(); });
 }
 
 Status RemoteFileStore::WriteAllocated(const std::string& id,
                                        const Bytes& content) {
-  simnet::Network::OpScope scope(network_, "file.write");
-  return retrier_.Run([&]() -> Status {
-    // Writing a pre-allocated id is idempotent (same id, same content), so
-    // unlike SaveFile a retried upload cannot create a duplicate.
-    simnet::TransferAttempt request = Attempt(id.size() + content.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("upload rejected: payload corrupted in flight");
-    }
-    MMLIB_RETURN_IF_ERROR(backend_->WriteAllocated(id, content));
-    network_->Transfer(kScalarResponseBytes);  // reliable acknowledgement
-    return Status::OK();
-  });
+  // Writing a pre-allocated id is idempotent (same id, same content), so
+  // unlike SaveFile a retried upload cannot create a duplicate.
+  return endpoint_.Call<Reply::kAck>(
+      "file.write", id.size() + content.size(),
+      [&] { return backend_->WriteAllocated(id, content); });
 }
 
 Result<Bytes> RemoteFileStore::LoadFile(const std::string& id) {
-  simnet::Network::OpScope scope(network_, "file.load");
-  return retrier_.Run([&]() -> Result<Bytes> {
-    simnet::TransferAttempt request = Attempt(id.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(Bytes content, backend_->LoadFile(id));
-    simnet::TransferAttempt response = Attempt(content.size());
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      // Delivered damaged: end-to-end integrity (per-chunk CRC-32 in the
-      // chunked frame) is the caller's to verify and re-fetch.
-      network_->CorruptPayload(&content);
-    }
-    return content;
-  });
+  return endpoint_.Call<Reply::kDamaged>(
+      "file.load", id.size(), [&] { return backend_->LoadFile(id); });
 }
 
 Status RemoteFileStore::Delete(const std::string& id) {
-  simnet::Network::OpScope scope(network_, "file.delete");
-  return retrier_.Run([&]() -> Status {
-    simnet::TransferAttempt request = Attempt(id.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_RETURN_IF_ERROR(backend_->Delete(id));
-    network_->Transfer(kScalarResponseBytes);  // reliable acknowledgement
-    return Status::OK();
-  });
+  return endpoint_.Call<Reply::kAck>("file.delete", id.size(),
+                                     [&] { return backend_->Delete(id); });
 }
 
 Result<size_t> RemoteFileStore::FileSize(const std::string& id) {
-  simnet::Network::OpScope scope(network_, "file.size");
-  return retrier_.Run([&]() -> Result<size_t> {
-    simnet::TransferAttempt request = Attempt(id.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(size_t size, backend_->FileSize(id));
-    simnet::TransferAttempt response = Attempt(kScalarResponseBytes);
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      return Status::Unavailable("response corrupted in flight");
-    }
-    return size;
-  });
+  return endpoint_.Call<Reply::kChecked>(
+      "file.size", id.size(), [&] { return backend_->FileSize(id); });
 }
 
 Result<std::vector<std::string>> RemoteFileStore::ListFileIds() {
-  simnet::Network::OpScope scope(network_, "file.list");
-  return retrier_.Run([&]() -> Result<std::vector<std::string>> {
-    simnet::TransferAttempt request = Attempt(kScalarResponseBytes);
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    MMLIB_ASSIGN_OR_RETURN(std::vector<std::string> ids,
-                           backend_->ListFileIds());
-    uint64_t listing_bytes = 0;
-    for (const std::string& id : ids) {
-      listing_bytes += id.size();
-    }
-    simnet::TransferAttempt response = Attempt(listing_bytes);
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      // A listing is length-prefixed and self-describing; a damaged one is
-      // rejected by the receiver, never delivered as a wrong id set.
-      return Status::Unavailable("response corrupted in flight");
-    }
-    return ids;
-  });
+  return endpoint_.Call<Reply::kChecked>(
+      "file.list", simnet::kScalarResponseBytes,
+      [&] { return backend_->ListFileIds(); });
 }
 
 Result<Digest> RemoteFileStore::ContentDigest(const std::string& id) {
-  simnet::Network::OpScope scope(network_, "file.digest");
-  return retrier_.Run([&]() -> Result<Digest> {
-    simnet::TransferAttempt request = Attempt(id.size());
-    MMLIB_RETURN_IF_ERROR(request.status);
-    if (request.corrupted) {
-      return Status::Unavailable("request corrupted in flight");
-    }
-    // The server hashes where the bytes live; only the 32-byte digest
-    // travels. This is what makes anti-entropy probes cheap.
-    MMLIB_ASSIGN_OR_RETURN(Digest digest, backend_->ContentDigest(id));
-    simnet::TransferAttempt response = Attempt(sizeof(digest.bytes));
-    MMLIB_RETURN_IF_ERROR(response.status);
-    if (response.corrupted) {
-      return Status::Unavailable("response corrupted in flight");
-    }
-    return digest;
-  });
+  // The server hashes where the bytes live; only the 32-byte digest
+  // travels. This is what makes anti-entropy probes cheap.
+  return endpoint_.Call<Reply::kChecked>(
+      "file.digest", id.size(), [&] { return backend_->ContentDigest(id); });
 }
 
 size_t RemoteFileStore::TotalStoredBytes() const {
-  // Stats queries feed the experiment's cost metering; they are charged as
-  // a request/response pair but stay fault-free so a flaky link cannot
-  // poison measurements with failed metric reads.
-  network_->Transfer(kScalarResponseBytes);
-  network_->Transfer(kScalarResponseBytes);
-  return backend_->TotalStoredBytes();
+  return endpoint_.Query([&] { return backend_->TotalStoredBytes(); });
 }
 
 size_t RemoteFileStore::FileCount() const {
-  network_->Transfer(kScalarResponseBytes);
-  network_->Transfer(kScalarResponseBytes);
-  return backend_->FileCount();
+  return endpoint_.Query([&] { return backend_->FileCount(); });
 }
 
 }  // namespace mmlib::filestore

@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "hash/sha256.h"
-#include "simnet/network.h"
-#include "simnet/retry.h"
+#include "simnet/remote.h"
 #include "util/bytes.h"
 #include "util/id_generator.h"
 #include "persist/journal.h"
@@ -131,36 +130,24 @@ class LocalDirFileStore : public FileStore {
 };
 
 /// Decorator charging every operation to a simulated network link as a
-/// request/response message pair — models external shared storage reached
-/// over the evaluation cluster's link. Under an active FaultPlan messages
-/// can drop, time out, or corrupt; transient failures are retried with the
-/// store's RetryPolicy (deterministic backoff charged to the virtual
-/// clock). Write semantics are at-most-once: a corrupted upload is rejected
-/// by the receiver (checksum) and retried before the backend mutates, and
-/// acknowledgements are modeled as reliable. A corrupted LoadFile response
-/// is delivered as-is — end-to-end integrity is the caller's job (chunked
-/// frames carry per-chunk CRC-32s; the recoverer re-fetches on mismatch).
+/// request/response message pair (simnet::RemoteEndpoint) — models external
+/// shared storage reached over the evaluation cluster's link. Writes are
+/// at-most-once: a corrupted upload is rejected before the backend mutates
+/// and acknowledgements are reliable. A corrupted LoadFile response is
+/// delivered damaged; every other corrupted response is retried.
 class RemoteFileStore : public FileStore {
  public:
   RemoteFileStore(FileStore* backend, simnet::Network* network)
-      : backend_(backend),
-        network_(network),
-        retrier_(simnet::RetryPolicy{}, network) {}
+      : backend_(backend), endpoint_(network) {}
 
   /// Routes this store's messages to simnet replica node `replica` — while
   /// that replica is down or partitioned away, every faultable operation
   /// fails Unavailable. The replicated store binds one RemoteFileStore per
   /// backend replica.
-  void BindReplica(size_t replica) { replica_ = replica; }
+  void BindReplica(size_t replica) { endpoint_.BindReplica(replica); }
 
   /// Retries performed (attempts beyond the first) across all operations.
-  uint64_t retry_count() const { return retrier_.retry_count(); }
-
-  /// Operations abandoned because the retry budget ran out (fail-fast path
-  /// of below-quorum reads; see RetryPolicy::total_deadline_seconds).
-  uint64_t deadline_exhausted_count() const {
-    return retrier_.deadline_exhausted_count();
-  }
+  uint64_t retry_count() const { return endpoint_.retry_count(); }
 
   Result<std::string> SaveFile(const Bytes& content) override;
   Result<std::string> AllocateFileId() override;
@@ -177,19 +164,8 @@ class RemoteFileStore : public FileStore {
   FileStore* backend() const { return backend_; }
 
  private:
-  /// One faultable message of `bytes` to this store's server: the bound
-  /// replica node when set, the anonymous shared server otherwise.
-  simnet::TransferAttempt Attempt(uint64_t bytes) {
-    if (replica_ != simnet::kNoReplica) {
-      return network_->TryTransferToReplica(replica_, bytes);
-    }
-    return network_->TryTransfer(bytes);
-  }
-
   FileStore* backend_;
-  simnet::Network* network_;
-  simnet::Retrier retrier_;
-  size_t replica_ = simnet::kNoReplica;
+  simnet::RemoteEndpoint endpoint_;
 };
 
 }  // namespace mmlib::filestore

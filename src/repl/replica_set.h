@@ -218,10 +218,6 @@ class ReplicaSet {
   uint64_t TransportRetryCount() const {
     return SumOver(&Transport::retry_count);
   }
-  /// Operations abandoned on the fail-fast deadline, summed likewise.
-  uint64_t DeadlineExhaustedCount() const {
-    return SumOver(&Transport::deadline_exhausted_count);
-  }
   /// `stat` of the most complete replica: logical sizes and counts, so
   /// replication does not multiply the paper's storage numbers.
   template <typename Stat>

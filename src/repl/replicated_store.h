@@ -62,8 +62,8 @@ class ReplicatedFileStore
   using ReplicaSet::replica_count, ReplicaSet::write_quorum,
       ReplicaSet::read_quorum, ReplicaSet::transport,
       ReplicaSet::replica_counters, ReplicaSet::PhysicalStoredBytes,
-      ReplicaSet::TransportRetryCount, ReplicaSet::DeadlineExhaustedCount,
-      ReplicaSet::FindExpectedDigest, ReplicaSet::IsTombstoned;
+      ReplicaSet::TransportRetryCount, ReplicaSet::FindExpectedDigest,
+      ReplicaSet::IsTombstoned;
 
  private:
   friend class Scrubber;
@@ -118,8 +118,8 @@ class ReplicatedDocumentStore
   using ReplicaSet::replica_count, ReplicaSet::write_quorum,
       ReplicaSet::read_quorum, ReplicaSet::transport,
       ReplicaSet::replica_counters, ReplicaSet::PhysicalStoredBytes,
-      ReplicaSet::TransportRetryCount, ReplicaSet::DeadlineExhaustedCount,
-      ReplicaSet::FindExpectedDigest, ReplicaSet::IsTombstoned;
+      ReplicaSet::TransportRetryCount, ReplicaSet::FindExpectedDigest,
+      ReplicaSet::IsTombstoned;
 
   static std::string KeyFor(const std::string& collection,
                             const std::string& id) {

@@ -22,13 +22,6 @@ struct RetryPolicy {
   /// Backoff is scaled by a factor in [1 - jitter, 1 + jitter], drawn from
   /// the seeded jitter stream — deterministic, unlike wall-clock jitter.
   double jitter_fraction = 0.2;
-  /// Total virtual-clock budget for one operation, measured from its first
-  /// attempt. Once a failed attempt finds the budget spent, the Retrier
-  /// stops — even with attempts left — and returns DeadlineExceeded. 0
-  /// disables the budget (per-attempt cap only). Quorum reads against a
-  /// partitioned replica set rely on this to fail fast instead of spinning
-  /// through the full capped backoff ladder.
-  double total_deadline_seconds = 0.0;
   /// Seed of the jitter stream.
   uint64_t seed = 0x6a77e7;
 };
@@ -53,28 +46,19 @@ class Retrier {
       : policy_(policy), network_(network), jitter_rng_(policy.seed) {}
 
   /// Runs `op` (returning Status or Result<T>) under the retry policy and
-  /// returns its last outcome. A retryable failure past the operation's
-  /// virtual-clock budget is replaced by DeadlineExceeded so callers can
-  /// distinguish "gave up fast" from the transport's own errors. When the
-  /// network carries a request deadline (Network::DeadlineScope, installed
-  /// by the serving front end), a retryable failure past that deadline is
-  /// abandoned the same way — the client has already given up on the
-  /// request, so retrying on its behalf only burns backend capacity.
+  /// returns its last outcome. When the network carries a request deadline
+  /// (Network::DeadlineScope, installed by the serving front end), a
+  /// retryable failure past that deadline is replaced by DeadlineExceeded
+  /// instead of retried — the client has already given up on the request,
+  /// so retrying on its behalf only burns backend capacity.
   template <typename Fn>
   auto Run(Fn&& op) -> decltype(op()) {
-    const double start_seconds = NowSeconds();
     for (int attempt = 1;; ++attempt) {
       auto outcome = op();
       if (outcome.ok() || !IsRetryable(StatusOf(outcome))) {
         return outcome;
       }
-      if (DeadlineSpent(start_seconds)) {
-        ++deadline_exhausted_count_;
-        return decltype(op())(Status::DeadlineExceeded(
-            "retry budget exhausted: " + StatusOf(outcome).message()));
-      }
       if (RequestDeadlineHopeless()) {
-        ++deadline_exhausted_count_;
         ++request_deadline_abandoned_count_;
         return decltype(op())(Status::DeadlineExceeded(
             "request deadline expired: " + StatusOf(outcome).message()));
@@ -90,15 +74,8 @@ class Retrier {
   /// Total retries (attempts beyond the first) across all operations.
   uint64_t retry_count() const { return retry_count_; }
 
-  /// Operations abandoned because their total virtual-clock budget ran out
-  /// before the policy's attempt cap did.
-  uint64_t deadline_exhausted_count() const {
-    return deadline_exhausted_count_;
-  }
-
-  /// Subset of deadline_exhausted_count(): operations abandoned because the
-  /// propagated *request* deadline (Network::DeadlineScope) expired, not the
-  /// retrier's own budget.
+  /// Operations abandoned because the propagated request deadline
+  /// (Network::DeadlineScope) had expired.
   uint64_t request_deadline_abandoned_count() const {
     return request_deadline_abandoned_count_;
   }
@@ -114,17 +91,6 @@ class Retrier {
 
   void ChargeBackoff(int attempt);
 
-  double NowSeconds() const {
-    return network_ != nullptr ? network_->TotalTransferSeconds() : 0.0;
-  }
-
-  /// True when the per-operation budget is enabled and already consumed.
-  /// With no network there is no virtual clock, so the budget cannot tick.
-  bool DeadlineSpent(double start_seconds) const {
-    return policy_.total_deadline_seconds > 0.0 && network_ != nullptr &&
-           NowSeconds() - start_seconds >= policy_.total_deadline_seconds;
-  }
-
   /// True when the network carries an in-flight request deadline that has
   /// already passed — further retries can never help the client.
   bool RequestDeadlineHopeless() const {
@@ -135,7 +101,6 @@ class Retrier {
   Network* network_;
   Rng jitter_rng_;
   uint64_t retry_count_ = 0;
-  uint64_t deadline_exhausted_count_ = 0;
   uint64_t request_deadline_abandoned_count_ = 0;
 };
 
