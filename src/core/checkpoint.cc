@@ -138,7 +138,8 @@ Result<bool> CheckpointManager::LoadLatest(const std::string& run_id,
   MMLIB_ASSIGN_OR_RETURN(
       std::vector<std::string> ids,
       backends_.docs->FindByField(kCheckpointsCollection, "run_id", run_id));
-  std::string best_id;
+  // The scan keeps the winning document, so resuming reads it once.
+  json::Value best;
   int64_t best_step = -1;
   for (const std::string& id : ids) {
     MMLIB_ASSIGN_OR_RETURN(json::Value doc,
@@ -146,17 +147,15 @@ Result<bool> CheckpointManager::LoadLatest(const std::string& run_id,
     MMLIB_ASSIGN_OR_RETURN(int64_t step, doc.GetInt("step"));
     if (step > best_step) {
       best_step = step;
-      best_id = id;
+      best = std::move(doc);
     }
   }
-  if (best_id.empty()) {
+  if (best_step < 0) {
     return false;
   }
-  MMLIB_ASSIGN_OR_RETURN(json::Value doc,
-                         backends_.docs->Get(kCheckpointsCollection, best_id));
   MMLIB_ASSIGN_OR_RETURN(std::string params_file,
-                         doc.GetString("params_file"));
-  MMLIB_ASSIGN_OR_RETURN(std::string state_file, doc.GetString("state_file"));
+                         best.GetString("params_file"));
+  MMLIB_ASSIGN_OR_RETURN(std::string state_file, best.GetString("state_file"));
   out->run_id = run_id;
   MMLIB_ASSIGN_OR_RETURN(out->model_params,
                          backends_.files->LoadFile(params_file));
