@@ -135,7 +135,7 @@ Section BenchConvBackward(const char* name, const ConvShape& shape) {
     Tensor grad_input;
     const double seconds = TimeOp(5, [&] {
       conv.ZeroGrad();
-      grad_input = std::move(conv.Backward(gout, &ctx).value()[0]);
+      grad_input = std::move(conv.Backward({&input}, gout, &ctx).value()[0]);
     });
     const Tensor& grad_weight = conv.params()[0].grad;
     if (threads == 1) {
@@ -193,7 +193,7 @@ Section BenchLinearBackward() {
     Tensor grad_input;
     const double seconds = TimeOp(10, [&] {
       fc.ZeroGrad();
-      grad_input = std::move(fc.Backward(gout, &ctx).value()[0]);
+      grad_input = std::move(fc.Backward({&input}, gout, &ctx).value()[0]);
     });
     const Tensor& grad_weight = fc.params()[0].grad;
     const Tensor& grad_bias = fc.params()[1].grad;
@@ -267,7 +267,7 @@ Section BenchBatchNormBackward() {
     Tensor grad_input;
     const double seconds = TimeOp(10, [&] {
       bn.ZeroGrad();
-      grad_input = std::move(bn.Backward(gout, &ctx).value()[0]);
+      grad_input = std::move(bn.Backward({&input}, gout, &ctx).value()[0]);
     });
     const Tensor& grad_gamma = bn.params()[0].grad;
     const Tensor& grad_beta = bn.params()[1].grad;

@@ -10,18 +10,23 @@ Result<Tensor> ReLU::Forward(const std::vector<const Tensor*>& inputs,
                              ExecutionContext* ctx) {
   (void)ctx;
   MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
-  cached_input_ = *inputs[0];
-  Tensor y(cached_input_.shape());
-  kernels::ReluForward(cached_input_.data(), y.data(), y.numel(), clip_);
+  const Tensor& x = *inputs[0];
+  Tensor y(x.shape());
+  kernels::ReluForward(x.data(), y.data(), y.numel(), clip_);
   return y;
 }
 
-Result<std::vector<Tensor>> ReLU::Backward(const Tensor& grad_output,
-                                           ExecutionContext* ctx) {
+Result<std::vector<Tensor>> ReLU::Backward(
+    const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+    ExecutionContext* ctx) {
   (void)ctx;
-  Tensor grad_input(cached_input_.shape());
-  kernels::ReluBackward(cached_input_.data(), grad_output.data(),
-                        grad_input.data(), grad_input.numel(), clip_);
+  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
+  const Tensor& x = *inputs[0];
+  MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
+      grad_output.shape(), x.shape(), "relu " + name_ + " grad_output"));
+  Tensor grad_input(x.shape());
+  kernels::ReluBackward(x.data(), grad_output.data(), grad_input.data(),
+                        grad_input.numel(), clip_);
   std::vector<Tensor> grads;
   grads.push_back(std::move(grad_input));
   return grads;
@@ -46,19 +51,28 @@ Result<Tensor> Dropout::Forward(const std::vector<const Tensor*>& inputs,
   return y;
 }
 
-Result<std::vector<Tensor>> Dropout::Backward(const Tensor& grad_output,
-                                              ExecutionContext* ctx) {
+Result<std::vector<Tensor>> Dropout::Backward(
+    const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+    ExecutionContext* ctx) {
   (void)ctx;
-  Tensor grad_input(grad_output.shape());
-  if (mask_.empty()) {
-    grad_input = grad_output;
-  } else {
-    const float scale = 1.0f / (1.0f - p_);
-    for (int64_t i = 0; i < grad_output.numel(); ++i) {
-      grad_input.data()[i] = mask_[i] ? grad_output.data()[i] * scale : 0.0f;
-    }
-  }
+  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
+  const Tensor& x = *inputs[0];
+  MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
+      grad_output.shape(), x.shape(), "dropout " + name_ + " grad_output"));
   std::vector<Tensor> grads;
+  if (mask_.empty()) {
+    grads.push_back(grad_output);
+    return grads;
+  }
+  if (mask_.size() != static_cast<size_t>(x.numel())) {
+    return Status::InvalidArgument("dropout " + name_ +
+                                   ": input does not match the forward mask");
+  }
+  Tensor grad_input(x.shape());
+  const float scale = 1.0f / (1.0f - p_);
+  for (int64_t i = 0; i < grad_output.numel(); ++i) {
+    grad_input.data()[i] = mask_[i] ? grad_output.data()[i] * scale : 0.0f;
+  }
   grads.push_back(std::move(grad_input));
   return grads;
 }
@@ -79,15 +93,21 @@ Result<Tensor> Add::Forward(const std::vector<const Tensor*>& inputs,
   return y;
 }
 
-Result<std::vector<Tensor>> Add::Backward(const Tensor& grad_output,
-                                          ExecutionContext* ctx) {
+Result<std::vector<Tensor>> Add::Backward(
+    const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+    ExecutionContext* ctx) {
   (void)ctx;
+  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, arity_, name_));
+  MMLIB_RETURN_IF_ERROR(
+      check::ValidatePositive(static_cast<int64_t>(arity_), name_));
+  MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
+      grad_output.shape(), inputs[0]->shape(),
+      "add " + name_ + " grad_output"));
   return std::vector<Tensor>(arity_, grad_output);
 }
 
-Result<Tensor> Concat::Forward(const std::vector<const Tensor*>& inputs,
-                               ExecutionContext* ctx) {
-  (void)ctx;
+Result<Shape> Concat::OutputShape(
+    const std::vector<const Tensor*>& inputs) const {
   MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, arity_, name_));
   MMLIB_RETURN_IF_ERROR(
       check::ValidatePositive(static_cast<int64_t>(arity_), name_));
@@ -95,7 +115,6 @@ Result<Tensor> Concat::Forward(const std::vector<const Tensor*>& inputs,
   if (first.rank() != 4) {
     return Status::InvalidArgument("concat " + name_ + ": expects NCHW");
   }
-  input_channels_.clear();
   int64_t total_channels = 0;
   for (const Tensor* t : inputs) {
     if (t->shape().rank() != 4 || t->shape().dim(0) != first.dim(0) ||
@@ -104,17 +123,23 @@ Result<Tensor> Concat::Forward(const std::vector<const Tensor*>& inputs,
       return Status::InvalidArgument("concat " + name_ +
                                      ": incompatible input shapes");
     }
-    input_channels_.push_back(t->shape().dim(1));
     total_channels += t->shape().dim(1);
   }
-  const int64_t batch = first.dim(0);
-  const int64_t plane = first.dim(2) * first.dim(3);
-  output_shape_ = Shape{batch, total_channels, first.dim(2), first.dim(3)};
-  Tensor y(output_shape_);
+  return Shape{first.dim(0), total_channels, first.dim(2), first.dim(3)};
+}
+
+Result<Tensor> Concat::Forward(const std::vector<const Tensor*>& inputs,
+                               ExecutionContext* ctx) {
+  (void)ctx;
+  MMLIB_ASSIGN_OR_RETURN(const Shape output_shape, OutputShape(inputs));
+  const int64_t batch = output_shape.dim(0);
+  const int64_t total_channels = output_shape.dim(1);
+  const int64_t plane = output_shape.dim(2) * output_shape.dim(3);
+  Tensor y(output_shape);
   for (int64_t n = 0; n < batch; ++n) {
     int64_t channel_offset = 0;
     for (size_t k = 0; k < inputs.size(); ++k) {
-      const int64_t c_in = input_channels_[k];
+      const int64_t c_in = inputs[k]->shape().dim(1);
       const float* src = inputs[k]->data() + n * c_in * plane;
       float* dst =
           y.data() + (n * total_channels + channel_offset) * plane;
@@ -125,18 +150,22 @@ Result<Tensor> Concat::Forward(const std::vector<const Tensor*>& inputs,
   return y;
 }
 
-Result<std::vector<Tensor>> Concat::Backward(const Tensor& grad_output,
-                                             ExecutionContext* ctx) {
+Result<std::vector<Tensor>> Concat::Backward(
+    const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+    ExecutionContext* ctx) {
   (void)ctx;
-  const int64_t batch = output_shape_.dim(0);
-  const int64_t total_channels = output_shape_.dim(1);
-  const int64_t plane = output_shape_.dim(2) * output_shape_.dim(3);
+  MMLIB_ASSIGN_OR_RETURN(const Shape output_shape, OutputShape(inputs));
+  MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
+      grad_output.shape(), output_shape, "concat " + name_ + " grad_output"));
+  const int64_t batch = output_shape.dim(0);
+  const int64_t total_channels = output_shape.dim(1);
+  const int64_t plane = output_shape.dim(2) * output_shape.dim(3);
   std::vector<Tensor> grads;
   grads.reserve(arity_);
   int64_t channel_offset = 0;
   for (size_t k = 0; k < arity_; ++k) {
-    const int64_t c_in = input_channels_[k];
-    Tensor g(Shape{batch, c_in, output_shape_.dim(2), output_shape_.dim(3)});
+    const int64_t c_in = inputs[k]->shape().dim(1);
+    Tensor g(inputs[k]->shape());
     for (int64_t n = 0; n < batch; ++n) {
       const float* src =
           grad_output.data() + (n * total_channels + channel_offset) * plane;

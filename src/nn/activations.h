@@ -17,12 +17,12 @@ class ReLU : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 
  private:
   float clip_;  // 0 => unbounded
-  Tensor cached_input_;
 };
 
 /// Dropout with rate `p`. The mask is drawn from the execution context's
@@ -36,8 +36,9 @@ class Dropout : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 
  private:
   float p_;
@@ -54,8 +55,9 @@ class Add : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 
  private:
   size_t arity_;
@@ -72,13 +74,16 @@ class Concat : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 
  private:
+  /// The output shape (inputs stacked along C); InvalidArgument unless
+  /// there are arity() NCHW inputs that agree in N, H and W.
+  Result<Shape> OutputShape(const std::vector<const Tensor*>& inputs) const;
+
   size_t arity_;
-  std::vector<int64_t> input_channels_;
-  Shape output_shape_;
 };
 
 }  // namespace mmlib::nn

@@ -28,16 +28,21 @@ BatchNorm2d::BatchNorm2d(std::string name, int64_t channels, float momentum,
            /*trainable=*/false, /*is_buffer=*/true);
 }
 
+Status BatchNorm2d::ValidateInput(
+    const std::vector<const Tensor*>& inputs) const {
+  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
+  const Shape& shape = inputs[0]->shape();
+  if (shape.rank() != 4 || shape.dim(1) != channels_) {
+    return Status::InvalidArgument("batchnorm " + name_ +
+                                   ": bad input shape " + shape.ToString());
+  }
+  return Status::OK();
+}
+
 Result<Tensor> BatchNorm2d::Forward(const std::vector<const Tensor*>& inputs,
                                     ExecutionContext* ctx) {
-  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
+  MMLIB_RETURN_IF_ERROR(ValidateInput(inputs));
   const Tensor& x = *inputs[0];
-  if (x.shape().rank() != 4 || x.shape().dim(1) != channels_) {
-    return Status::InvalidArgument("batchnorm " + name_ +
-                                   ": bad input shape " +
-                                   x.shape().ToString());
-  }
-  cached_input_ = x;
   batch_mean_.resize(channels_);
   batch_inv_std_.resize(channels_);
   Tensor y(x.shape());
@@ -54,9 +59,17 @@ Result<Tensor> BatchNorm2d::Forward(const std::vector<const Tensor*>& inputs,
   return y;
 }
 
-Result<std::vector<Tensor>> BatchNorm2d::Backward(const Tensor& grad_output,
-                                                  ExecutionContext* ctx) {
-  const Tensor& x = cached_input_;
+Result<std::vector<Tensor>> BatchNorm2d::Backward(
+    const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+    ExecutionContext* ctx) {
+  MMLIB_RETURN_IF_ERROR(ValidateInput(inputs));
+  if (batch_mean_.size() != static_cast<size_t>(channels_)) {
+    return Status::InvalidArgument("batchnorm " + name_ +
+                                   ": Backward called before Forward");
+  }
+  const Tensor& x = *inputs[0];
+  MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
+      grad_output.shape(), x.shape(), "batchnorm " + name_ + " grad_output"));
   Tensor grad_input(x.shape());
   kernels::BatchNormBackward(Dims(x), x.data(), grad_output.data(),
                              params_[0].value.data(), batch_mean_.data(),

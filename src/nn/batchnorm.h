@@ -22,15 +22,18 @@ class BatchNorm2d : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 
  private:
+  /// OK iff there is one NCHW input with channels_ channels.
+  Status ValidateInput(const std::vector<const Tensor*>& inputs) const;
+
   int64_t channels_;
   float momentum_;
   float epsilon_;
-  // Cached by Forward for Backward.
-  Tensor cached_input_;
+  // Per-channel batch statistics of the last Forward, read by Backward.
   std::vector<float> batch_mean_;
   std::vector<float> batch_inv_std_;
 };

@@ -43,7 +43,6 @@ Result<Tensor> Conv2d::Forward(const std::vector<const Tensor*>& inputs,
     return Status::InvalidArgument("conv2d " + name_ +
                                    ": input too small for kernel");
   }
-  cached_input_ = x;
   RefreshPlan(batch, height, width, out_h, out_w);
 
   // Both execution modes run the shape's kernel plan; a non-deterministic
@@ -54,20 +53,26 @@ Result<Tensor> Conv2d::Forward(const std::vector<const Tensor*>& inputs,
   return y;
 }
 
-Result<std::vector<Tensor>> Conv2d::Backward(const Tensor& grad_output,
-                                             ExecutionContext* ctx) {
+Result<std::vector<Tensor>> Conv2d::Backward(
+    const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+    ExecutionContext* ctx) {
   if (plan_ == nullptr) {
     return Status::InvalidArgument("conv2d " + name_ +
                                    ": Backward called before Forward");
   }
+  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
+  const Tensor& x = *inputs[0];
   const kernels::ConvGeom& geom = plan_->geom();
+  MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
+      x.shape(), Shape{geom.batch, in_channels_, geom.height, geom.width},
+      "conv2d " + name_ + " input"));
   MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
       grad_output.shape(),
       Shape{geom.batch, out_channels_, geom.out_h, geom.out_w},
       "conv2d " + name_ + " grad_output"));
 
-  Tensor grad_input(cached_input_.shape());
-  plan_->Backward(cached_input_.data(), params_[0].value.data(),
+  Tensor grad_input(x.shape());
+  plan_->Backward(x.data(), params_[0].value.data(),
                   grad_output.data(), grad_input.data(),
                   params_[0].grad.data(), ctx->pool(), ctx->scheduler());
   std::vector<Tensor> grads;

@@ -33,8 +33,9 @@ class Conv2d : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 
   int64_t in_channels() const { return in_channels_; }
   int64_t out_channels() const { return out_channels_; }
@@ -51,7 +52,6 @@ class Conv2d : public Layer {
   int64_t stride_;
   int64_t padding_;
   int64_t groups_;
-  Tensor cached_input_;
   /// Plan for the last Forward geometry; refreshed from the PlanCache when
   /// the input shape changes. Null until the first Forward.
   std::shared_ptr<const kernels::ConvPlan> plan_;

@@ -26,8 +26,12 @@ struct Param {
 ///
 /// A layer transforms one or more input tensors into one output tensor and,
 /// for training, maps the output gradient back to input gradients while
-/// accumulating parameter gradients. Layers cache whatever they need from
-/// Forward for use in the subsequent Backward (single-use, not reentrant).
+/// accumulating parameter gradients. The caller (normally Model) owns the
+/// forward activations: Backward receives the same input tensors the
+/// preceding Forward read, and a layer keeps no copy of them. A layer keeps
+/// only state its inputs cannot give back (a dropout mask, pooling argmax,
+/// batch statistics, the kernel plan) and checks the handed-in inputs and
+/// gradient against it (single-use, not reentrant).
 class Layer {
  public:
   explicit Layer(std::string name) : name_(std::move(name)) {}
@@ -49,9 +53,12 @@ class Layer {
                                  ExecutionContext* ctx) = 0;
 
   /// Computes input gradients from the output gradient; must be called after
-  /// Forward. Parameter gradients accumulate into Param::grad.
-  virtual Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                               ExecutionContext* ctx) = 0;
+  /// Forward, with `inputs` the tensors that Forward read. Parameter
+  /// gradients accumulate into Param::grad. InvalidArgument when `inputs` or
+  /// `grad_output` do not match the preceding Forward.
+  virtual Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) = 0;
 
   /// Parameters and buffers, in a stable order.
   std::vector<Param>& params() { return params_; }

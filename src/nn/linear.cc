@@ -40,7 +40,6 @@ Result<Tensor> Linear::Forward(const std::vector<const Tensor*>& inputs,
     return Status::InvalidArgument("linear " + name_ + ": bad input shape " +
                                    x.shape().ToString());
   }
-  cached_input_ = x;
   const int64_t batch = x.shape().dim(0);
   if (!plan_ || plan_->batch() != batch) {
     plan_ = kernels::PlanCache::Instance().GetLinearPlan(batch, in_features_,
@@ -78,24 +77,29 @@ Result<Tensor> Linear::Forward(const std::vector<const Tensor*>& inputs,
   return y;
 }
 
-Result<std::vector<Tensor>> Linear::Backward(const Tensor& grad_output,
-                                             ExecutionContext* ctx) {
+Result<std::vector<Tensor>> Linear::Backward(
+    const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+    ExecutionContext* ctx) {
   if (plan_ == nullptr) {
     return Status::InvalidArgument("linear " + name_ +
                                    ": Backward called before Forward");
   }
+  MMLIB_RETURN_IF_ERROR(check::ValidateArity(inputs, 1, name_));
+  const Tensor& x = *inputs[0];
   const int64_t batch = plan_->batch();
+  MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
+      x.shape(), Shape{batch, in_features_}, "linear " + name_ + " input"));
   MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
       grad_output.shape(), Shape{batch, out_features_},
       "linear " + name_ + " grad_output"));
   const float* weight = params_[0].value.data();
   float* grad_weight = params_[0].grad.data();
   float* grad_bias = params_[1].grad.data();
-  Tensor grad_input(cached_input_.shape());
+  Tensor grad_input(x.shape());
   std::vector<Tensor> grads;
 
   if (plan_->algo() == kernels::LinearAlgo::kGemm) {
-    plan_->Backward(cached_input_.data(), weight, grad_output.data(),
+    plan_->Backward(x.data(), weight, grad_output.data(),
                     grad_input.data(), grad_weight, grad_bias, ctx->pool(),
                     ctx->scheduler());
     grads.push_back(std::move(grad_input));
@@ -119,7 +123,7 @@ Result<std::vector<Tensor>> Linear::Backward(const Tensor& grad_output,
         float* gb_chunk = gw_chunk + gw_numel;
         for (int64_t n = n_begin; n < n_end; ++n) {
           const float* gout = grad_output.data() + n * out_features_;
-          const float* row = cached_input_.data() + n * in_features_;
+          const float* row = x.data() + n * in_features_;
           float* gin = grad_input.data() + n * in_features_;
           for (int64_t o = 0; o < out_features_; ++o) {
             const float g = gout[o];

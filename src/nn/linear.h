@@ -25,8 +25,9 @@ class Linear : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
@@ -34,7 +35,6 @@ class Linear : public Layer {
  private:
   int64_t in_features_;
   int64_t out_features_;
-  Tensor cached_input_;
   /// Plan for the last Forward batch size; refreshed from the PlanCache
   /// when the batch changes. Null until the first Forward.
   std::shared_ptr<const kernels::LinearPlan> plan_;

@@ -25,6 +25,15 @@ int64_t Model::AddSequential(std::unique_ptr<Layer> layer) {
   return AddNode(std::move(layer), {prev});
 }
 
+std::vector<const Tensor*> Model::NodeInputs(const Node& node) const {
+  std::vector<const Tensor*> inputs;
+  inputs.reserve(node.inputs.size());
+  for (int64_t id : node.inputs) {
+    inputs.push_back(id == kInputNode ? &input_ : &activations_[id]);
+  }
+  return inputs;
+}
+
 Result<Tensor> Model::Forward(const Tensor& input, ExecutionContext* ctx) {
   if (nodes_.empty()) {
     return Status::FailedPrecondition("model has no layers");
@@ -33,12 +42,7 @@ Result<Tensor> Model::Forward(const Tensor& input, ExecutionContext* ctx) {
   activations_.assign(nodes_.size(), Tensor());
   for (size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
-    std::vector<const Tensor*> inputs;
-    inputs.reserve(node.inputs.size());
-    for (int64_t id : node.inputs) {
-      inputs.push_back(id == kInputNode ? &input_ : &activations_[id]);
-    }
-    auto result = node.layer->Forward(inputs, ctx);
+    auto result = node.layer->Forward(NodeInputs(node), ctx);
     if (!result.ok()) {
       return result.status().WithContext("forward of node " +
                                          node.layer->name());
@@ -68,7 +72,7 @@ Result<Tensor> Model::Backward(const Tensor& grad_output,
       // every node feeds the output); skip.
       continue;
     }
-    auto result = node.layer->Backward(node_grads[i], ctx);
+    auto result = node.layer->Backward(NodeInputs(node), node_grads[i], ctx);
     if (!result.ok()) {
       return result.status().WithContext("backward of node " +
                                          node.layer->name());

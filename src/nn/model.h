@@ -61,11 +61,14 @@ class Model {
   Layer* layer(size_t i) { return nodes_[i].layer.get(); }
   const Layer* layer(size_t i) const { return nodes_[i].layer.get(); }
 
-  /// Runs the network; keeps activations for Backward.
+  /// Runs the network; keeps a copy of `input` and every node's output for
+  /// Backward. The model is the only owner of these activations: layers
+  /// keep no copy of their inputs.
   Result<Tensor> Forward(const Tensor& input, ExecutionContext* ctx);
 
   /// Backpropagates from the model output; returns the gradient w.r.t. the
-  /// model input. Parameter gradients accumulate in the layers.
+  /// model input. Each layer's Backward is handed the same input tensors
+  /// its Forward read. Parameter gradients accumulate in the layers.
   Result<Tensor> Backward(const Tensor& grad_output, ExecutionContext* ctx);
 
   void ZeroGrad();
@@ -138,10 +141,13 @@ class Model {
     std::vector<int64_t> inputs;
   };
 
+  /// The tensors `node` reads: earlier nodes' activations or input_.
+  std::vector<const Tensor*> NodeInputs(const Node& node) const;
+
   std::string architecture_name_;
   std::vector<Node> nodes_;
   std::vector<Tensor> activations_;  // per node, valid after Forward
-  Tensor input_;                     // cached model input
+  Tensor input_;  // copy of the model input; the caller owns the batch
   ActivationObserver* observer_ = nullptr;
 };
 

@@ -17,14 +17,18 @@ class MaxPool2d : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 
  private:
+  /// The output shape for one NCHW input; InvalidArgument for another
+  /// rank or an input smaller than the window.
+  Result<Shape> OutputShape(const std::vector<const Tensor*>& inputs) const;
+
   int64_t kernel_size_;
   int64_t stride_;
   int64_t padding_;
-  Shape input_shape_;
   std::vector<int64_t> argmax_;  // flat input index per output element
 };
 
@@ -37,11 +41,9 @@ class GlobalAvgPool : public Layer {
 
   Result<Tensor> Forward(const std::vector<const Tensor*>& inputs,
                          ExecutionContext* ctx) override;
-  Result<std::vector<Tensor>> Backward(const Tensor& grad_output,
-                                       ExecutionContext* ctx) override;
-
- private:
-  Shape input_shape_;
+  Result<std::vector<Tensor>> Backward(
+      const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
+      ExecutionContext* ctx) override;
 };
 
 }  // namespace mmlib::nn

@@ -273,7 +273,7 @@ void ExpectConvMatchesReference(const ConvSpec& s, ConvAlgo expect_algo) {
     }
   }
   conv.ZeroGrad();
-  std::vector<Tensor> grads = conv.Backward(grad_out, &ctx).value();
+  std::vector<Tensor> grads = conv.Backward({&input}, grad_out, &ctx).value();
   const Tensor& grad_input = grads[0];
   const Tensor& grad_weight = conv.params()[0].grad;
 
@@ -694,7 +694,7 @@ TEST(KernelPlanDeterminismTest, ConvBitIdenticalAcrossPools) {
     Tensor grad_out(y.shape());
     grad_out.Fill(0.25f);
     conv.ZeroGrad();
-    Tensor gin = std::move(conv.Backward(grad_out, &ctx).value()[0]);
+    Tensor gin = std::move(conv.Backward({&input}, grad_out, &ctx).value()[0]);
     return std::make_pair(std::move(y),
                           std::make_pair(std::move(gin),
                                          conv.params()[0].grad));
@@ -732,7 +732,7 @@ TEST(KernelPlanDeterminismTest, LinearBitIdenticalAcrossPools) {
     Tensor grad_out(y.shape());
     grad_out.Fill(0.25f);
     fc.ZeroGrad();
-    Tensor gin = std::move(fc.Backward(grad_out, &ctx).value()[0]);
+    Tensor gin = std::move(fc.Backward({&input}, grad_out, &ctx).value()[0]);
     std::vector<Tensor> all = {std::move(y), std::move(gin),
                                fc.params()[0].grad, fc.params()[1].grad};
     return all;
@@ -770,7 +770,8 @@ std::vector<Tensor> RunLayer(nn::Layer* layer, const Tensor& input,
   }
   layer->ZeroGrad();
   std::vector<Tensor> run = {std::move(y)};
-  run.push_back(std::move(layer->Backward(grad_out, &ctx).value()[0]));
+  run.push_back(
+      std::move(layer->Backward({&input}, grad_out, &ctx).value()[0]));
   for (const nn::Param& p : layer->params()) {
     run.push_back(p.grad);
   }
@@ -883,7 +884,7 @@ TEST(ExecutionModeTest, ConvSplitPointIsDrawnOncePerCall) {
         grad_out.data()[n * out_floats + i] = v;
       }
     }
-    const Tensor gin = conv.Backward(grad_out, &ctx).value()[0];
+    const Tensor gin = conv.Backward({&input}, grad_out, &ctx).value()[0];
     for (int64_t n = 1; n < batch; ++n) {
       EXPECT_EQ(0, std::memcmp(y.data() + n * out_floats, y.data(),
                                out_floats * sizeof(float)))
@@ -954,7 +955,7 @@ TEST(LinearPlanTest, GemmPathMatchesReference) {
     grad_out.data()[i] = gr.NextFloat() * 2.0f - 1.0f;
   }
   fc.ZeroGrad();
-  std::vector<Tensor> grads = fc.Backward(grad_out, &ctx).value();
+  std::vector<Tensor> grads = fc.Backward({&input}, grad_out, &ctx).value();
 
   std::vector<double> want_gin(static_cast<size_t>(batch * in), 0.0);
   std::vector<double> want_gw(static_cast<size_t>(out * in), 0.0);

@@ -3,8 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/activations.h"
@@ -54,7 +56,7 @@ void CheckGradients(Layer* layer, Tensor input, uint64_t seed,
   // Re-run forward in bctx so dropout-style layers use a known mask.
   output = layer->Forward({&input}, &bctx).value();
   std::vector<Tensor> input_grads =
-      layer->Backward(direction, &bctx).value();
+      layer->Backward({&input}, direction, &bctx).value();
   ASSERT_EQ(input_grads.size(), 1u);
 
   const float eps = 1e-2f;
@@ -305,10 +307,29 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   ExecutionContext ctx = DetCtx();
   pool.Forward({&input}, &ctx).value();
   Tensor grad_out(Shape{1, 1, 1, 1}, {7.0f});
-  auto grads = pool.Backward(grad_out, &ctx).value();
+  auto grads = pool.Backward({&input}, grad_out, &ctx).value();
   EXPECT_FLOAT_EQ(grads[0].at(1), 7.0f);
   EXPECT_FLOAT_EQ(grads[0].at(0), 0.0f);
   EXPECT_FLOAT_EQ(grads[0].at(2), 0.0f);
+}
+
+TEST(MaxPoolTest, BackwardRejectsAShorterInputWithTheSameOutputShape) {
+  // A 3x3 window at stride 2 maps 6x6 and 5x5 alike to 2x2, so grad_output
+  // and argmax sizes match; argmax entries of the 6x6 Forward lie past the
+  // end of the 5x5 input.
+  MaxPool2d pool("p", 3, 2);
+  Tensor forward_input(Shape{1, 1, 6, 6});
+  for (int64_t i = 0; i < forward_input.numel(); ++i) {
+    forward_input.at(i) = static_cast<float>(i);  // maxima at the far edge
+  }
+  ExecutionContext ctx = DetCtx();
+  ASSERT_EQ(pool.Forward({&forward_input}, &ctx).value().shape(),
+            (Shape{1, 1, 2, 2}));
+  const Tensor shorter(Shape{1, 1, 5, 5});
+  EXPECT_EQ(pool.Backward({&shorter}, Tensor(Shape{1, 1, 2, 2}), &ctx)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MaxPoolTest, PaddingKeepsSpatialSize) {
@@ -335,7 +356,7 @@ TEST(GlobalAvgPoolTest, BackwardSpreadsUniformly) {
   ExecutionContext ctx = DetCtx();
   pool.Forward({&input}, &ctx).value();
   Tensor grad_out(Shape{1, 1}, {8.0f});
-  auto grads = pool.Backward(grad_out, &ctx).value();
+  auto grads = pool.Backward({&input}, grad_out, &ctx).value();
   for (int64_t i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(grads[0].at(i), 2.0f);
   }
@@ -361,7 +382,7 @@ TEST(ReLUTest, Relu6Clips) {
   EXPECT_FLOAT_EQ(output.at(2), 6.0f);
   // Gradient is zero in the clipped region.
   Tensor grad_out(Shape{3}, {1, 1, 1});
-  auto grads = relu.Backward(grad_out, &ctx).value();
+  auto grads = relu.Backward({&input}, grad_out, &ctx).value();
   EXPECT_FLOAT_EQ(grads[0].at(0), 0.0f);
   EXPECT_FLOAT_EQ(grads[0].at(1), 1.0f);
   EXPECT_FLOAT_EQ(grads[0].at(2), 0.0f);
@@ -408,7 +429,8 @@ TEST(ReLUTest, BranchFreeKernelMatchesScalarSemanticsBitForBit) {
     ReLU relu("r", clip);
     ExecutionContext ctx = DetCtx();
     const Tensor output = relu.Forward({&input}, &ctx).value();
-    const Tensor grad_in = relu.Backward(grad_out, &ctx).value()[0];
+    const Tensor grad_in =
+        relu.Backward({&input}, grad_out, &ctx).value()[0];
     for (int64_t i = 0; i < n; ++i) {
       ASSERT_EQ(bits(output.at(i)),
                 bits(ReferenceReluForward(values[i], clip)))
@@ -455,7 +477,7 @@ TEST(DropoutTest, BackwardUsesSameMask) {
   ExecutionContext ctx = DetCtx(34);
   Tensor output = dropout.Forward({&input}, &ctx).value();
   Tensor grad_out = Tensor::Full(Shape{64}, 1.0f);
-  auto grads = dropout.Backward(grad_out, &ctx).value();
+  auto grads = dropout.Backward({&input}, grad_out, &ctx).value();
   for (int64_t i = 0; i < 64; ++i) {
     EXPECT_FLOAT_EQ(grads[0].at(i), output.at(i));
   }
@@ -469,7 +491,7 @@ TEST(AddTest, SumsInputsAndFansOutGradient) {
   Tensor output = add.Forward({&x, &y}, &ctx).value();
   EXPECT_FLOAT_EQ(output.at(1), 22.0f);
   Tensor grad_out(Shape{2}, {5, 6});
-  auto grads = add.Backward(grad_out, &ctx).value();
+  auto grads = add.Backward({&x, &y}, grad_out, &ctx).value();
   ASSERT_EQ(grads.size(), 2u);
   EXPECT_TRUE(grads[0].Equals(grad_out));
   EXPECT_TRUE(grads[1].Equals(grad_out));
@@ -500,7 +522,7 @@ TEST(ConcatTest, BackwardSplitsChannels) {
   Tensor y = RandomTensor(Shape{2, 3, 3, 3}, 26);
   ExecutionContext ctx = DetCtx();
   Tensor output = concat.Forward({&x, &y}, &ctx).value();
-  auto grads = concat.Backward(output, &ctx).value();
+  auto grads = concat.Backward({&x, &y}, output, &ctx).value();
   ASSERT_EQ(grads.size(), 2u);
   EXPECT_TRUE(grads[0].Equals(x));
   EXPECT_TRUE(grads[1].Equals(y));
@@ -540,59 +562,136 @@ TEST(LayerStateTest, DeserializeRejectsWrongShape) {
   EXPECT_FALSE(b.DeserializeParams(&reader).ok());
 }
 
-TEST(LayerValidationTest, Conv2dBackwardBeforeForwardFails) {
-  Rng rng(6);
-  Conv2d conv("c", 2, 4, 3, 1, 1, 1, &rng);
-  ExecutionContext ctx = DetCtx();
-  Tensor grad(Shape{1, 4, 8, 8});
-  EXPECT_EQ(conv.Backward(grad, &ctx).status().code(),
-            StatusCode::kInvalidArgument);
+/// One layer per case: the inputs its Forward runs on, grad_output shapes
+/// that differ from that Forward's output, and which of its Backward checks
+/// depend on state the Forward left behind.
+struct BackwardCase {
+  std::string name;
+  std::function<std::unique_ptr<Layer>()> make;
+  std::vector<Shape> inputs;
+  std::vector<Shape> bad_grads;
+  /// Backward fails until a Forward has run (plan or batch statistics).
+  bool needs_forward;
+  /// Backward rejects the inputs of a Forward that a later Forward on
+  /// another batch size replaced (plan geometry, mask or argmax size).
+  bool rejects_replaced_batch;
+};
+
+void PrintTo(const BackwardCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<Tensor> CaseInputs(const std::vector<Shape>& shapes,
+                               int64_t extra_batch) {
+  std::vector<Tensor> inputs;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    std::vector<int64_t> dims = shapes[i].dims();
+    dims[0] += extra_batch;
+    inputs.push_back(RandomTensor(Shape(dims), 40 + i));
+  }
+  return inputs;
 }
 
-TEST(LayerValidationTest, Conv2dBackwardRejectsWrongGradShape) {
-  Rng rng(6);
-  Conv2d conv("c", 2, 4, 3, 1, 1, 1, &rng);
+std::vector<const Tensor*> Pointers(const std::vector<Tensor>& tensors) {
+  std::vector<const Tensor*> ptrs;
+  for (const Tensor& t : tensors) {
+    ptrs.push_back(&t);
+  }
+  return ptrs;
+}
+
+class LayerValidationTest : public ::testing::TestWithParam<BackwardCase> {};
+
+TEST_P(LayerValidationTest, BackwardRejectsWrongGradShape) {
+  const BackwardCase& c = GetParam();
+  std::unique_ptr<Layer> layer = c.make();
+  const std::vector<Tensor> inputs = CaseInputs(c.inputs, 0);
   ExecutionContext ctx = DetCtx();
-  const Tensor input = RandomTensor(Shape{2, 2, 8, 8}, 31);
-  ASSERT_TRUE(conv.Forward({&input}, &ctx).ok());
-  // Forward produced [2, 4, 8, 8]; every differing dimension must be
-  // rejected against the cached forward shape.
-  for (const Shape& bad :
-       {Shape{1, 4, 8, 8}, Shape{2, 3, 8, 8}, Shape{2, 4, 7, 8},
-        Shape{2, 4, 8, 9}}) {
-    Tensor grad(bad);
-    EXPECT_EQ(conv.Backward(grad, &ctx).status().code(),
-              StatusCode::kInvalidArgument)
+  const Tensor output = layer->Forward(Pointers(inputs), &ctx).value();
+  for (const Shape& bad : c.bad_grads) {
+    EXPECT_EQ(
+        layer->Backward(Pointers(inputs), Tensor(bad), &ctx).status().code(),
+        StatusCode::kInvalidArgument)
         << bad.ToString();
   }
-  Tensor good(Shape{2, 4, 8, 8});
-  EXPECT_TRUE(conv.Backward(good, &ctx).ok());
+  EXPECT_TRUE(
+      layer->Backward(Pointers(inputs), Tensor(output.shape()), &ctx).ok());
 }
 
-TEST(LayerValidationTest, LinearBackwardBeforeForwardFails) {
-  Rng rng(7);
-  Linear fc("fc", 4, 3, &rng);
+TEST_P(LayerValidationTest, BackwardBeforeForward) {
+  const BackwardCase& c = GetParam();
+  std::unique_ptr<Layer> layer = c.make();
+  const std::vector<Tensor> inputs = CaseInputs(c.inputs, 0);
   ExecutionContext ctx = DetCtx();
-  Tensor grad(Shape{2, 3});
-  EXPECT_EQ(fc.Backward(grad, &ctx).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(LayerValidationTest, LinearBackwardRejectsWrongGradShape) {
-  Rng rng(7);
-  Linear fc("fc", 4, 3, &rng);
-  ExecutionContext ctx = DetCtx();
-  const Tensor input = RandomTensor(Shape{2, 4}, 32);
-  ASSERT_TRUE(fc.Forward({&input}, &ctx).ok());
-  for (const Shape& bad : {Shape{3, 3}, Shape{2, 4}}) {
-    Tensor grad(bad);
-    EXPECT_EQ(fc.Backward(grad, &ctx).status().code(),
-              StatusCode::kInvalidArgument)
-        << bad.ToString();
+  const Tensor output = c.make()->Forward(Pointers(inputs), &ctx).value();
+  const Status status =
+      layer->Backward(Pointers(inputs), Tensor(output.shape()), &ctx).status();
+  if (c.needs_forward) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  } else {
+    EXPECT_TRUE(status.ok()) << status.ToString();
   }
-  Tensor good(Shape{2, 3});
-  EXPECT_TRUE(fc.Backward(good, &ctx).ok());
 }
+
+TEST_P(LayerValidationTest, BackwardChecksTheLastForward) {
+  const BackwardCase& c = GetParam();
+  std::unique_ptr<Layer> layer = c.make();
+  const std::vector<Tensor> a = CaseInputs(c.inputs, 0);
+  const std::vector<Tensor> b = CaseInputs(c.inputs, 1);
+  ExecutionContext ctx = DetCtx();
+  const Shape a_out = layer->Forward(Pointers(a), &ctx).value().shape();
+  const Shape b_out = layer->Forward(Pointers(b), &ctx).value().shape();
+  const Status stale =
+      layer->Backward(Pointers(a), Tensor(a_out), &ctx).status();
+  if (c.rejects_replaced_batch) {
+    EXPECT_EQ(stale.code(), StatusCode::kInvalidArgument);
+  } else {
+    EXPECT_TRUE(stale.ok()) << stale.ToString();
+  }
+  EXPECT_TRUE(layer->Backward(Pointers(b), Tensor(b_out), &ctx).ok());
+}
+
+template <typename L, typename... Args>
+std::function<std::unique_ptr<Layer>()> Make(Args... args) {
+  return [=] { return std::unique_ptr<Layer>(std::make_unique<L>(args...)); };
+}
+
+template <typename L, typename... Args>
+std::function<std::unique_ptr<Layer>()> MakeSeeded(uint64_t seed,
+                                                   Args... args) {
+  return [=] {
+    Rng rng(seed);
+    return std::unique_ptr<Layer>(std::make_unique<L>(args..., &rng));
+  };
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryLayer, LayerValidationTest,
+    ::testing::Values(
+        // Forward gives [2, 4, 8, 8]: each differing dimension is rejected.
+        BackwardCase{"Conv2d", MakeSeeded<Conv2d>(6, "c", 2, 4, 3, 1, 1, 1),
+                     {Shape{2, 2, 8, 8}},
+                     {Shape{1, 4, 8, 8}, Shape{2, 3, 8, 8}, Shape{2, 4, 7, 8},
+                      Shape{2, 4, 8, 9}},
+                     true, true},
+        BackwardCase{"Linear", MakeSeeded<Linear>(7, "fc", 4, 3),
+                     {Shape{2, 4}}, {Shape{3, 3}, Shape{2, 4}}, true, true},
+        BackwardCase{"BatchNorm2d", Make<BatchNorm2d>("bn", 3),
+                     {Shape{2, 3, 4, 4}}, {Shape{1, 3, 4, 4}}, true, false},
+        BackwardCase{"ReLU", Make<ReLU>("r"), {Shape{2, 3, 4, 4}},
+                     {Shape{2, 3, 4, 3}}, false, false},
+        BackwardCase{"Dropout", Make<Dropout>("d", 0.5f), {Shape{64}},
+                     {Shape{128}}, false, true},
+        BackwardCase{"MaxPool2d", Make<MaxPool2d>("p", 2, 2),
+                     {Shape{1, 2, 4, 4}}, {Shape{1, 2, 4, 4}}, true, true},
+        BackwardCase{"GlobalAvgPool", Make<GlobalAvgPool>("gap"),
+                     {Shape{2, 3, 2, 2}}, {Shape{1, 3}}, false, false},
+        BackwardCase{"Concat", Make<Concat>("cat", 2),
+                     {Shape{2, 1, 2, 2}, Shape{2, 2, 2, 2}},
+                     {Shape{1, 3, 2, 2}}, false, false},
+        BackwardCase{"Add", Make<Add>("add", 2), {Shape{2, 3}, Shape{2, 3}},
+                     {Shape{2, 4}}, false, false}),
+    [](const ::testing::TestParamInfo<BackwardCase>& info) {
+      return info.param.name;
+    });
 
 TEST(LayerStateTest, ParamHashIgnoresGradients) {
   Rng rng(5);

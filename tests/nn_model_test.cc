@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "nn/activations.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/model.h"
@@ -249,6 +251,63 @@ TEST(ModelTest, ZeroGradClearsAllGradients) {
       }
     }
   }
+}
+
+/// Residual + concat network with batch norm and max pooling: every layer
+/// kind whose Backward reads the tensors its Forward read.
+Model MakeResidualConcatNet() {
+  Model model("residual-concat-net");
+  Rng rng(11);
+  int64_t stem = model.AddNode(
+      std::make_unique<Conv2d>("stem", 3, 4, 3, 1, 1, 1, &rng),
+      {Model::kInputNode});
+  int64_t bn = model.AddNode(std::make_unique<BatchNorm2d>("bn", 4), {stem});
+  int64_t relu = model.AddNode(std::make_unique<ReLU>("relu", 6.0f), {bn});
+  int64_t conv = model.AddNode(
+      std::make_unique<Conv2d>("conv2", 4, 4, 3, 1, 1, 1, &rng), {relu});
+  int64_t add = model.AddNode(std::make_unique<Add>("add", 2), {conv, relu});
+  int64_t cat =
+      model.AddNode(std::make_unique<Concat>("cat", 2), {add, stem});
+  int64_t pool =
+      model.AddNode(std::make_unique<MaxPool2d>("pool", 2, 2), {cat});
+  int64_t gap = model.AddNode(std::make_unique<GlobalAvgPool>("gap"), {pool});
+  model.AddNode(std::make_unique<Linear>("fc", 8, 5, &rng), {gap});
+  return model;
+}
+
+/// Input gradient and every parameter gradient of one training step, as
+/// content hashes (bit-level comparison).
+std::vector<Digest> StepGradHashes(Model* model, const Tensor& input_grad) {
+  std::vector<Digest> hashes = {input_grad.ContentHash()};
+  for (size_t i = 0; i < model->node_count(); ++i) {
+    for (const Param& p : model->layer(i)->params()) {
+      hashes.push_back(p.grad.ContentHash());
+    }
+  }
+  return hashes;
+}
+
+TEST(ModelTest, BackwardReadsTheModelsCopyOfTheInput) {
+  Rng rng(12);
+  const Tensor batch = Tensor::Gaussian(Shape{2, 3, 6, 6}, 1.0f, &rng);
+  const Tensor direction = Tensor::Gaussian(Shape{2, 5}, 1.0f, &rng);
+
+  Model untouched = MakeResidualConcatNet();
+  ExecutionContext ctx = DetCtx();
+  untouched.Forward(batch, &ctx).value();
+  const Tensor untouched_grad = untouched.Backward(direction, &ctx).value();
+
+  Model overwritten = MakeResidualConcatNet();
+  Tensor input = batch;
+  ExecutionContext ctx2 = DetCtx();
+  overwritten.Forward(input, &ctx2).value();
+  // The caller reuses its buffer for the next batch before Backward.
+  std::fill(input.data(), input.data() + input.numel(), 3.0f);
+  const Tensor overwritten_grad =
+      overwritten.Backward(direction, &ctx2).value();
+
+  EXPECT_EQ(StepGradHashes(&overwritten, overwritten_grad),
+            StepGradHashes(&untouched, untouched_grad));
 }
 
 TEST(ModelTest, FindLayerIndex) {

@@ -49,7 +49,7 @@ LayerRunResult RunLayer(const MakeLayer& make_layer, const Tensor& input,
   Tensor grad_out(result.output.shape());
   grad_out.Fill(1.0f);
   layer->ZeroGrad();
-  std::vector<Tensor> grads = layer->Backward(grad_out, &ctx).value();
+  std::vector<Tensor> grads = layer->Backward({&input}, grad_out, &ctx).value();
   result.grad_input = std::move(grads[0]);
   for (const nn::Param& p : layer->params()) {
     result.param_grads.push_back(p.grad);
