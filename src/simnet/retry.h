@@ -80,8 +80,6 @@ class Retrier {
     return request_deadline_abandoned_count_;
   }
 
-  const RetryPolicy& policy() const { return policy_; }
-
  private:
   static const Status& StatusOf(const Status& status) { return status; }
   template <typename T>
