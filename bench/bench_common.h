@@ -5,6 +5,8 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "dist/flow.h"
 #include "docstore/document_store.h"
@@ -31,6 +33,36 @@ inline void PrintHeader(const std::string& id, const std::string& title,
   }
   std::cout << "\n";
 }
+
+/// The paper claims one figure or table reproduction checks. Check records
+/// a claim; Report prints one `  claim: yes` or `  claim: NO` line per
+/// claim (followed by `detail`, the measured values, when given) and
+/// returns the binary's exit status: 1 when any claim failed, else 0.
+class Gate {
+ public:
+  void Check(const std::string& claim, bool holds,
+             const std::string& detail = "") {
+    std::string line = "  " + claim + ": " + (holds ? "yes" : "NO");
+    if (!detail.empty()) {
+      line += " (" + detail + ")";
+    }
+    lines_.push_back(std::move(line));
+    all_hold_ = all_hold_ && holds;
+  }
+
+  /// Prints `title` and the claim lines.
+  int Report(const std::string& title) const {
+    std::cout << "\n" << title << "\n";
+    for (const std::string& line : lines_) {
+      std::cout << line << "\n";
+    }
+    return all_hold_ ? 0 : 1;
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  bool all_hold_ = true;
+};
 
 /// Runs one evaluation flow against fresh in-memory backends; aborts the
 /// benchmark on error (benchmarks have no error recovery story).

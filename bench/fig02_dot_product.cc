@@ -1,5 +1,7 @@
 /// Reproduces paper Figure 2: the serial and the parallel method compute
 /// similar but different floating-point results for the same dot product.
+/// Exits 1 unless all 12 configurations differ, and unless the thread
+/// pool's deterministic chunking gives the same bits at every pool size.
 #include <cinttypes>
 #include <cstdio>
 
@@ -110,9 +112,13 @@ int main() {
   }
   std::printf("\n");
   pool_table.Print(std::cout);
-  std::printf(
-      "\ndeterministic chunking: %d mismatches across pool sizes (expected "
-      "0).\n",
-      pool_mismatches);
-  return pool_mismatches == 0 ? 0 : 1;
+
+  bench::Gate gate;
+  gate.Check("serial and parallel results differ in all 12 configurations",
+             differing == 12 && total == 12,
+             std::to_string(differing) + " of " + std::to_string(total));
+  gate.Check("deterministic chunking gives equal bits at every pool size",
+             pool_mismatches == 0,
+             std::to_string(pool_mismatches) + " mismatches");
+  return gate.Report("claim check");
 }

@@ -65,9 +65,9 @@ int main() {
       "\nStorage increases proportionally with the parameter count\n"
       "(~4 bytes/param plus layer-name and metadata overhead), as in the "
       "paper.\n");
-  std::printf("Bytes per parameter within [4.0, 4.3]: %s\n",
-              ratios_in_band ? "YES" : "NO");
-  std::printf("Storage rises strictly with #params: %s\n",
-              rising ? "YES" : "NO");
-  return ratios_in_band && rising ? 0 : 1;
+
+  Gate gate;
+  gate.Check("bytes per parameter within [4.0, 4.3]", ratios_in_band);
+  gate.Check("storage rises strictly with #params", rising);
+  return gate.Report("claim check");
 }

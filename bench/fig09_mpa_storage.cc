@@ -2,15 +2,15 @@
 /// (CF-512 vs CO-512) for MobileNetV2 and ResNet-152 — the storage depends
 /// on the training dataset, not the model architecture.
 ///
-/// `--check` gates the paper's three findings and exits 1 unless they all
-/// hold: (1) every U3 row of MobileNetV2 is within 1% of ResNet-152's, per
-/// dataset; (2) every U3 row's CF-512 − CO-512 difference is within 5% of
-/// the Table 1 size difference scaled by the dataset divisor; (3) U1
-/// differs by more than 1% between the architectures.
+/// Exits 1 unless the paper's three findings all hold: (1) every U3 row of
+/// MobileNetV2 is within 1% of ResNet-152's, per dataset; (2) every U3
+/// row's CF-512 − CO-512 difference is within 5% of the Table 1 size
+/// difference scaled by the dataset divisor; (3) U1 differs by more than 1%
+/// between the architectures.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <string>
 #include <utility>
 
 #include "bench/bench_common.h"
@@ -74,15 +74,16 @@ uint64_t PaperBytes(data::PaperDatasetId id) {
   return 0;
 }
 
-/// Prints one finding's verdict with its worst case; returns `holds`.
-bool Report(const char* finding, bool holds, double worst, double bound) {
-  std::printf("  %s: %s (worst %.2f%%, bound %.0f%%)\n", finding,
-              holds ? "yes" : "NO", 100.0 * worst, 100.0 * bound);
-  return holds;
+/// "worst 0.12%, bound 1%": one finding's worst case against its bound.
+std::string WorstOf(double worst, double bound) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "worst %.2f%%, bound %.0f%%",
+                100.0 * worst, 100.0 * bound);
+  return buffer;
 }
 
-bool CheckFindings(const PanelResult& mobilenet, const PanelResult& resnet) {
-  std::printf("finding check: median storage per use case\n");
+int CheckFindings(const PanelResult& mobilenet, const PanelResult& resnet) {
+  Gate gate;
 
   // (1) U3 storage is architecture-independent.
   double arch_worst = 0.0;
@@ -97,9 +98,8 @@ bool CheckFindings(const PanelResult& mobilenet, const PanelResult& resnet) {
       }
     }
   }
-  bool holds = Report("(1) U3 MobileNetV2 ~ ResNet-152",
-                      arch_worst <= kArchTolerance, arch_worst,
-                      kArchTolerance);
+  gate.Check("(1) U3 MobileNetV2 ~ ResNet-152", arch_worst <= kArchTolerance,
+             WorstOf(arch_worst, kArchTolerance));
 
   // (2) CF-512 rows exceed CO-512 rows by the scaled dataset-size gap.
   double diff_worst = 0.0;
@@ -119,9 +119,9 @@ bool CheckFindings(const PanelResult& mobilenet, const PanelResult& resnet) {
       }
     }
   }
-  holds &= Report("(2) U3 CF-512 - CO-512 ~ dataset size gap",
-                  diff_worst <= kDatasetDiffTolerance, diff_worst,
-                  kDatasetDiffTolerance);
+  gate.Check("(2) U3 CF-512 - CO-512 ~ dataset size gap",
+             diff_worst <= kDatasetDiffTolerance,
+             WorstOf(diff_worst, kDatasetDiffTolerance));
 
   // (3) U1 follows the baseline logic, so it differs per architecture.
   double u1_gap = 1.0;
@@ -131,26 +131,18 @@ bool CheckFindings(const PanelResult& mobilenet, const PanelResult& resnet) {
         u1_gap, RelativeGap(static_cast<double>(mn->MedianStorage("U1")),
                             static_cast<double>(rn->MedianStorage("U1"))));
   }
-  std::printf("  (3) U1 differs per architecture: %s (smallest gap %.2f%%, "
-              "must exceed %.0f%%)\n",
-              u1_gap > kArchTolerance ? "yes" : "NO", 100.0 * u1_gap,
-              100.0 * kArchTolerance);
-  return holds && u1_gap > kArchTolerance;
+  char u1_detail[64];
+  std::snprintf(u1_detail, sizeof(u1_detail),
+                "smallest gap %.2f%%, must exceed %.0f%%", 100.0 * u1_gap,
+                100.0 * kArchTolerance);
+  gate.Check("(3) U1 differs per architecture", u1_gap > kArchTolerance,
+             u1_detail);
+  return gate.Report("finding check: median storage per use case");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   PrintHeader(
       "Figure 9", "MPA storage across datasets",
       "Paper findings to reproduce: (1) U3 storage is nearly identical\n"
@@ -159,8 +151,5 @@ int main(int argc, char** argv) {
       "difference; (3) U1 differs per architecture (BA logic).");
   const PanelResult a = Panel("a", models::Architecture::kMobileNetV2);
   const PanelResult b = Panel("b", models::Architecture::kResNet152);
-  if (!check) {
-    return 0;
-  }
-  return CheckFindings(a, b) ? 0 : 1;
+  return CheckFindings(a, b);
 }

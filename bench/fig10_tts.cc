@@ -3,12 +3,11 @@
 /// (b) MobileNetV2 partially updated, (c) ResNet-152 partially updated.
 /// All U3 models are trained on CO-512.
 ///
-/// `--check` gates the figure's shape on the mean U3 TTS: it exits non-zero
+/// The figure's shape is gated on the mean U3 TTS: the binary exits 1
 /// unless PUA saves faster than BA in panels (b) and (c), where only part
 /// of each model changes, and MPA saves slower than BA in panels (a) and
 /// (b), where MobileNetV2's dataset outweighs its parameters.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/bench_common.h"
 
@@ -100,17 +99,7 @@ PanelMeans Panel(const char* panel_id, models::Architecture arch,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   PrintHeader(
       "Figure 10", "Median time-to-save (TTS) across approaches",
       "Paper headline numbers: PUA beats BA by up to 28.5% (MobileNetV2)\n"
@@ -123,26 +112,11 @@ int main(int argc, char** argv) {
                              ModelRelation::kPartiallyUpdated);
   const PanelMeans c = Panel("c", models::Architecture::kResNet152,
                              ModelRelation::kPartiallyUpdated);
-  if (!check) {
-    return 0;
-  }
 
-  const struct {
-    const char* claim;
-    double lower_seconds;
-    double higher_seconds;
-  } claims[] = {
-      {"(b) PUA < BA", b.pua, b.ba},
-      {"(c) PUA < BA", c.pua, c.ba},
-      {"(a) MPA > BA", a.ba, a.mpa},
-      {"(b) MPA > BA", b.ba, b.mpa},
-  };
-  bool shape_holds = true;
-  std::printf("shape check: mean U3 TTS\n");
-  for (const auto& claim : claims) {
-    const bool holds = claim.lower_seconds < claim.higher_seconds;
-    shape_holds = shape_holds && holds;
-    std::printf("  %s: %s\n", claim.claim, holds ? "yes" : "NO");
-  }
-  return shape_holds ? 0 : 1;
+  Gate gate;
+  gate.Check("(b) PUA < BA", b.pua < b.ba);
+  gate.Check("(c) PUA < BA", c.pua < c.ba);
+  gate.Check("(a) MPA > BA", a.mpa > a.ba);
+  gate.Check("(b) MPA > BA", b.mpa > b.ba);
+  return gate.Report("shape check: mean U3 TTS");
 }

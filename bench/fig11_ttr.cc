@@ -9,14 +9,14 @@
 /// Each cell is the median over three flows of the approach, since a single
 /// flow measures each use case once and single cells jump by about 50%.
 ///
-/// `--check` gates those shapes in each panel, read from the printed
-/// medians, and exits non-zero unless they hold. The staircase is read from
+/// Those shapes are gated in each panel, read from the printed medians: the
+/// binary exits 1 unless they hold. The staircase is read from
 /// sums of two steps: the rise is TTR(U3-1-3) + TTR(U3-1-4) over
 /// TTR(U3-1-1) + TTR(U3-1-2). BA must stay flat (rise below 1.5), PUA and
 /// MPA must rise (above 1.25), and MPA's mean U3 TTR must exceed PUA's.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "bench/bench_common.h"
 
@@ -108,17 +108,7 @@ std::vector<TtrShape> Panel(const char* panel_id, models::Architecture arch) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   PrintHeader(
       "Figure 11", "Median time-to-recover (TTR) across approaches",
       "Recovery of a PUA/MPA model recovers all its base models first\n"
@@ -128,30 +118,17 @@ int main(int argc, char** argv) {
       Panel("a", models::Architecture::kMobileNetV2);
   const std::vector<TtrShape> b =
       Panel("b", models::Architecture::kResNet152);
-  if (!check) {
-    return 0;
-  }
 
-  bool shape_holds = true;
-  std::printf("shape check\n");
-  auto check_panel = [&](const char* panel,
+  Gate gate;
+  auto check_panel = [&](const std::string& panel,
                          const std::vector<TtrShape>& shapes) {
-    const struct {
-      const char* claim;
-      bool holds;
-    } claims[] = {
-        {"BA flat (rise < 1.5)", shapes[0].rise < 1.5},
-        {"PUA rising (rise > 1.25)", shapes[1].rise > 1.25},
-        {"MPA rising (rise > 1.25)", shapes[2].rise > 1.25},
-        {"MPA > PUA (mean U3 TTR)", shapes[2].mean_u3 > shapes[1].mean_u3},
-    };
-    for (const auto& claim : claims) {
-      shape_holds = shape_holds && claim.holds;
-      std::printf("  %s %s: %s\n", panel, claim.claim,
-                  claim.holds ? "yes" : "NO");
-    }
+    gate.Check(panel + " BA flat (rise < 1.5)", shapes[0].rise < 1.5);
+    gate.Check(panel + " PUA rising (rise > 1.25)", shapes[1].rise > 1.25);
+    gate.Check(panel + " MPA rising (rise > 1.25)", shapes[2].rise > 1.25);
+    gate.Check(panel + " MPA > PUA (mean U3 TTR)",
+               shapes[2].mean_u3 > shapes[1].mean_u3);
   };
   check_panel("(a)", a);
   check_panel("(b)", b);
-  return shape_holds ? 0 : 1;
+  return gate.Report("shape check");
 }

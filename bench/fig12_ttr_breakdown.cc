@@ -4,11 +4,10 @@
 /// architectures. The environment-check time is excluded from the table, as
 /// in the paper (it is constant across architectures).
 ///
-/// `--check` gates the figure's shape: it exits non-zero unless ResNet-152
-/// (the most parameters) takes longer than MobileNetV2 (the fewest) in each
-/// of load, recover and verify.
+/// The figure's shape is gated: the binary exits 1 unless ResNet-152 (the
+/// most parameters) takes longer than MobileNetV2 (the fewest) in each of
+/// load, recover and verify.
 #include <cstdio>
-#include <cstring>
 #include <map>
 
 #include "bench/bench_common.h"
@@ -17,17 +16,7 @@ using namespace mmlib;
 using namespace mmlib::bench;
 using namespace mmlib::dist;
 
-int main(int argc, char** argv) {
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   PrintHeader(
       "Figure 12", "Baseline TTR breakdown for U3-1-3 per architecture",
       "Expected shape: every step grows with the parameter count. The\n"
@@ -63,9 +52,6 @@ int main(int argc, char** argv) {
                   Millis(breakdown.verify_seconds), Millis(total)});
   }
   table.Print(std::cout);
-  if (!check) {
-    return 0;
-  }
 
   const core::RecoverBreakdown& small =
       breakdowns[models::Architecture::kMobileNetV2];
@@ -80,14 +66,10 @@ int main(int argc, char** argv) {
       {"recover", small.recover_seconds, large.recover_seconds},
       {"verify", small.verify_seconds, large.verify_seconds},
   };
-  bool shape_holds = true;
-  std::printf("\nshape check: ResNet-152 > MobileNetV2 in every step\n");
+  Gate gate;
   for (const auto& s : steps) {
-    const bool holds = s.large_seconds > s.small_seconds;
-    shape_holds = shape_holds && holds;
-    std::printf("  %-8s %s > %s: %s\n", s.step,
-                Millis(s.large_seconds).c_str(),
-                Millis(s.small_seconds).c_str(), holds ? "yes" : "NO");
+    gate.Check(s.step, s.large_seconds > s.small_seconds,
+               Millis(s.large_seconds) + " > " + Millis(s.small_seconds));
   }
-  return shape_holds ? 0 : 1;
+  return gate.Report("shape check: ResNet-152 > MobileNetV2 in every step");
 }

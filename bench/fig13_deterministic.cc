@@ -12,13 +12,13 @@
 /// measurable, so the ratios scatter around 1x with host noise
 /// (EXPERIMENTS.md: not reproduced on CPU).
 ///
-/// `--check` gates what the paper relies on, exactly: per ResNet, the
+/// What the paper relies on is gated exactly: per ResNet, the
 /// deterministic runs end with equal ParamsHash, and non-deterministic runs
-/// with different scheduler seeds end with pairwise different ones. It
-/// exits non-zero otherwise. Timings are printed, never gated.
+/// with different scheduler seeds end with pairwise different ones. The
+/// binary exits 1 otherwise. Timings are printed, never gated.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "core/train_service.h"
@@ -86,17 +86,7 @@ bool HashesHold(const std::vector<Digest>& hashes, bool want_equal) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   PrintHeader("Figure 13",
               "Deterministic vs non-deterministic training times",
               "1 epoch x 4 batches of 8 on CO-512 (scaled); median of 3 "
@@ -107,8 +97,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"model", "mode", "load data", "forward", "backward",
                       "fwd slowdown", "bwd slowdown"});
-  std::vector<std::string> checks;
-  bool holds = true;
+  Gate gate;
   for (models::Architecture arch : {models::Architecture::kResNet18,
                                     models::Architecture::kResNet50,
                                     models::Architecture::kResNet152}) {
@@ -138,26 +127,15 @@ int main(int argc, char** argv) {
                   Millis(det.forward_seconds), Millis(det.backward_seconds),
                   fwd_ratio, bwd_ratio});
 
-    const bool det_equal = HashesHold(det_runs.hashes, /*want_equal=*/true);
-    const bool nondet_differ =
-        HashesHold(nondet_runs.hashes, /*want_equal=*/false);
-    holds = holds && det_equal && nondet_differ;
-    checks.push_back("  " + name + ": deterministic runs equal: " +
-                     (det_equal ? "yes" : "NO") +
-                     "; scheduler seeds differ: " +
-                     (nondet_differ ? "yes" : "NO"));
+    gate.Check(name + " deterministic runs equal",
+               HashesHold(det_runs.hashes, /*want_equal=*/true));
+    gate.Check(name + " scheduler seeds differ",
+               HashesHold(nondet_runs.hashes, /*want_equal=*/false));
   }
   table.Print(std::cout);
   std::printf(
       "\nPaper finding: deterministic mode slows the forward/backward pass\n"
       "but not data loading. On a CPU both modes run the same kernels and\n"
       "differ only in split-K points, so the ratios scatter around 1x.\n");
-  if (!check) {
-    return 0;
-  }
-  std::printf("\nreproducibility check: final ParamsHash per run\n");
-  for (const std::string& line : checks) {
-    std::printf("%s\n", line.c_str());
-  }
-  return holds ? 0 : 1;
+  return gate.Report("reproducibility check: final ParamsHash per run");
 }

@@ -10,13 +10,13 @@
 /// ReplayTrainRecipe (momentum-free SGD at lr 0.001; a protocol deviation,
 /// see EXPERIMENTS.md).
 ///
-/// `--check` gates those shapes, read from the printed medians, and exits
-/// non-zero unless they hold. The staircase of phase p is read from sums of
+/// Those shapes are gated, read from the printed medians: the binary exits
+/// 1 unless they hold. The staircase of phase p is read from sums of
 /// two steps: the rise is TTR(U3-p-9) + TTR(U3-p-10) over TTR(U3-p-1) +
 /// TTR(U3-p-2). In both phases BA must stay flat (rise below 1.5), PUA and
 /// MPA must rise (above 1.25), and MPA must sit above PUA at step 10.
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "bench/bench_common.h"
 
@@ -24,17 +24,7 @@ using namespace mmlib;
 using namespace mmlib::bench;
 using namespace mmlib::dist;
 
-int main(int argc, char** argv) {
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   PrintHeader("Figure 15", "DIST-20 median TTR, fully updated MobileNetV2",
               "Per-use-case medians over 20 nodes; checksum-verified "
               "recovery of all 402 models per approach.");
@@ -80,12 +70,8 @@ int main(int argc, char** argv) {
       "step 10: %.1fx\n",
       pua_step10 / pua_step1, mpa_step10 / mpa_step1,
       mpa_step10 / pua_step10);
-  if (!check) {
-    return 0;
-  }
 
-  bool shape_holds = true;
-  std::printf("shape check\n");
+  Gate gate;
   for (const char* phase : {"1", "2"}) {
     auto ttr = [&](size_t approach, int step) {
       return results[approach].MedianTtr(std::string("U3-") + phase + "-" +
@@ -95,25 +81,20 @@ int main(int argc, char** argv) {
       return (ttr(approach, 9) + ttr(approach, 10)) /
              (ttr(approach, 1) + ttr(approach, 2));
     };
+    auto value = [](double v) {
+      char buffer[32];
+      std::snprintf(buffer, sizeof(buffer), "%.2f", v);
+      return std::string(buffer);
+    };
+    const std::string prefix = std::string("U3-") + phase + " ";
     const double ba = rise(0);
     const double pua = rise(1);
     const double mpa = rise(2);
-    const struct {
-      const char* claim;
-      double value;
-      bool holds;
-    } claims[] = {
-        {"BA flat (rise < 1.5)", ba, ba < 1.5},
-        {"PUA rising (rise > 1.25)", pua, pua > 1.25},
-        {"MPA rising (rise > 1.25)", mpa, mpa > 1.25},
-        {"MPA > PUA at step 10 (ratio > 1)", ttr(2, 10) / ttr(1, 10),
-         ttr(2, 10) > ttr(1, 10)},
-    };
-    for (const auto& claim : claims) {
-      shape_holds = shape_holds && claim.holds;
-      std::printf("  U3-%s %s: %.2f %s\n", phase, claim.claim, claim.value,
-                  claim.holds ? "yes" : "NO");
-    }
+    gate.Check(prefix + "BA flat (rise < 1.5)", ba < 1.5, value(ba));
+    gate.Check(prefix + "PUA rising (rise > 1.25)", pua > 1.25, value(pua));
+    gate.Check(prefix + "MPA rising (rise > 1.25)", mpa > 1.25, value(mpa));
+    gate.Check(prefix + "MPA > PUA at step 10 (ratio > 1)",
+               ttr(2, 10) > ttr(1, 10), value(ttr(2, 10) / ttr(1, 10)));
   }
-  return shape_holds ? 0 : 1;
+  return gate.Report("shape check");
 }

@@ -1,8 +1,11 @@
 /// Reproduces paper Table 1: the evaluation datasets with image counts,
 /// sizes, and associated use cases. The synthetic stand-ins are generated at
 /// the repo-default 1/64 scale; the paper's original sizes are shown next to
-/// the generated ones.
+/// the generated ones. Exits 1 unless every stand-in has the paper's image
+/// count and the generated sizes keep the paper's order, INet-val >
+/// mINet-val > CF-512 > CO-512.
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "data/dataset.h"
@@ -18,14 +21,27 @@ int main() {
 
   TablePrinter table({"short name", "images", "paper size", "generated size",
                       "stored dim", "use case"});
+  bench::Gate gate;
+  // Table1Reference lists the datasets from the largest to the smallest.
+  size_t previous_bytes = 0;
+  std::string previous_name;
   for (const Table1Row& row : Table1Reference()) {
     SyntheticImageDataset dataset(row.id, kDefaultDatasetDivisor);
-    table.AddRow({row.short_name, std::to_string(row.images),
+    table.AddRow({row.short_name, std::to_string(dataset.size()),
                   FormatBytes(row.paper_bytes),
                   FormatBytes(dataset.TotalByteSize()),
                   std::to_string(dataset.stored_dim()) + "x" +
                       std::to_string(dataset.stored_dim()),
                   row.use_case});
+    gate.Check(row.short_name + " has " + std::to_string(row.images) +
+                   " images",
+               dataset.size() == row.images, std::to_string(dataset.size()));
+    if (!previous_name.empty()) {
+      gate.Check(previous_name + " > " + row.short_name + " in bytes",
+                 previous_bytes > dataset.TotalByteSize());
+    }
+    previous_bytes = dataset.TotalByteSize();
+    previous_name = row.short_name;
   }
   table.Print(std::cout);
 
@@ -43,5 +59,5 @@ int main() {
     std::printf("  %-10s %s\n", row.short_name.c_str(),
                 dataset.ContentHash().ToHex().substr(0, 16).c_str());
   }
-  return 0;
+  return gate.Report("claim check: image counts and size order of Table 1");
 }

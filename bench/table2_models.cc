@@ -17,7 +17,7 @@ int main() {
 
   TablePrinter table({"name", "#params", "paper #params", "part. updated",
                       "paper part.", "size", "paper size"});
-  bool all_match = true;
+  bench::Gate gate;
   for (const Table2Row& row : Table2Reference()) {
     const Architecture arch = ArchitectureFromName(row.name).value();
     auto model = BuildModel(FullScaleConfig(arch)).value();
@@ -32,11 +32,10 @@ int main() {
                   std::to_string(row.params), std::to_string(partial),
                   std::to_string(row.partially_updated_params), size_buf,
                   paper_size});
-    all_match = all_match && params == row.params &&
-                partial == row.partially_updated_params;
+    gate.Check(row.name + " #params and partially-updated equal the paper",
+               params == row.params &&
+                   partial == row.partially_updated_params);
   }
   table.Print(std::cout);
-  std::printf("\nParameter counts match paper Table 2: %s\n",
-              all_match ? "YES (exact)" : "NO");
-  return all_match ? 0 : 1;
+  return gate.Report("claim check: counts equal paper Table 2");
 }

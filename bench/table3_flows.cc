@@ -2,11 +2,10 @@
 /// counts, and verifies each flow actually saves that many models.
 ///
 /// The flows run over the simulated storage link, so each one declares its
-/// participant nodes on a simnet::Network. `--check` gates the table: it
-/// exits non-zero unless every flow saves exactly the paper's model count
-/// (10, 102, 202, 402).
+/// participant nodes on a simnet::Network. Exits 1 unless every flow saves
+/// exactly the paper's model count (10, 102, 202, 402).
 #include <cstdio>
-#include <cstring>
+#include <string>
 
 #include "bench/bench_common.h"
 
@@ -14,17 +13,7 @@ using namespace mmlib;
 using namespace mmlib::bench;
 using namespace mmlib::dist;
 
-int main(int argc, char** argv) {
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
-      return 2;
-    }
-  }
-
+int main() {
   PrintHeader("Table 3", "Evaluation flows",
               "STANDARD has 4 U3 iterations per phase; DIST flows have 10.");
 
@@ -35,7 +24,7 @@ int main(int argc, char** argv) {
     int paper_models;
   };
   TablePrinter table({"name", "#nodes", "#models (run)", "#models (paper)"});
-  bool counts_match = true;
+  Gate gate;
   for (const FlowSpec spec :
        {FlowSpec{"STANDARD", 1, 4, 10}, FlowSpec{"DIST-5", 5, 10, 102},
         FlowSpec{"DIST-10", 10, 10, 202}, FlowSpec{"DIST-20", 20, 10, 402}}) {
@@ -48,17 +37,14 @@ int main(int argc, char** argv) {
     config.training_mode = TrainingMode::kSimulated;
     config.recover_models = false;
     const FlowResult result = RunFlowRemote(config);
-    counts_match = counts_match && static_cast<int>(result.records.size()) ==
-                                       spec.paper_models;
+    gate.Check(std::string(spec.name) + " saves " +
+                   std::to_string(spec.paper_models) + " models",
+               static_cast<int>(result.records.size()) == spec.paper_models,
+               std::to_string(result.records.size()));
     table.AddRow({spec.name, std::to_string(spec.nodes),
                   std::to_string(result.records.size()),
                   std::to_string(spec.paper_models)});
   }
   table.Print(std::cout);
-  if (!check) {
-    return 0;
-  }
-  std::printf("\ncount check: every flow saves the paper's model count: %s\n",
-              counts_match ? "yes" : "NO");
-  return counts_match ? 0 : 1;
+  return gate.Report("claim check: every flow saves the paper's model count");
 }

@@ -25,12 +25,13 @@ constexpr size_t kNoWorker = static_cast<size_t>(-1);
 
 }  // namespace
 
-RingSession::RingSession(size_t workers, RingOptions options,
-                         simnet::Network* network)
+RingSession::RingSession(size_t workers, double step_compute_seconds,
+                         RingOptions options, simnet::Network* network)
     : workers_(workers),
+      step_compute_seconds_(step_compute_seconds),
       options_(std::move(options)),
       network_(network),
-      retrier_(options_.retry, network) {
+      retrier_(network) {
   network_->Configure(simnet::Space::kWorker, workers_);
   loss_applied_.assign(options_.losses.size(), false);
   partition_spent_.assign(options_.partitions.size(), false);
@@ -136,7 +137,7 @@ std::vector<size_t> RingSession::CohortForStep(int64_t step,
       partition_spent_[i] = true;
     }
     const double share =
-        workers_ > 0 ? options_.step_compute_seconds / workers_ : 0.0;
+        workers_ > 0 ? step_compute_seconds_ / workers_ : 0.0;
     *wait_seconds += static_cast<double>(heal_step - step + 1) * share;
     ++report_.stalled_steps;
     apply_partitions({});
@@ -147,7 +148,7 @@ std::vector<size_t> RingSession::CohortForStep(int64_t step,
   // bounded wait is excluded from this step; the survivors are charged the
   // bound they waited before giving up on it.
   const double share =
-      workers_ > 0 ? options_.step_compute_seconds / workers_ : 0.0;
+      workers_ > 0 ? step_compute_seconds_ / workers_ : 0.0;
   double slowest = cohort.empty() ? 0.0 : share;
   bool waited_out = false;
   std::vector<size_t> included;
@@ -160,7 +161,7 @@ std::vector<size_t> RingSession::CohortForStep(int64_t step,
       }
     }
     const double extra = share * (factor - 1.0);
-    if (extra > options_.straggler_wait_seconds) {
+    if (extra > kStragglerWaitSeconds) {
       waited_out = true;
       continue;
     }
@@ -169,7 +170,7 @@ std::vector<size_t> RingSession::CohortForStep(int64_t step,
   }
   *wait_seconds += slowest;
   if (waited_out) {
-    *wait_seconds += options_.straggler_wait_seconds;
+    *wait_seconds += kStragglerWaitSeconds;
   }
   return included;
 }
@@ -201,8 +202,6 @@ Status RingSession::RunRing(std::vector<size_t>* cohort, int64_t elements,
     const int64_t slice =
         (elements + static_cast<int64_t>(size) - 1) /
         static_cast<int64_t>(size);
-    const int64_t per_message =
-        options_.chunk_elements > 0 ? options_.chunk_elements : slice;
     size_t failed = kNoWorker;
     const size_t rounds = 2 * (size - 1);
     for (size_t round = 0; round < rounds && failed == kNoWorker; ++round) {
@@ -212,7 +211,7 @@ Status RingSession::RunRing(std::vector<size_t>* cohort, int64_t elements,
         const size_t to = (*cohort)[(rank + 1) % size];
         int64_t remaining = slice;
         while (remaining > 0) {
-          const int64_t chunk = std::min(per_message, remaining);
+          const int64_t chunk = std::min(kChunkElements, remaining);
           const Status status =
               SendChunk(from, to, static_cast<uint64_t>(chunk) * 4);
           if (!status.ok()) {
@@ -254,10 +253,8 @@ Status RingSession::CommitStep(
   const int64_t elements = static_cast<int64_t>(first.size());
   out->resize(first.size());
   const float inverse = 1.0f / static_cast<float>(size);
-  const int64_t grain =
-      options_.chunk_elements > 0 ? options_.chunk_elements : elements;
   util::ParallelFor(
-      pool_, elements, grain,
+      pool_, elements, kChunkElements,
       [&](int64_t begin, int64_t end, size_t /*chunk*/) {
         std::vector<float> vals(size);
         for (int64_t j = begin; j < end; ++j) {

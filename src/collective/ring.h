@@ -48,25 +48,11 @@ struct PartitionWindow {
   int64_t to_step = 1;
 };
 
-/// Tuning and fault schedule of a ring-all-reduce session. Everything is
-/// keyed by (update, step) coordinates — never by the virtual clock — so a
+/// Fault schedule of a ring-all-reduce session. Everything is keyed by
+/// (update, step) coordinates — never by the virtual clock — so a
 /// crash-recovery replay of the same steps sees the exact same membership
 /// decisions and the flow lands bit-identical to the crash-free run.
 struct RingOptions {
-  /// Elements per ring message; a reduce-scatter slice larger than this is
-  /// sent in several messages. Also the ParallelFor grain of the reduction,
-  /// so results are bit-identical for any chunk size and pool size.
-  int64_t chunk_elements = 4096;
-  /// Virtual compute seconds of one optimizer step over the full batch.
-  /// Each of K workers shards 1/K of the batch, so its per-step share is
-  /// step_compute_seconds / K; the cohort is charged the slowest member.
-  double step_compute_seconds = 0.0;
-  /// Bounded wait for a slow peer: a cohort member whose extra compute
-  /// time exceeds this bound is excluded from the step instead of waited
-  /// for (the survivors are charged the bound they waited).
-  double straggler_wait_seconds = 1.0;
-  /// Per-message retry/backoff policy of the collective channel.
-  simnet::RetryPolicy retry;
   std::vector<StragglerWindow> stragglers;
   std::vector<WorkerLossEvent> losses;
   std::vector<PartitionWindow> partitions;
@@ -116,18 +102,31 @@ struct SessionReport {
 /// The *arithmetic* is decoupled from the message schedule: gradients are
 /// reduced in a fixed balanced binary tree over cohort ranks and scaled by
 /// 1/C at the end (CommitStep). The tree is a pure function of the cohort,
-/// so the result is bit-identical for any chunk size, pool size, and ring
-/// topology — and for a full cohort of bit-identical replicas the mean
+/// so the result is bit-identical for any pool size and ring topology —
+/// and for a full cohort of bit-identical replicas the mean
 /// reproduces the single-worker gradient exactly (the tree sum of 2^k
 /// equal values is an exponent shift, and 1/C for C in {1,2,4,8} is a
 /// power of two). Degraded cohorts (3 survivors of 4) are deterministic
 /// per seed but legitimately differ from the clean run.
 class RingSession {
  public:
+  /// Elements per ring message; a reduce-scatter slice larger than this is
+  /// sent in several messages. Also the ParallelFor grain of the reduction;
+  /// results are bit-identical for any pool size.
+  static constexpr int64_t kChunkElements = 4096;
+  /// Bounded wait for a slow peer: a cohort member whose extra compute time
+  /// exceeds it is excluded from the step instead of waited for (the
+  /// survivors are charged the bound they waited).
+  static constexpr double kStragglerWaitSeconds = 1.0;
+
   /// Declares `workers` ring workers on `network`
-  /// (Configure(Space::kWorker, workers)). The network must outlive the
-  /// session.
-  RingSession(size_t workers, RingOptions options, simnet::Network* network);
+  /// (Configure(Space::kWorker, workers)). `step_compute_seconds` is the
+  /// virtual compute of one optimizer step over the full batch: each of K
+  /// workers shards 1/K of the batch, so its per-step share is
+  /// step_compute_seconds / K, and the cohort is charged its slowest
+  /// member. The network must outlive the session.
+  RingSession(size_t workers, double step_compute_seconds, RingOptions options,
+              simnet::Network* network);
 
   size_t worker_count() const { return workers_; }
 
@@ -189,6 +188,7 @@ class RingSession {
   void ChargeRejoinSync(size_t worker, uint64_t param_bytes);
 
   size_t workers_;
+  double step_compute_seconds_;
   RingOptions options_;
   simnet::Network* network_;
   simnet::Retrier retrier_;

@@ -1,15 +1,17 @@
 #include "core/adaptive.h"
 
+#include <utility>
+
 #include "core/fetch.h"
 
 namespace mmlib::core {
 
 AdaptiveSaveService::AdaptiveSaveService(StorageBackends backends,
-                                         AdaptiveOptions options)
+                                         ProvenanceOptions provenance)
     : SaveService(backends),
       baseline_(backends),
       param_update_(backends),
-      provenance_service_(backends, options.provenance) {}
+      provenance_service_(backends, std::move(provenance)) {}
 
 Result<size_t> AdaptiveSaveService::EstimateUpdateBytes(
     const SaveRequest& request) {

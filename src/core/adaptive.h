@@ -9,11 +9,6 @@
 
 namespace mmlib::core {
 
-/// Options of the adaptive approach: those of its MPA path.
-struct AdaptiveOptions {
-  ProvenanceOptions provenance;
-};
-
 /// Adaptive approach (the future-work direction sketched in paper Section
 /// 4.7): chooses per model whichever approach (BA, PUA, or MPA) is expected
 /// to consume the least storage, based on the observation that the BA and
@@ -25,9 +20,10 @@ struct AdaptiveOptions {
 /// chains that mix approaches.
 class AdaptiveSaveService : public SaveService {
  public:
-  AdaptiveSaveService(StorageBackends backends, AdaptiveOptions options);
+  /// `provenance` configures the MPA path.
+  AdaptiveSaveService(StorageBackends backends, ProvenanceOptions provenance);
   explicit AdaptiveSaveService(StorageBackends backends)
-      : AdaptiveSaveService(backends, AdaptiveOptions{}) {}
+      : AdaptiveSaveService(backends, ProvenanceOptions{}) {}
 
   std::string_view approach() const override { return "adaptive"; }
 

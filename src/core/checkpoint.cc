@@ -61,29 +61,14 @@ CheckpointManager::CheckpointManager(const StorageBackends& backends,
                                      int64_t every_steps)
     : backends_(backends), every_steps_(every_steps) {}
 
-CheckpointManager::~CheckpointManager() {
-  // Steps a run finished before its manager went away did run; their
-  // compute stays on the clock.
-  SettleCompute();
-}
-
 void CheckpointManager::ChargeCompute(double seconds) {
-  if (seconds > 0.0) {
-    pending_compute_seconds_ += seconds;
-  }
-}
-
-void CheckpointManager::SettleCompute() {
-  const double charge = pending_compute_seconds_;
-  pending_compute_seconds_ = 0.0;
-  if (charge > 0.0 && backends_.network != nullptr) {
-    backends_.network->ChargeSeconds(charge);
+  if (seconds > 0.0 && backends_.network != nullptr) {
+    backends_.network->ChargeSeconds(seconds);
   }
 }
 
 Result<std::string> CheckpointManager::Write(
     const TrainCheckpoint& checkpoint) {
-  SettleCompute();
   SaveTransaction txn(backends_);
   MMLIB_CRASH_POINT("checkpoint.write");
   MMLIB_ASSIGN_OR_RETURN(std::string params_file,
@@ -134,7 +119,6 @@ Status CheckpointManager::DeleteCheckpointDoc(const std::string& doc_id) {
 
 Result<bool> CheckpointManager::LoadLatest(const std::string& run_id,
                                            TrainCheckpoint* out) {
-  SettleCompute();
   MMLIB_ASSIGN_OR_RETURN(
       std::vector<std::string> ids,
       backends_.docs->FindByField(kCheckpointsCollection, "run_id", run_id));
@@ -165,7 +149,6 @@ Result<bool> CheckpointManager::LoadLatest(const std::string& run_id,
 }
 
 Status CheckpointManager::DeleteRun(const std::string& run_id) {
-  SettleCompute();
   MMLIB_ASSIGN_OR_RETURN(
       std::vector<std::string> ids,
       backends_.docs->FindByField(kCheckpointsCollection, "run_id", run_id));

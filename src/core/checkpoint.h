@@ -43,16 +43,14 @@ struct TrainCheckpoint {
 /// training state. Every Write stalls the caller for the whole save.
 ///
 /// Virtual-time accounting: callers report training compute through
-/// ChargeCompute, and the manager charges it to the network's virtual clock
-/// at the next settle point (Write, LoadLatest, DeleteRun or SettleCompute),
-/// so a run's clock reads transfer time plus compute in storage order.
+/// ChargeCompute, which charges it to the network's virtual clock at once,
+/// so a run's clock reads transfer time plus compute in execution order.
 class CheckpointManager {
  public:
   /// Persists a checkpoint every `every_steps` optimizer steps (plus one at
   /// step zero when a run starts, so even an immediate crash loses nothing
   /// that was handed to the run).
   CheckpointManager(const StorageBackends& backends, int64_t every_steps);
-  ~CheckpointManager();
 
   int64_t every_steps() const { return every_steps_; }
 
@@ -70,14 +68,9 @@ class CheckpointManager {
   /// the run's result is durably saved and the checkpoints are dead weight.
   Status DeleteRun(const std::string& run_id);
 
-  /// Reports virtual training-compute seconds spent since the last settle
-  /// point. No-op without a network backend.
+  /// Charges `seconds` of virtual training compute to the network's
+  /// virtual clock. No-op without a network backend.
   void ChargeCompute(double seconds);
-
-  /// Charges the compute reported since the last settle point to the
-  /// network's virtual clock. Training calls it when a run ends, the flow
-  /// when it unwinds a simulated crash.
-  void SettleCompute();
 
   /// Checkpoints successfully written by this manager.
   uint64_t checkpoints_written() const { return checkpoints_written_; }
@@ -88,8 +81,6 @@ class CheckpointManager {
   StorageBackends backends_;
   int64_t every_steps_;
   uint64_t checkpoints_written_ = 0;
-  /// Compute reported since the last settle point.
-  double pending_compute_seconds_ = 0.0;
 };
 
 }  // namespace mmlib::core

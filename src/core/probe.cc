@@ -138,18 +138,4 @@ Result<TraceComparison> CheckReproducibility(nn::Model* model,
   return CompareTraces(first, second);
 }
 
-Status DeterminismAuditor::Check(LayerTrace trace) {
-  const size_t run = completed_runs_++;
-  if (run == 0) {
-    reference_ = std::move(trace);
-    return Status::OK();
-  }
-  const TraceComparison comparison = CompareTraces(reference_, trace);
-  if (comparison.equal) {
-    return Status::OK();
-  }
-  return Status::Corruption("determinism audit: run " + std::to_string(run) +
-                            ": " + comparison.FirstDivergence());
-}
-
 }  // namespace mmlib::core

@@ -11,8 +11,9 @@
 #include "util/result.h"
 
 /// The per-layer trace (DESIGN.md "Correctness tooling"): the paper's
-/// probing tool (Section 2.4) and the determinism auditor that guards
-/// provenance replay (Figure 13) are both built on it.
+/// probing tool (Section 2.4) is built on it, and comparing the traces of
+/// two training runs checks that a provenance replay reproduces the
+/// original (Figure 13).
 namespace mmlib::core {
 
 /// One captured tensor: the digest of a layer's forward output or backward
@@ -95,23 +96,5 @@ Result<TraceComparison> CheckReproducibility(nn::Model* model,
                                              const data::Batch& batch,
                                              bool deterministic,
                                              uint64_t seed);
-
-/// Guards bit-reproducible replay (Figure 13): the first checked trace
-/// becomes the reference and every later one must match it event for event.
-/// ImageTrainService checks each audited deterministic Train.
-class DeterminismAuditor {
- public:
-  /// Stores the first trace as the reference and returns OK; compares later
-  /// traces against it and returns Corruption naming the first diverging
-  /// layer.
-  Status Check(LayerTrace trace);
-
-  size_t completed_runs() const { return completed_runs_; }
-  const LayerTrace& reference() const { return reference_; }
-
- private:
-  LayerTrace reference_;
-  size_t completed_runs_ = 0;
-};
 
 }  // namespace mmlib::core

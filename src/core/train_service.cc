@@ -1,7 +1,5 @@
 #include "core/train_service.h"
 
-#include <optional>
-
 #include "data/prefetcher.h"
 #include "nn/loss.h"
 #include "util/clock.h"
@@ -188,15 +186,6 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
     ctx.rng()->RestoreState(resume_from->rng);
   }
 
-  // Audited deterministic runs record their layer trace; replaying the same
-  // provenance must reproduce the reference trace bit for bit (Fig. 13).
-  const bool audited = auditor_ != nullptr && deterministic;
-  LayerTrace trace;
-  std::optional<TraceRecorder> recorder;
-  if (audited) {
-    recorder.emplace(model, &trace);
-  }
-
   // Checkpointing applies only to deterministic runs: a non-deterministic
   // run cannot be continued bit-identically, so a checkpoint of it would
   // promise recovery it cannot deliver.
@@ -208,95 +197,80 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
   const int64_t start_batch =
       resume_from != nullptr ? resume_from->next_batch : 0;
 
-  auto run_epochs = [&]() -> Status {
-    data::DataLoader loader(dataset_, config_.loader);
-    // Background batch preparation: while the step below runs forward/
-    // backward on batch b, the prefetcher's worker fills batch b+1.
-    // Contents depend only on (seed, epoch, index) and hand-off is in
-    // index order, so worker timing cannot perturb results.
-    data::BatchPrefetcher prefetch(&loader);
-    // Step-scoped temporaries reused across the whole run: gradient storage
-    // in `loss`, exp cache from the context's scratch pool.
-    nn::LossResult loss;
-    if (checkpointing && resume_from == nullptr) {
-      // Step-0 checkpoint: even a crash before the first periodic
-      // checkpoint loses no more than the in-flight steps.
-      MMLIB_RETURN_IF_ERROR(WriteCheckpoint(model, *ctx.rng(), 0, 0, 0));
-    }
-    for (int64_t epoch = start_epoch; epoch < config_.epochs; ++epoch) {
-      size_t batches = loader.BatchesPerEpoch();
-      if (config_.max_batches_per_epoch >= 0) {
-        batches = std::min(
-            batches, static_cast<size_t>(config_.max_batches_per_epoch));
-      }
-      const size_t first_batch =
-          epoch == start_epoch ? static_cast<size_t>(start_batch) : 0;
-      prefetch.StartEpoch(static_cast<uint64_t>(epoch), first_batch, batches);
-      for (size_t b = first_batch; b < batches; ++b) {
-        // At the top of the step: an armed crash at hit N kills the run
-        // with exactly N-1 completed optimizer steps.
-        MMLIB_CRASH_POINT("train.step");
-        Stopwatch load_timer;
-        MMLIB_ASSIGN_OR_RETURN(data::Batch batch, prefetch.Next());
-        ctx.times()->data_load_seconds += load_timer.ElapsedSeconds();
-
-        optimizer_->ZeroGrad();
-        Stopwatch forward_timer;
-        MMLIB_ASSIGN_OR_RETURN(Tensor logits, model->Forward(batch.images,
-                                                             &ctx));
-        MMLIB_RETURN_IF_ERROR(nn::SoftmaxCrossEntropyInto(
-            logits, batch.labels, ctx.scratch_pool(), &loss));
-        ctx.times()->forward_seconds += forward_timer.ElapsedSeconds();
-        last_loss_ = loss.loss;
-
-        Stopwatch backward_timer;
-        MMLIB_RETURN_IF_ERROR(
-            model->Backward(loss.grad_logits, &ctx).status());
-        if (step_sync_hook_) {
-          // Gradients are final, the optimizer has not applied them: the
-          // data-parallel barrier reduces here so every worker steps on the
-          // same mean gradient.
-          MMLIB_RETURN_IF_ERROR(step_sync_hook_(model, step + 1));
-        }
-        optimizer_->Step();
-        ctx.times()->backward_seconds += backward_timer.ElapsedSeconds();
-        prefetch.Recycle(std::move(batch));
-        ++step;
-        if (checkpointing && step_compute_seconds_ > 0.0) {
-          // Virtual compute cost of this step, charged to the clock at the
-          // manager's next settle point.
-          checkpoints_->ChargeCompute(step_compute_seconds_);
-        }
-        if (checkpoint_interval > 0 && step % checkpoint_interval == 0) {
-          // Checkpoints land at exactly the K-multiples, whether or not
-          // the run was resumed mid-stream — so the number and order of
-          // persisted artifacts (and thus allocated storage ids) is
-          // invariant under crash + resume.
-          MMLIB_RETURN_IF_ERROR(WriteCheckpoint(model, *ctx.rng(), step,
-                                                epoch,
-                                                static_cast<int64_t>(b) + 1));
-        }
-      }
-      // Step learning-rate schedule (part of the training logic; replayed
-      // deterministically on provenance recovery).
-      if (config_.lr_decay_gamma != 1.0 && config_.lr_decay_every_epochs > 0 &&
-          (epoch + 1) % config_.lr_decay_every_epochs == 0) {
-        optimizer_->SetLearningRate(
-            optimizer_->learning_rate() *
-            static_cast<float>(config_.lr_decay_gamma));
-      }
-    }
-    return Status::OK();
-  };
-  const Status run_status = run_epochs();
-  if (checkpointing) {
-    checkpoints_->SettleCompute();
+  data::DataLoader loader(dataset_, config_.loader);
+  // Background batch preparation: while the step below runs forward/
+  // backward on batch b, the prefetcher's worker fills batch b+1.
+  // Contents depend only on (seed, epoch, index) and hand-off is in
+  // index order, so worker timing cannot perturb results.
+  data::BatchPrefetcher prefetch(&loader);
+  // Step-scoped temporaries reused across the whole run: gradient storage
+  // in `loss`, exp cache from the context's scratch pool.
+  nn::LossResult loss;
+  if (checkpointing && resume_from == nullptr) {
+    // Step-0 checkpoint: even a crash before the first periodic
+    // checkpoint loses no more than the in-flight steps.
+    MMLIB_RETURN_IF_ERROR(WriteCheckpoint(model, *ctx.rng(), 0, 0, 0));
   }
-  recorder.reset();
-  MMLIB_RETURN_IF_ERROR(run_status);
-  if (audited) {
-    trace.loss = last_loss_;
-    MMLIB_RETURN_IF_ERROR(auditor_->Check(std::move(trace)));
+  for (int64_t epoch = start_epoch; epoch < config_.epochs; ++epoch) {
+    size_t batches = loader.BatchesPerEpoch();
+    if (config_.max_batches_per_epoch >= 0) {
+      batches = std::min(
+          batches, static_cast<size_t>(config_.max_batches_per_epoch));
+    }
+    const size_t first_batch =
+        epoch == start_epoch ? static_cast<size_t>(start_batch) : 0;
+    prefetch.StartEpoch(static_cast<uint64_t>(epoch), first_batch, batches);
+    for (size_t b = first_batch; b < batches; ++b) {
+      // At the top of the step: an armed crash at hit N kills the run
+      // with exactly N-1 completed optimizer steps.
+      MMLIB_CRASH_POINT("train.step");
+      Stopwatch load_timer;
+      MMLIB_ASSIGN_OR_RETURN(data::Batch batch, prefetch.Next());
+      ctx.times()->data_load_seconds += load_timer.ElapsedSeconds();
+
+      optimizer_->ZeroGrad();
+      Stopwatch forward_timer;
+      MMLIB_ASSIGN_OR_RETURN(Tensor logits, model->Forward(batch.images,
+                                                           &ctx));
+      MMLIB_RETURN_IF_ERROR(nn::SoftmaxCrossEntropyInto(
+          logits, batch.labels, ctx.scratch_pool(), &loss));
+      ctx.times()->forward_seconds += forward_timer.ElapsedSeconds();
+      last_loss_ = loss.loss;
+
+      Stopwatch backward_timer;
+      MMLIB_RETURN_IF_ERROR(
+          model->Backward(loss.grad_logits, &ctx).status());
+      if (step_sync_hook_) {
+        // Gradients are final, the optimizer has not applied them: the
+        // data-parallel barrier reduces here so every worker steps on the
+        // same mean gradient.
+        MMLIB_RETURN_IF_ERROR(step_sync_hook_(model, step + 1));
+      }
+      optimizer_->Step();
+      ctx.times()->backward_seconds += backward_timer.ElapsedSeconds();
+      prefetch.Recycle(std::move(batch));
+      ++step;
+      if (checkpointing && step_compute_seconds_ > 0.0) {
+        checkpoints_->ChargeCompute(step_compute_seconds_);
+      }
+      if (checkpoint_interval > 0 && step % checkpoint_interval == 0) {
+        // Checkpoints land at exactly the K-multiples, whether or not
+        // the run was resumed mid-stream — so the number and order of
+        // persisted artifacts (and thus allocated storage ids) is
+        // invariant under crash + resume.
+        MMLIB_RETURN_IF_ERROR(WriteCheckpoint(model, *ctx.rng(), step,
+                                              epoch,
+                                              static_cast<int64_t>(b) + 1));
+      }
+    }
+    // Step learning-rate schedule (part of the training logic; replayed
+    // deterministically on provenance recovery).
+    if (config_.lr_decay_gamma != 1.0 && config_.lr_decay_every_epochs > 0 &&
+        (epoch + 1) % config_.lr_decay_every_epochs == 0) {
+      optimizer_->SetLearningRate(
+          optimizer_->learning_rate() *
+          static_cast<float>(config_.lr_decay_gamma));
+    }
   }
   return *ctx.times();
 }

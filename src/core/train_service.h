@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/checkpoint.h"
-#include "core/probe.h"
 #include "data/archive.h"
 #include "data/dataloader.h"
 #include "data/dataset.h"
@@ -109,20 +108,10 @@ class ImageTrainService : public TrainService {
   /// Loss observed in the most recent Train call (last batch).
   float last_loss() const { return last_loss_; }
 
-  /// Attaches a determinism auditor: every subsequent *deterministic* Train
-  /// call records its layer trace and has the auditor check it. The first
-  /// audited call becomes the reference; a later call that should be a
-  /// bit-identical replay (e.g. provenance-based recovery, Fig. 13) fails
-  /// with Corruption naming the first diverging layer. Pass nullptr to
-  /// detach. The auditor must outlive the service's Train calls.
-  void set_determinism_auditor(DeterminismAuditor* auditor) {
-    auditor_ = auditor;
-  }
-
   /// Thread pool used by the training ExecutionContexts; the process-wide
   /// pool when unset. Deterministic chunking makes the choice pure
-  /// performance configuration — audited replays are bit-identical for any
-  /// pool size. The pool must outlive the service's Train calls.
+  /// performance configuration — deterministic replays are bit-identical
+  /// for any pool size. The pool must outlive the service's Train calls.
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
 
   /// Attaches checkpointing: every subsequent *deterministic* Train call
@@ -183,7 +172,6 @@ class ImageTrainService : public TrainService {
   nn::Model* bound_model_ = nullptr;
   Bytes pending_optimizer_state_;
   float last_loss_ = 0.0f;
-  DeterminismAuditor* auditor_ = nullptr;
   util::ThreadPool* pool_ = nullptr;
   CheckpointManager* checkpoints_ = nullptr;
   std::string checkpoint_run_id_;

@@ -177,12 +177,9 @@ Result<std::unique_ptr<core::SaveService>> EvaluationFlow::MakeService()
     case ApproachKind::kProvenance:
       return std::unique_ptr<core::SaveService>(
           new core::ProvenanceSaveService(backends_, provenance_options));
-    case ApproachKind::kAdaptive: {
-      core::AdaptiveOptions adaptive_options;
-      adaptive_options.provenance = provenance_options;
+    case ApproachKind::kAdaptive:
       return std::unique_ptr<core::SaveService>(
-          new core::AdaptiveSaveService(backends_, adaptive_options));
-    }
+          new core::AdaptiveSaveService(backends_, provenance_options));
   }
   return Status::InvalidArgument("unknown approach");
 }
@@ -330,13 +327,9 @@ Result<FlowResult> EvaluationFlow::Run() {
   std::unique_ptr<collective::RingSession> ring_session;
   std::unique_ptr<collective::GradientSynchronizer> gradient_sync;
   if (config_.data_parallel_workers > 0) {
-    collective::RingOptions ring_options = config_.ring;
-    if (ring_options.step_compute_seconds == 0.0) {
-      ring_options.step_compute_seconds = config_.step_compute_seconds;
-    }
     ring_session = std::make_unique<collective::RingSession>(
-        static_cast<size_t>(config_.data_parallel_workers), ring_options,
-        backends_.network);
+        static_cast<size_t>(config_.data_parallel_workers),
+        config_.step_compute_seconds, config_.ring, backends_.network);
     gradient_sync =
         std::make_unique<collective::GradientSynchronizer>(ring_session.get());
   }
@@ -490,11 +483,6 @@ Result<FlowResult> EvaluationFlow::Run() {
         }
         if (crashed) {
           util::CrashPoint::ResetAfterCrash();
-          if (checkpoints != nullptr) {
-            // The steps the kill cut short did run: their compute stays on
-            // the clock (recovery redoes them — that is the cost measured).
-            checkpoints->SettleCompute();
-          }
           FlowResult::NodeCounters& counters = result.node_counters[n];
           ++counters.crashes;
           if (backends_.network != nullptr) {

@@ -132,10 +132,10 @@ struct FlowConfig {
   /// cohorts are deterministic per seed. Requires TrainingMode::kReal and a
   /// simnet network on the backends.
   int data_parallel_workers = 0;
-  /// Ring tuning and fault schedule (stragglers, permanent losses, worker
-  /// partitions) of the data-parallel job. step_compute_seconds == 0
-  /// inherits the flow's step_compute_seconds; the collective channel's
-  /// fault plan lives on the Network (set_collective_fault_plan).
+  /// Fault schedule (stragglers, permanent losses, worker partitions) of
+  /// the data-parallel job; the ring charges the flow's
+  /// step_compute_seconds per step. The collective channel's fault plan
+  /// lives on the Network (set_collective_fault_plan).
   collective::RingOptions ring;
 
   /// Run one anti-entropy pass (repl::Scrubber::ScrubOnce) after every this

@@ -43,8 +43,11 @@ Result<Tensor> BatchNorm2d::Forward(const std::vector<const Tensor*>& inputs,
                                     ExecutionContext* ctx) {
   MMLIB_RETURN_IF_ERROR(ValidateInput(inputs));
   const Tensor& x = *inputs[0];
+  const kernels::BatchNormDims dims = Dims(x);
   batch_mean_.resize(channels_);
   batch_inv_std_.resize(channels_);
+  forward_batch_ = dims.batch;
+  forward_plane_ = dims.plane;
   Tensor y(x.shape());
   // A frozen batch-norm layer (fine-tuning a partially updated model
   // version) behaves as in eval mode: it uses its running statistics and
@@ -52,7 +55,7 @@ Result<Tensor> BatchNorm2d::Forward(const std::vector<const Tensor*>& inputs,
   // across training — the property the PUA's layer diff relies on.
   const bool batch_stats = ctx->training() && params_[0].trainable;
   kernels::BatchNormForward(
-      Dims(x), x.data(), params_[0].value.data(), params_[1].value.data(),
+      dims, x.data(), params_[0].value.data(), params_[1].value.data(),
       batch_stats, momentum_, epsilon_, params_[2].value.data(),
       params_[3].value.data(), y.data(), batch_mean_.data(),
       batch_inv_std_.data(), ctx->pool());
@@ -63,15 +66,22 @@ Result<std::vector<Tensor>> BatchNorm2d::Backward(
     const std::vector<const Tensor*>& inputs, const Tensor& grad_output,
     ExecutionContext* ctx) {
   MMLIB_RETURN_IF_ERROR(ValidateInput(inputs));
-  if (batch_mean_.size() != static_cast<size_t>(channels_)) {
+  const Tensor& x = *inputs[0];
+  const kernels::BatchNormDims dims = Dims(x);
+  if (forward_batch_ < 0) {
     return Status::InvalidArgument("batchnorm " + name_ +
                                    ": Backward called before Forward");
   }
-  const Tensor& x = *inputs[0];
+  if (dims.batch != forward_batch_ || dims.plane != forward_plane_) {
+    // The batch statistics belong to the last Forward's input.
+    return Status::InvalidArgument(
+        "batchnorm " + name_ + ": input " + x.shape().ToString() +
+        " is not the one the last Forward ran on");
+  }
   MMLIB_RETURN_IF_ERROR(check::ValidateShapesMatch(
       grad_output.shape(), x.shape(), "batchnorm " + name_ + " grad_output"));
   Tensor grad_input(x.shape());
-  kernels::BatchNormBackward(Dims(x), x.data(), grad_output.data(),
+  kernels::BatchNormBackward(dims, x.data(), grad_output.data(),
                              params_[0].value.data(), batch_mean_.data(),
                              batch_inv_std_.data(), grad_input.data(),
                              params_[0].grad.data(), params_[1].grad.data(),

@@ -33,9 +33,13 @@ class BatchNorm2d : public Layer {
   int64_t channels_;
   float momentum_;
   float epsilon_;
-  // Per-channel batch statistics of the last Forward, read by Backward.
+  // Per-channel batch statistics of the last Forward, read by Backward,
+  // and the batch size and plane size (H * W) they were taken over; -1
+  // before the first Forward.
   std::vector<float> batch_mean_;
   std::vector<float> batch_inv_std_;
+  int64_t forward_batch_ = -1;
+  int64_t forward_plane_ = -1;
 };
 
 }  // namespace mmlib::nn

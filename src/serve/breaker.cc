@@ -36,7 +36,7 @@ void CircuitBreaker::RecordSuccess(double now_seconds) {
       break;
     case State::kHalfOpen:
       probe_in_flight_ = false;
-      if (++half_open_successes_ >= options_.recovery_threshold) {
+      if (++half_open_successes_ >= kRecoveryThreshold) {
         state_ = State::kClosed;
         consecutive_failures_ = 0;
         ++recovery_count_;

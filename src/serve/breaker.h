@@ -9,8 +9,6 @@ struct BreakerOptions {
   int failure_threshold = 5;
   /// Virtual seconds the breaker stays open before admitting a probe.
   double open_seconds = 1.0;
-  /// Consecutive probe successes in half-open that close the breaker.
-  int recovery_threshold = 2;
 };
 
 /// Per-backend circuit breaker on the virtual clock, the standard
@@ -18,7 +16,7 @@ struct BreakerOptions {
 ///
 ///   Closed ──(failure_threshold consecutive failures)──> Open
 ///   Open ──(open_seconds elapsed; next Allow() admits one probe)──> HalfOpen
-///   HalfOpen ──(recovery_threshold probe successes)──> Closed
+///   HalfOpen ──(kRecoveryThreshold probe successes)──> Closed
 ///   HalfOpen ──(any probe failure)──> Open (cooldown restarts)
 ///
 /// While open, Allow() answers false and the front end fails the request
@@ -28,6 +26,9 @@ struct BreakerOptions {
 /// caller, so the state machine is deterministic per run.
 class CircuitBreaker {
  public:
+  /// Consecutive probe successes in half-open that close the breaker.
+  static constexpr int kRecoveryThreshold = 2;
+
   explicit CircuitBreaker(const BreakerOptions& options = {})
       : options_(options) {}
 

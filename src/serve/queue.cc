@@ -34,7 +34,7 @@ bool TenantQueues::PopNext(Request* out) {
       continue;
     }
     if (deficits_[t] == 0) {
-      deficits_[t] = options_.drr_quantum;
+      deficits_[t] = kDrrQuantum;
     }
     --deficits_[t];
     *out = queue.front();

@@ -14,10 +14,6 @@ struct QueueOptions {
   /// (RequestOutcome::kShed). Must be >= 1 — a serving queue is bounded by
   /// definition here (see the no-unbounded-queue lint rule).
   size_t per_tenant_capacity = 64;
-  /// Deficit-round-robin quantum: requests one tenant may dispatch per
-  /// visit before the scheduler moves on. Keeps a hot tenant from starving
-  /// the others while letting it use idle capacity.
-  uint32_t drr_quantum = 4;
 };
 
 /// Admission-controlled, fair-scheduled request queues of one coordinator
@@ -35,6 +31,11 @@ struct QueueOptions {
 /// — while any tenant alone inherits the node's full capacity.
 class TenantQueues {
  public:
+  /// Deficit-round-robin quantum: requests one tenant may dispatch per
+  /// visit before the scheduler moves on. Keeps a hot tenant from starving
+  /// the others while letting it use idle capacity.
+  static constexpr uint32_t kDrrQuantum = 4;
+
   TenantQueues(uint32_t tenant_count, const QueueOptions& options);
 
   /// Admits `request` to its tenant's queue; false when the queue is full

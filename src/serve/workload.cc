@@ -1,9 +1,16 @@
 #include "serve/workload.h"
 
+#include <array>
 #include <cmath>
 
 namespace mmlib::serve {
 namespace {
+
+/// Distinct virtual clients behind the stream (never materialized).
+constexpr uint64_t kClientPopulation = 1000000;
+/// Request-kind mix weights (save, recover, probe, inference).
+constexpr std::array<double, kRequestKindCount> kKindWeights = {0.02, 0.08,
+                                                                0.10, 0.80};
 
 double HashUnit(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
@@ -15,10 +22,10 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadSpec& spec,
                                      uint32_t tenant_count)
     : spec_(spec),
       arrivals_(spec.arrival_rate_per_second, spec.seed),
-      clients_(spec.client_population, spec.seed ^ 0xc11e57ULL) {
+      clients_(kClientPopulation, spec.seed ^ 0xc11e57ULL) {
   double acc = 0.0;
   for (int k = 0; k < kRequestKindCount; ++k) {
-    acc += spec_.kind_weights[static_cast<size_t>(k)];
+    acc += kKindWeights[static_cast<size_t>(k)];
     kind_cdf_[static_cast<size_t>(k)] = acc;
   }
   tenant_cdf_.resize(tenant_count);

@@ -19,14 +19,8 @@ struct WorkloadSpec {
   double arrival_rate_per_second = 1000.0;
   /// Virtual time covered; arrivals past the horizon are not generated.
   double horizon_seconds = 10.0;
-  /// Distinct virtual clients behind the stream (never materialized).
-  uint64_t client_population = 1000000;
   /// Relative per-request deadline; 0 disables deadlines.
   double deadline_seconds = 0.5;
-  /// Request-kind mix weights (save, recover, probe, inference); any
-  /// non-negative weights, normalized internally.
-  std::array<double, kRequestKindCount> kind_weights = {0.02, 0.08, 0.10,
-                                                        0.80};
   /// Zipf exponent of the tenant distribution: tenant t gets weight
   /// 1 / (t+1)^skew. 0 = uniform; larger = one hot tenant dominating — the
   /// fairness scenario.

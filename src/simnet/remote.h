@@ -56,12 +56,12 @@ enum class Reply {
 /// file and document stores: every operation is one request/response
 /// exchange through Call, and every stats query one fault-free pair
 /// through Query. Under an active FaultPlan messages can drop, time out or
-/// corrupt; transient failures are retried with the default RetryPolicy
-/// (deterministic backoff charged to the virtual clock).
+/// corrupt; transient failures are retried by a Retrier (deterministic
+/// backoff charged to the virtual clock).
 class RemoteEndpoint {
  public:
   explicit RemoteEndpoint(Network* network)
-      : network_(network), retrier_(RetryPolicy{}, network) {}
+      : network_(network), retrier_(network) {}
 
   /// Routes every faultable message to simnet replica node `replica`;
   /// while it is down or partitioned away, calls fail Unavailable.

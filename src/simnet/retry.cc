@@ -1,5 +1,6 @@
 #include "simnet/retry.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mmlib::simnet {
@@ -11,13 +12,11 @@ constexpr double kMaxBackoffSeconds = 5.0;
 }  // namespace
 
 void Retrier::ChargeBackoff(int attempt) {
-  double backoff = policy_.initial_backoff_seconds *
-                   std::pow(kBackoffMultiplier, attempt - 1);
+  double backoff =
+      kInitialBackoffSeconds * std::pow(kBackoffMultiplier, attempt - 1);
   backoff = std::min(backoff, kMaxBackoffSeconds);
-  if (policy_.jitter_fraction > 0.0) {
-    const double unit = jitter_rng_.NextDouble() * 2.0 - 1.0;  // [-1, 1)
-    backoff *= 1.0 + policy_.jitter_fraction * unit;
-  }
+  const double unit = jitter_rng_.NextDouble() * 2.0 - 1.0;  // [-1, 1)
+  backoff *= 1.0 + kJitterFraction * unit;
   if (network_ != nullptr) {
     network_->ChargeSeconds(backoff);
   }

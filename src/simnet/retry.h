@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "simnet/network.h"
@@ -10,22 +9,6 @@
 
 namespace mmlib::simnet {
 
-/// Capped exponential backoff with deterministic jitter: the wait before
-/// retry n is initial_backoff_seconds * 2^(n-1), capped at 5 s, then
-/// jittered. Waits are charged to the simulated network's virtual clock, so
-/// TTS/TTR under a fault plan include the time a real client would spend
-/// backing off.
-struct RetryPolicy {
-  /// Total attempts per operation (first try + retries). Must be >= 1.
-  int max_attempts = 6;
-  double initial_backoff_seconds = 0.05;
-  /// Backoff is scaled by a factor in [1 - jitter, 1 + jitter], drawn from
-  /// the seeded jitter stream — deterministic, unlike wall-clock jitter.
-  double jitter_fraction = 0.2;
-  /// Seed of the jitter stream.
-  uint64_t seed = 0x6a77e7;
-};
-
 /// True for transient transport errors a retry can heal: Unavailable and
 /// DeadlineExceeded. Everything else (NotFound, Corruption, IoError, ...)
 /// reports a real outcome and must surface to the caller.
@@ -34,18 +17,28 @@ inline bool IsRetryable(const Status& status) {
          status.code() == StatusCode::kDeadlineExceeded;
 }
 
-/// Deterministic retry driver shared by the remote store clients. Runs an
-/// operation until it succeeds, fails with a non-retryable error, or
-/// exhausts the policy's attempts; between attempts it charges the jittered
-/// backoff to the network's virtual clock. Retries and the jitter stream
-/// are consumed in call order, so counts reproduce exactly for a fixed
-/// seed.
+/// Deterministic retry driver shared by the remote store clients and the
+/// collective channel. Runs an operation until it succeeds, fails with a
+/// non-retryable error, or has made kMaxAttempts attempts. Between attempts
+/// it charges a capped exponential backoff to the network's virtual clock:
+/// the wait before retry n is kInitialBackoffSeconds * 2^(n-1), capped at
+/// 5 s, then scaled by a factor in [1 - kJitterFraction, 1 +
+/// kJitterFraction] drawn from a stream seeded with kJitterSeed. So TTS/TTR
+/// under a fault plan include the time a real client would spend backing
+/// off, and retries and the jitter stream are consumed in call order:
+/// counts reproduce exactly.
 class Retrier {
  public:
-  Retrier(const RetryPolicy& policy, Network* network)
-      : policy_(policy), network_(network), jitter_rng_(policy.seed) {}
+  /// Total attempts per operation (first try + retries).
+  static constexpr int kMaxAttempts = 6;
+  static constexpr double kInitialBackoffSeconds = 0.05;
+  static constexpr double kJitterFraction = 0.2;
+  static constexpr uint64_t kJitterSeed = 0x6a77e7;
 
-  /// Runs `op` (returning Status or Result<T>) under the retry policy and
+  explicit Retrier(Network* network)
+      : network_(network), jitter_rng_(kJitterSeed) {}
+
+  /// Runs `op` (returning Status or Result<T>) under the retry ladder and
   /// returns its last outcome. When the network carries a request deadline
   /// (Network::DeadlineScope, installed by the serving front end), a
   /// retryable failure past that deadline is replaced by DeadlineExceeded
@@ -63,7 +56,7 @@ class Retrier {
         return decltype(op())(Status::DeadlineExceeded(
             "request deadline expired: " + StatusOf(outcome).message()));
       }
-      if (attempt >= std::max(policy_.max_attempts, 1)) {
+      if (attempt >= kMaxAttempts) {
         return outcome;
       }
       ChargeBackoff(attempt);
@@ -95,7 +88,6 @@ class Retrier {
     return network_ != nullptr && network_->RequestDeadlineExpired();
   }
 
-  RetryPolicy policy_;
   Network* network_;
   Rng jitter_rng_;
   uint64_t retry_count_ = 0;

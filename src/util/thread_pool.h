@@ -18,9 +18,9 @@ namespace mmlib::util {
 /// Chunks must write disjoint outputs; reductions accumulate into per-chunk
 /// scratch that the caller combines in chunk-index order after ParallelFor
 /// returns. Under that discipline every result is bit-identical whether the
-/// pool runs 1 thread or 16, which is what keeps the per-layer traces that
-/// `core::DeterminismAuditor` checks in Fig. 13 replays equal across
-/// machines with different core counts.
+/// pool runs 1 thread or 16, which is what keeps the per-layer traces
+/// (`core::TraceRecorder`) of Fig. 13 replays equal across machines with
+/// different core counts.
 ///
 /// The pool size is fixed at construction; the process-wide default pool
 /// (`Global()`) sizes itself from the MMLIB_THREADS environment variable,

@@ -152,7 +152,8 @@ TEST(WorkerSpaceTest, CollectiveStreamIsIndependentOfStorageStream) {
 
 TEST(RingSessionTest, ReducesToBalancedTreeMean) {
   simnet::Network network;
-  collective::RingSession session(4, collective::RingOptions{}, &network);
+  collective::RingSession session(4, 0.0, collective::RingOptions{},
+                                  &network);
   session.BeginUpdate(1);
 
   const size_t n = 1000;
@@ -194,7 +195,7 @@ TEST(RingSessionTest, FullCohortMeanIsBitIdenticalToSingleWorker) {
   for (size_t workers : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("K=" + std::to_string(workers));
     simnet::Network network;
-    collective::RingSession session(workers, collective::RingOptions{},
+    collective::RingSession session(workers, 0.0, collective::RingOptions{},
                                     &network);
     session.BeginUpdate(1);
     std::vector<const std::vector<float>*> inputs(workers, &grad);
@@ -204,30 +205,30 @@ TEST(RingSessionTest, FullCohortMeanIsBitIdenticalToSingleWorker) {
   }
 }
 
-TEST(RingSessionTest, ChunkSizeAndPoolSizeDoNotChangeBits) {
-  const std::vector<std::vector<float>> inputs = DistinctInputs(4, 2000);
+TEST(RingSessionTest, PoolSizeDoesNotChangeBits) {
+  // Three chunks of kChunkElements, the last one ragged, so a larger pool
+  // reduces them on different threads.
+  const std::vector<std::vector<float>> inputs =
+      DistinctInputs(4, 2 * collective::RingSession::kChunkElements + 333);
   std::vector<float> reference;
   {
     simnet::Network network;
-    collective::RingSession session(4, collective::RingOptions{}, &network);
+    collective::RingSession session(4, 0.0, collective::RingOptions{},
+                                    &network);
     session.BeginUpdate(1);
     ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &reference).ok());
   }
-  util::ThreadPool pool1(1), pool7(7);
-  for (int64_t chunk : {1LL, 64LL, 333LL, 100000LL}) {
-    for (util::ThreadPool* pool : {&pool1, &pool7}) {
-      SCOPED_TRACE("chunk=" + std::to_string(chunk) + " threads=" +
-                   std::to_string(pool->thread_count()));
-      simnet::Network network;
-      collective::RingOptions options;
-      options.chunk_elements = chunk;
-      collective::RingSession session(4, options, &network);
-      session.set_thread_pool(pool);
-      session.BeginUpdate(1);
-      std::vector<float> out;
-      ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &out).ok());
-      EXPECT_EQ(out, reference);
-    }
+  util::ThreadPool pool1(1), pool2(2), pool7(7);
+  for (util::ThreadPool* pool : {&pool1, &pool2, &pool7}) {
+    SCOPED_TRACE("threads=" + std::to_string(pool->thread_count()));
+    simnet::Network network;
+    collective::RingSession session(4, 0.0, collective::RingOptions{},
+                                    &network);
+    session.set_thread_pool(pool);
+    session.BeginUpdate(1);
+    std::vector<float> out;
+    ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &out).ok());
+    EXPECT_EQ(out, reference);
   }
 }
 
@@ -236,12 +237,13 @@ TEST(RingSessionTest, OutputMayAliasAnInput) {
   std::vector<float> expected;
   {
     simnet::Network network;
-    collective::RingSession session(2, collective::RingOptions{}, &network);
+    collective::RingSession session(2, 0.0, collective::RingOptions{},
+                                    &network);
     session.BeginUpdate(1);
     ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &expected).ok());
   }
   simnet::Network network;
-  collective::RingSession session(2, collective::RingOptions{}, &network);
+  collective::RingSession session(2, 0.0, collective::RingOptions{}, &network);
   session.BeginUpdate(1);
   const std::vector<const std::vector<float>*> ptrs = Pointers(inputs);
   ASSERT_TRUE(session.AllReduce(1, ptrs, &inputs[0]).ok());
@@ -250,7 +252,7 @@ TEST(RingSessionTest, OutputMayAliasAnInput) {
 
 TEST(RingSessionTest, RejectsMalformedInputs) {
   simnet::Network network;
-  collective::RingSession session(2, collective::RingOptions{}, &network);
+  collective::RingSession session(2, 0.0, collective::RingOptions{}, &network);
   std::vector<float> a(8), b(9);
   std::vector<float> out;
   EXPECT_EQ(session.AllReduce(1, {&a}, &out).code(),
@@ -268,16 +270,16 @@ TEST(RingSessionTest, RejectsMalformedInputs) {
 TEST(RingSessionTest, StragglerWithinBoundIsWaitedFor) {
   simnet::Network network;
   collective::RingOptions options;
-  options.step_compute_seconds = 4.0;  // share = 1.0s per worker
-  options.straggler_wait_seconds = 3.0;
   collective::StragglerWindow window;
   window.worker = 2;
-  window.slow_factor = 2.0;  // extra = 1.0s <= bound: absorbed
+  window.slow_factor = 1.5;  // extra = 0.5s <= the 1s bound: absorbed
   window.update = 1;
   window.from_step = 1;
   window.to_step = 1;
   options.stragglers.push_back(window);
-  collective::RingSession session(4, options, &network);
+  EXPECT_EQ(collective::RingSession::kStragglerWaitSeconds, 1.0);
+  // step compute 4.0s: share = 1.0s per worker
+  collective::RingSession session(4, 4.0, options, &network);
   session.BeginUpdate(1);
 
   const std::vector<std::vector<float>> inputs = DistinctInputs(4, 16);
@@ -285,24 +287,23 @@ TEST(RingSessionTest, StragglerWithinBoundIsWaitedFor) {
   ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &out).ok());
   EXPECT_EQ(session.report().degraded_steps, 0u);
   EXPECT_EQ(session.report().workers[2].excluded_steps, 0u);
-  // The cohort pays the slowest member: 2.0s instead of 1.0s.
-  EXPECT_GT(network.TotalTransferSeconds(), 2.0);
+  // The cohort pays the slowest member: 1.5s instead of 1.0s.
+  EXPECT_GT(network.TotalTransferSeconds(), 1.5);
 }
 
 TEST(RingSessionTest, StragglerPastBoundIsExcludedThenRejoins) {
   auto run = [](std::vector<float>* out) -> collective::SessionReport {
     simnet::Network network;
     collective::RingOptions options;
-    options.step_compute_seconds = 4.0;
-    options.straggler_wait_seconds = 0.5;  // extra 3.0s > bound: excluded
     collective::StragglerWindow window;
     window.worker = 1;
-    window.slow_factor = 4.0;
+    window.slow_factor = 4.0;  // extra 3.0s > the 1s bound: excluded
     window.update = 1;
     window.from_step = 1;
     window.to_step = 1;
     options.stragglers.push_back(window);
-    collective::RingSession session(4, options, &network);
+    // step compute 4.0s: share = 1.0s per worker
+    collective::RingSession session(4, 4.0, options, &network);
     session.BeginUpdate(1);
     const std::vector<std::vector<float>> inputs = DistinctInputs(4, 40);
     EXPECT_TRUE(session.AllReduce(1, Pointers(inputs), out).ok());
@@ -337,7 +338,7 @@ TEST(RingSessionTest, PermanentLossRescalesTheSurvivingCohort) {
   loss.update = 1;
   loss.at_step = 2;
   options.losses.push_back(loss);
-  collective::RingSession session(4, options, &network);
+  collective::RingSession session(4, 0.0, options, &network);
   session.BeginUpdate(1);
 
   const std::vector<std::vector<float>> inputs = DistinctInputs(4, 50);
@@ -372,7 +373,7 @@ TEST(RingSessionTest, MinorityPartitionContinuesDegraded) {
   window.from_step = 2;
   window.to_step = 2;
   options.partitions.push_back(window);
-  collective::RingSession session(4, options, &network);
+  collective::RingSession session(4, 0.0, options, &network);
   session.BeginUpdate(1);
 
   const std::vector<std::vector<float>> inputs = DistinctInputs(4, 30);
@@ -392,21 +393,20 @@ TEST(RingSessionTest, MinorityPartitionContinuesDegraded) {
 TEST(RingSessionTest, MajorityPartitionStallsUntilHeal) {
   simnet::Network network;
   collective::RingOptions options;
-  options.step_compute_seconds = 4.0;
   collective::PartitionWindow window;
   window.minority = {1, 2, 3};  // coordinator side keeps only worker 0
   window.update = 1;
   window.from_step = 1;
   window.to_step = 3;
   options.partitions.push_back(window);
-  collective::RingSession session(4, options, &network);
+  collective::RingSession session(4, 4.0, options, &network);
   session.BeginUpdate(1);
 
   const std::vector<std::vector<float>> inputs = DistinctInputs(4, 20);
   std::vector<float> full;
   {
     simnet::Network clean_network;
-    collective::RingSession clean(4, collective::RingOptions{},
+    collective::RingSession clean(4, 0.0, collective::RingOptions{},
                                   &clean_network);
     clean.BeginUpdate(1);
     ASSERT_TRUE(clean.AllReduce(1, Pointers(inputs), &full).ok());
@@ -433,10 +433,8 @@ TEST(RingSessionTest, DeadPeersAreRemovedAfterRetriesExhaust) {
   plan.drop_probability = 1.0;  // every collective message dies
   plan.seed = FaultSeed();
   network.set_collective_fault_plan(plan);
-  collective::RingOptions options;
-  options.retry.max_attempts = 2;
-  options.retry.initial_backoff_seconds = 0.001;
-  collective::RingSession session(4, options, &network);
+  collective::RingSession session(4, 0.0, collective::RingOptions{},
+                                  &network);
   session.BeginUpdate(1);
 
   const std::vector<std::vector<float>> inputs = DistinctInputs(4, 16);
@@ -446,7 +444,9 @@ TEST(RingSessionTest, DeadPeersAreRemovedAfterRetriesExhaust) {
   // still committed (that worker's gradient, scaled by 1/1).
   EXPECT_EQ(session.report().peers_removed, 3u);
   EXPECT_EQ(session.report().degraded_steps, 1u);
-  EXPECT_GT(session.report().retries, 0u);
+  // Each removal followed one message that used all six attempts.
+  EXPECT_EQ(simnet::Retrier::kMaxAttempts, 6);
+  EXPECT_EQ(session.report().retries, 3u * 5u);
   EXPECT_EQ(out, inputs[0]);
 }
 
@@ -459,7 +459,8 @@ TEST(RingSessionTest, ArmedCrashSitesFireAndRejoinRecovers) {
   std::vector<float> clean;
   {
     simnet::Network network;
-    collective::RingSession session(4, collective::RingOptions{}, &network);
+    collective::RingSession session(4, 0.0, collective::RingOptions{},
+                                    &network);
     session.BeginUpdate(1);
     ASSERT_TRUE(session.AllReduce(1, Pointers(inputs), &clean).ok());
   }
@@ -467,7 +468,8 @@ TEST(RingSessionTest, ArmedCrashSitesFireAndRejoinRecovers) {
        {"collective.send", "collective.reduce", "collective.commit"}) {
     SCOPED_TRACE(site);
     simnet::Network network;
-    collective::RingSession session(4, collective::RingOptions{}, &network);
+    collective::RingSession session(4, 0.0, collective::RingOptions{},
+                                    &network);
     session.BeginUpdate(1);
     session.ArmWorkerCrash(site, /*update=*/1, /*at_step=*/1, /*worker=*/2);
     std::vector<float> out;
@@ -495,7 +497,7 @@ TEST(RingSessionTest, ArmedCrashSitesFireAndRejoinRecovers) {
 
 TEST(RingSessionTest, RejoinRequiresARestartedWorker) {
   simnet::Network network;
-  collective::RingSession session(2, collective::RingOptions{}, &network);
+  collective::RingSession session(2, 0.0, collective::RingOptions{}, &network);
   EXPECT_EQ(session.RejoinWorker(9, 128).code(),
             StatusCode::kInvalidArgument);
   ASSERT_TRUE(network.Crash(Space::kWorker, 1).ok());
@@ -566,7 +568,8 @@ TEST(GradientSynchronizerTest, FullCohortSyncLeavesGradientsBitIdentical) {
   ASSERT_TRUE(model.LoadTrainableGrads(grads).ok());
 
   simnet::Network network;
-  collective::RingSession session(4, collective::RingOptions{}, &network);
+  collective::RingSession session(4, 0.0, collective::RingOptions{},
+                                  &network);
   session.BeginUpdate(1);
   collective::GradientSynchronizer sync(&session);
   ASSERT_TRUE(sync.Sync(&model, 1).ok());

@@ -38,21 +38,21 @@ LayerTrace TraceOnce(nn::Model* model, uint64_t seed = 3) {
   return trace.ok() ? std::move(trace).value() : LayerTrace{};
 }
 
-TEST(DeterminismAuditorTest, IdenticalRunsPass) {
+TEST(DeterminismAuditTest, IdenticalRunsPass) {
   nn::Model model = SmallMlp();
-  DeterminismAuditor auditor;
-  ASSERT_TRUE(auditor.Check(TraceOnce(&model)).ok());
-  ASSERT_TRUE(auditor.Check(TraceOnce(&model)).ok());
-  ASSERT_TRUE(auditor.Check(TraceOnce(&model)).ok());
-  EXPECT_EQ(auditor.completed_runs(), 3u);
+  const LayerTrace reference = TraceOnce(&model);
   // 3 layers, forward + backward events per run.
-  EXPECT_EQ(auditor.reference().events.size(), 6u);
+  EXPECT_EQ(reference.events.size(), 6u);
+  for (int run = 1; run < 3; ++run) {
+    const TraceComparison comparison =
+        CompareTraces(reference, TraceOnce(&model));
+    EXPECT_TRUE(comparison.equal) << comparison.FirstDivergence();
+  }
 }
 
-TEST(DeterminismAuditorTest, CorruptedLayerOutputIsDetectedAtThatLayer) {
+TEST(DeterminismAuditTest, CorruptedLayerOutputIsDetectedAtThatLayer) {
   nn::Model model = SmallMlp();
-  DeterminismAuditor auditor;
-  ASSERT_TRUE(auditor.Check(TraceOnce(&model)).ok());
+  const LayerTrace reference = TraceOnce(&model);
 
   // Corrupt a single bias element of fc2 (the bias always reaches the
   // output; a weight element can be masked by an upstream ReLU zero): every
@@ -60,22 +60,21 @@ TEST(DeterminismAuditorTest, CorruptedLayerOutputIsDetectedAtThatLayer) {
   const size_t fc2 = model.FindLayerIndex("fc2").value();
   model.layer(fc2)->params()[1].value.at(0) += 1e-3f;
 
-  const LayerTrace trace = TraceOnce(&model);
-  const Status status = auditor.Check(trace);
-  ASSERT_EQ(status.code(), StatusCode::kCorruption);
-  const TraceComparison comparison = CompareTraces(auditor.reference(), trace);
+  const TraceComparison comparison =
+      CompareTraces(reference, TraceOnce(&model));
+  ASSERT_FALSE(comparison.equal);
   ASSERT_FALSE(comparison.mismatches.empty());
   const TraceMismatch& divergence = comparison.mismatches.front();
   EXPECT_EQ(divergence.layer_name, "fc2");
   EXPECT_EQ(divergence.pass, TraceEvent::Pass::kForward);
   // fc1 and relu1 forward events came first and matched.
   EXPECT_EQ(divergence.index, 2u);
-  EXPECT_NE(status.message().find("run 1: forward event #2 (fc2)"),
+  EXPECT_NE(comparison.FirstDivergence().find("forward event #2 (fc2)"),
             std::string::npos)
-      << status.message();
+      << comparison.FirstDivergence();
 }
 
-TEST(DeterminismAuditorTest, CheckReproducibilityPassesOnCleanModel) {
+TEST(DeterminismAuditTest, CheckReproducibilityPassesOnCleanModel) {
   nn::Model model = SmallMlp();
   auto comparison = CheckReproducibility(&model, SmallBatch(),
                                          /*deterministic=*/true, /*seed=*/11);
@@ -83,30 +82,22 @@ TEST(DeterminismAuditorTest, CheckReproducibilityPassesOnCleanModel) {
   EXPECT_TRUE(comparison->equal) << comparison->FirstDivergence();
 }
 
-TEST(DeterminismAuditorTest, ReferenceRootIsAStableFingerprint) {
+TEST(DeterminismAuditTest, TraceRootIsAStableFingerprint) {
   nn::Model a = SmallMlp();
   nn::Model b = SmallMlp();
-  DeterminismAuditor audit_a;
-  DeterminismAuditor audit_b;
-  ASSERT_TRUE(audit_a.Check(TraceOnce(&a)).ok());
-  ASSERT_TRUE(audit_b.Check(TraceOnce(&b)).ok());
   // Identically seeded models on identical input: same Merkle root.
-  EXPECT_EQ(audit_a.reference().Root().value(),
-            audit_b.reference().Root().value());
+  EXPECT_EQ(TraceOnce(&a).Root().value(), TraceOnce(&b).Root().value());
 
   nn::Model c = SmallMlp(/*seed=*/10);
-  DeterminismAuditor audit_c;
-  ASSERT_TRUE(audit_c.Check(TraceOnce(&c)).ok());
-  EXPECT_NE(audit_a.reference().Root().value(),
-            audit_c.reference().Root().value());
+  EXPECT_NE(TraceOnce(&a).Root().value(), TraceOnce(&c).Root().value());
 
-  DeterminismAuditor empty;
-  EXPECT_FALSE(empty.reference().Root().ok());
+  EXPECT_FALSE(LayerTrace{}.Root().ok());
 }
 
-// End-to-end wiring: an audited deterministic training run is reproducible
-// (Fig. 13), and a corrupted replay is rejected at Train() time.
-TEST(DeterminismAuditorTest, AuditedTrainingReplayDetectsCorruption) {
+// End-to-end: a deterministic training run traced layer by layer is
+// reproducible (Fig. 13), and a replay from a corrupted starting state
+// diverges at the first layer.
+TEST(DeterminismAuditTest, TrainingReplayTraceDetectsCorruption) {
   core::TrainConfig config;
   config.epochs = 1;
   config.max_batches_per_epoch = 2;
@@ -125,44 +116,47 @@ TEST(DeterminismAuditorTest, AuditedTrainingReplayDetectsCorruption) {
   model_config.num_classes = 10;
   model_config.init_seed = 1;
 
+  // Trains `model` deterministically with a fresh service and returns the
+  // trace of every step's forward and backward pass.
+  auto train_traced = [&](nn::Model* model) {
+    LayerTrace trace;
+    core::ImageTrainService service(&dataset, config);
+    {
+      TraceRecorder recorder(model, &trace);
+      auto times = service.Train(model, /*deterministic=*/true, 0);
+      EXPECT_TRUE(times.ok()) << times.status();
+    }
+    trace.loss = service.last_loss();
+    return trace;
+  };
+
   nn::Model reference_model = models::BuildModel(model_config).value();
   const Bytes initial_params = reference_model.SerializeParams();
-
-  DeterminismAuditor auditor;
-  {
-    core::ImageTrainService service(&dataset, config);
-    service.set_determinism_auditor(&auditor);
-    ASSERT_TRUE(
-        service.Train(&reference_model, /*deterministic=*/true, 0).ok());
-  }
-  ASSERT_EQ(auditor.completed_runs(), 1u);
+  const LayerTrace reference = train_traced(&reference_model);
+  ASSERT_FALSE(reference.events.empty());
 
   // A faithful replay from the same initial parameters matches the trace.
   {
     nn::Model replay = models::BuildModel(model_config).value();
     ASSERT_TRUE(replay.LoadParams(initial_params).ok());
-    core::ImageTrainService service(&dataset, config);
-    service.set_determinism_auditor(&auditor);
-    auto times = service.Train(&replay, /*deterministic=*/true, 0);
-    EXPECT_TRUE(times.ok()) << times.status();
+    const TraceComparison comparison =
+        CompareTraces(reference, train_traced(&replay));
+    EXPECT_TRUE(comparison.equal) << comparison.FirstDivergence();
   }
 
-  // A replay whose starting state was corrupted by one element fails with
-  // Corruption out of Train() itself.
+  // A replay whose starting state was corrupted by one element diverges,
+  // and the first layer's output is the first event to differ.
   {
     nn::Model corrupted = models::BuildModel(model_config).value();
     ASSERT_TRUE(corrupted.LoadParams(initial_params).ok());
     corrupted.layer(0)->params()[0].value.at(0) += 1e-4f;
-    core::ImageTrainService service(&dataset, config);
-    service.set_determinism_auditor(&auditor);
-    auto times = service.Train(&corrupted, /*deterministic=*/true, 0);
-    ASSERT_FALSE(times.ok());
-    EXPECT_EQ(times.status().code(), StatusCode::kCorruption);
-    // The first layer's output is the first event to diverge.
-    EXPECT_NE(times.status().message().find(
+    const TraceComparison comparison =
+        CompareTraces(reference, train_traced(&corrupted));
+    ASSERT_FALSE(comparison.equal);
+    EXPECT_NE(comparison.FirstDivergence().find(
                   "forward event #0 (" + corrupted.layer(0)->name() + ")"),
               std::string::npos)
-        << times.status();
+        << comparison.FirstDivergence();
   }
 }
 

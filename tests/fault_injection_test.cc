@@ -45,9 +45,7 @@ uint64_t FaultSeed() {
 
 TEST(RetrierTest, TransientFailuresAreRetriedAndBackoffIsCharged) {
   simnet::Network network;
-  simnet::RetryPolicy policy;
-  policy.initial_backoff_seconds = 0.1;
-  simnet::Retrier retrier(policy, &network);
+  simnet::Retrier retrier(&network);
 
   int calls = 0;
   auto outcome = retrier.Run([&]() -> Result<int> {
@@ -60,13 +58,17 @@ TEST(RetrierTest, TransientFailuresAreRetriedAndBackoffIsCharged) {
   EXPECT_EQ(outcome.value(), 42);
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(retrier.retry_count(), 2u);
-  // Two backoffs of >= 0.1 * (1 - jitter) seconds were charged.
-  EXPECT_GT(network.TotalTransferSeconds(), 0.1);
+  // Backoffs of 0.05 s and 0.1 s were charged, each jittered by at most
+  // 20%.
+  EXPECT_EQ(simnet::Retrier::kInitialBackoffSeconds, 0.05);
+  EXPECT_EQ(simnet::Retrier::kJitterFraction, 0.2);
+  EXPECT_GE(network.TotalTransferSeconds(), 0.15 * 0.8);
+  EXPECT_LE(network.TotalTransferSeconds(), 0.15 * 1.2);
 }
 
 TEST(RetrierTest, NonRetryableErrorsPassThroughImmediately) {
   simnet::Network network;
-  simnet::Retrier retrier(simnet::RetryPolicy{}, &network);
+  simnet::Retrier retrier(&network);
 
   int calls = 0;
   auto outcome = retrier.Run([&]() -> Result<int> {
@@ -85,9 +87,7 @@ TEST(RetrierTest, GivesUpAfterMaxAttempts) {
   for (const Status& transient : {Status::DeadlineExceeded("always late"),
                                   Status::Unavailable("flaky")}) {
     simnet::Network network;
-    simnet::RetryPolicy policy;
-    policy.max_attempts = 4;
-    simnet::Retrier retrier(policy, &network);
+    simnet::Retrier retrier(&network);
 
     int calls = 0;
     const Status status = retrier.Run([&]() -> Status {
@@ -95,8 +95,9 @@ TEST(RetrierTest, GivesUpAfterMaxAttempts) {
       return transient;
     });
     EXPECT_EQ(status.code(), transient.code());
-    EXPECT_EQ(calls, 4);
-    EXPECT_EQ(retrier.retry_count(), 3u);
+    EXPECT_EQ(simnet::Retrier::kMaxAttempts, 6);
+    EXPECT_EQ(calls, 6);
+    EXPECT_EQ(retrier.retry_count(), 5u);
   }
 }
 

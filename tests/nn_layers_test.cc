@@ -573,7 +573,8 @@ struct BackwardCase {
   /// Backward fails until a Forward has run (plan or batch statistics).
   bool needs_forward;
   /// Backward rejects the inputs of a Forward that a later Forward on
-  /// another batch size replaced (plan geometry, mask or argmax size).
+  /// another batch size replaced (plan geometry, batch-statistics extent,
+  /// mask or argmax size).
   bool rejects_replaced_batch;
 };
 
@@ -675,7 +676,7 @@ INSTANTIATE_TEST_SUITE_P(
         BackwardCase{"Linear", MakeSeeded<Linear>(7, "fc", 4, 3),
                      {Shape{2, 4}}, {Shape{3, 3}, Shape{2, 4}}, true, true},
         BackwardCase{"BatchNorm2d", Make<BatchNorm2d>("bn", 3),
-                     {Shape{2, 3, 4, 4}}, {Shape{1, 3, 4, 4}}, true, false},
+                     {Shape{2, 3, 4, 4}}, {Shape{1, 3, 4, 4}}, true, true},
         BackwardCase{"ReLU", Make<ReLU>("r"), {Shape{2, 3, 4, 4}},
                      {Shape{2, 3, 4, 3}}, false, false},
         BackwardCase{"Dropout", Make<Dropout>("d", 0.5f), {Shape{64}},

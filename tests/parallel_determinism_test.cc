@@ -2,9 +2,11 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "compress/chunked.h"
+#include "core/probe.h"
 #include "core/train_service.h"
 #include "models/zoo.h"
 #include "nn/conv2d.h"
@@ -165,9 +167,9 @@ TEST(ParallelDeterminismTest, ChunkedUnframeDetectsTamper) {
             StatusCode::kCorruption);
 }
 
-TEST(ParallelDeterminismTest, AuditedTrainingIdenticalAcrossPools) {
+TEST(ParallelDeterminismTest, TracedTrainingIdenticalAcrossPools) {
   // The Fig. 13 replay guarantee under parallelism: a deterministic
-  // training run audited at layer granularity must replay bit-for-bit on
+  // training run traced at layer granularity must replay bit-for-bit on
   // pools of any size.
   core::TrainConfig config;
   config.epochs = 1;
@@ -187,26 +189,34 @@ TEST(ParallelDeterminismTest, AuditedTrainingIdenticalAcrossPools) {
   model_config.num_classes = 10;
   model_config.init_seed = 1;
 
-  core::DeterminismAuditor auditor;
+  core::LayerTrace reference;
   Digest params_hash;
   for (size_t threads : kPoolSizes) {
     util::ThreadPool pool(threads);
     nn::Model model = models::BuildModel(model_config).value();
     core::ImageTrainService service(&dataset, config);
     service.set_thread_pool(&pool);
-    service.set_determinism_auditor(&auditor);
-    // Runs after the first replay the reference trace; any layer whose
-    // forward output or input gradient changed with the pool size fails
-    // here with Corruption.
-    auto times = service.Train(&model, /*deterministic=*/true, 0);
-    ASSERT_TRUE(times.ok()) << threads << " threads: " << times.status();
+    core::LayerTrace trace;
+    {
+      core::TraceRecorder recorder(&model, &trace);
+      auto times = service.Train(&model, /*deterministic=*/true, 0);
+      ASSERT_TRUE(times.ok()) << threads << " threads: " << times.status();
+    }
+    trace.loss = service.last_loss();
     if (threads == kPoolSizes[0]) {
+      reference = std::move(trace);
       params_hash = model.ParamsHash();
     } else {
+      // Any layer whose forward output or input gradient changed with the
+      // pool size is named here.
+      const core::TraceComparison comparison =
+          core::CompareTraces(reference, trace);
+      EXPECT_TRUE(comparison.equal)
+          << threads << " threads: " << comparison.FirstDivergence();
       EXPECT_EQ(model.ParamsHash(), params_hash) << threads << " threads";
     }
   }
-  EXPECT_EQ(auditor.completed_runs(), 3u);
+  EXPECT_FALSE(reference.events.empty());
 }
 
 }  // namespace

@@ -45,8 +45,8 @@ TEST(CircuitBreakerTest, TripsHalfOpensAndRecovers) {
   serve::BreakerOptions options;
   options.failure_threshold = 3;
   options.open_seconds = 1.0;
-  options.recovery_threshold = 2;
   serve::CircuitBreaker breaker(options);
+  EXPECT_EQ(serve::CircuitBreaker::kRecoveryThreshold, 2);
 
   // Closed: requests flow, failures accumulate.
   EXPECT_EQ(breaker.state(), serve::CircuitBreaker::State::kClosed);
@@ -110,26 +110,28 @@ TEST(TenantQueuesTest, AdmissionIsBounded) {
 TEST(TenantQueuesTest, DeficitRoundRobinInterleavesTenants) {
   serve::QueueOptions options;
   options.per_tenant_capacity = 16;
-  options.drr_quantum = 2;
   serve::TenantQueues queues(2, options);
   serve::Request request;
-  for (uint64_t i = 0; i < 6; ++i) {
+  for (uint64_t i = 0; i < 10; ++i) {
     request.sequence = i;
     request.tenant = 0;
     ASSERT_TRUE(queues.Admit(request));
   }
-  for (uint64_t i = 6; i < 8; ++i) {
+  for (uint64_t i = 10; i < 16; ++i) {
     request.sequence = i;
     request.tenant = 1;
     ASSERT_TRUE(queues.Admit(request));
   }
-  // Quantum 2: two from tenant 0, two from tenant 1, rest from tenant 0.
+  // Quantum 4: four per tenant and visit while both are backlogged; the
+  // rest of tenant 0 once tenant 1 is drained.
+  EXPECT_EQ(serve::TenantQueues::kDrrQuantum, 4u);
   std::vector<uint32_t> order;
   serve::Request out;
   while (queues.PopNext(&out)) {
     order.push_back(out.tenant);
   }
-  const std::vector<uint32_t> expected = {0, 0, 1, 1, 0, 0, 0, 0};
+  const std::vector<uint32_t> expected = {0, 0, 0, 0, 1, 1, 1, 1,
+                                          0, 0, 0, 0, 1, 1, 0, 0};
   EXPECT_EQ(order, expected);
 }
 
@@ -269,9 +271,7 @@ TEST(DeadlinePropagationTest, RetrierAbandonsPastRequestDeadline) {
   simnet::Network network(simnet::Link{1e6, 1e-3});
   network.ChargeSeconds(1.0);  // virtual now = 1.0
 
-  simnet::RetryPolicy policy;
-  policy.max_attempts = 6;
-  simnet::Retrier retrier(policy, &network);
+  simnet::Retrier retrier(&network);
 
   int attempts = 0;
   {
@@ -294,7 +294,7 @@ TEST(DeadlinePropagationTest, RetrierAbandonsPastRequestDeadline) {
     return Status::Unavailable("backend down");
   });
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(attempts, policy.max_attempts);
+  EXPECT_EQ(attempts, simnet::Retrier::kMaxAttempts);
 }
 
 // ---------------------------------------------------------------------------
