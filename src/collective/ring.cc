@@ -183,17 +183,7 @@ Status RingSession::SendChunk(size_t from, size_t to, uint64_t bytes) {
   });
 }
 
-void RingSession::ReduceChunk(size_t at) {
-  // The receiver folds the arrived slice into its accumulator. The fold
-  // itself runs once, canonically, in CommitStep — this is the crash
-  // surface of the per-worker reduction work.
-  MMLIB_CRASH_POINT("collective.reduce");
-  (void)at;
-}
-
-Status RingSession::RunRing(std::vector<size_t>* cohort, int64_t elements,
-                            int64_t step) {
-  (void)step;
+Status RingSession::RunRing(std::vector<size_t>* cohort, int64_t elements) {
   for (;;) {
     const size_t size = cohort->size();
     if (size < 2) {
@@ -224,7 +214,10 @@ Status RingSession::RunRing(std::vector<size_t>* cohort, int64_t elements,
           break;
         }
         if (reduce_phase) {
-          ReduceChunk(to);
+          // The receiver folds the arrived slice into its accumulator. The
+          // fold itself runs once, canonically, in CommitStep — this is the
+          // crash surface of the per-worker reduction work.
+          MMLIB_CRASH_POINT("collective.reduce");
         }
       }
     }
@@ -326,8 +319,8 @@ Status RingSession::AllReduce(
     network_->ChargeSeconds(wait_seconds);
   }
 
-  MMLIB_RETURN_IF_ERROR(RunRing(&cohort, static_cast<int64_t>(
-                                             inputs[0]->size()), step));
+  MMLIB_RETURN_IF_ERROR(
+      RunRing(&cohort, static_cast<int64_t>(inputs[0]->size())));
   if (cohort.empty()) {
     return Status::Unavailable("every ring peer failed at step " +
                                std::to_string(step));

@@ -172,9 +172,6 @@ class RingSession {
   /// after retries means the peer is gone and the step must continue
   /// without it.
   Status SendChunk(size_t from, size_t to, uint64_t bytes);
-  /// The receiver folds an arrived slice into its accumulator (crash
-  /// surface only; the numeric fold is CommitStep's).
-  void ReduceChunk(size_t at);
   /// Step barrier: every cohort member installs the reduced gradient; then
   /// the balanced-tree fold and 1/C rescale produce `out`.
   Status CommitStep(const std::vector<size_t>& cohort,
@@ -183,7 +180,7 @@ class RingSession {
 
   /// Simulates the 2*(C-1) ring rounds over `cohort`; removes peers whose
   /// messages exhaust the retrier and restarts with the reduced cohort.
-  Status RunRing(std::vector<size_t>* cohort, int64_t elements, int64_t step);
+  Status RunRing(std::vector<size_t>* cohort, int64_t elements);
 
   void ChargeRejoinSync(size_t worker, uint64_t param_bytes);
 

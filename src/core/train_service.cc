@@ -1,6 +1,5 @@
 #include "core/train_service.h"
 
-#include "data/prefetcher.h"
 #include "nn/loss.h"
 #include "util/clock.h"
 #include "util/crash_point.h"
@@ -198,13 +197,10 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
       resume_from != nullptr ? resume_from->next_batch : 0;
 
   data::DataLoader loader(dataset_, config_.loader);
-  // Background batch preparation: while the step below runs forward/
-  // backward on batch b, the prefetcher's worker fills batch b+1.
-  // Contents depend only on (seed, epoch, index) and hand-off is in
-  // index order, so worker timing cannot perturb results.
-  data::BatchPrefetcher prefetch(&loader);
-  // Step-scoped temporaries reused across the whole run: gradient storage
-  // in `loss`, exp cache from the context's scratch pool.
+  // Step-scoped temporaries reused across the whole run: the batch (filled
+  // in place), gradient storage in `loss`, exp cache from the context's
+  // scratch pool.
+  data::Batch batch;
   nn::LossResult loss;
   if (checkpointing && resume_from == nullptr) {
     // Step-0 checkpoint: even a crash before the first periodic
@@ -219,13 +215,13 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
     }
     const size_t first_batch =
         epoch == start_epoch ? static_cast<size_t>(start_batch) : 0;
-    prefetch.StartEpoch(static_cast<uint64_t>(epoch), first_batch, batches);
+    loader.StartEpoch(static_cast<uint64_t>(epoch));
     for (size_t b = first_batch; b < batches; ++b) {
       // At the top of the step: an armed crash at hit N kills the run
       // with exactly N-1 completed optimizer steps.
       MMLIB_CRASH_POINT("train.step");
       Stopwatch load_timer;
-      MMLIB_ASSIGN_OR_RETURN(data::Batch batch, prefetch.Next());
+      MMLIB_RETURN_IF_ERROR(loader.FillBatch(b, &batch));
       ctx.times()->data_load_seconds += load_timer.ElapsedSeconds();
 
       optimizer_->ZeroGrad();
@@ -248,7 +244,6 @@ Result<nn::PhaseTimes> ImageTrainService::RunTraining(
       }
       optimizer_->Step();
       ctx.times()->backward_seconds += backward_timer.ElapsedSeconds();
-      prefetch.Recycle(std::move(batch));
       ++step;
       if (checkpointing && step_compute_seconds_ > 0.0) {
         checkpoints_->ChargeCompute(step_compute_seconds_);

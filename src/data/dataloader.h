@@ -52,7 +52,7 @@ class DataLoader {
 
   /// Fills `out` with batch `batch_index` of the current epoch, reusing its
   /// existing tensor/label storage when the shapes match — the allocation-
-  /// free path the prefetcher cycles recycled batches through. Contents are
+  /// free path the training loop fills its one batch through. Contents are
   /// identical to GetBatch(batch_index).
   Status FillBatch(size_t batch_index, Batch* out) const;
 

@@ -133,7 +133,7 @@ Status Network::Crash(Space space, size_t id) {
   }
   member.up = false;
   ++member.counters.crashes;
-  clock_.AdvanceSeconds(node_costs_.crash_detect_seconds);
+  clock_.AdvanceSeconds(kCrashDetectSeconds);
   return Status::OK();
 }
 
@@ -146,7 +146,7 @@ Status Network::Restart(Space space, size_t id) {
   }
   member.up = true;
   ++member.counters.restarts;
-  clock_.AdvanceSeconds(node_costs_.restart_seconds);
+  clock_.AdvanceSeconds(kRestartSeconds);
   return Status::OK();
 }
 

@@ -78,15 +78,6 @@ struct FaultCounters {
   }
 };
 
-/// Virtual-time cost of member lifecycle events, the same in every node
-/// space. Detection models the failure detector noticing a dead peer;
-/// restart models reboot plus process start-up before the member serves
-/// again.
-struct NodeCosts {
-  double crash_detect_seconds = 0.05;
-  double restart_seconds = 0.5;
-};
-
 /// Outcome of one message attempt under the active fault plan.
 struct TransferAttempt {
   /// OK, Unavailable (dropped), or DeadlineExceeded (timed out).
@@ -292,7 +283,12 @@ class Network {
   /// up. InvalidArgument / FailedPrecondition mirror Crash.
   Status Restart(Space space, size_t id);
 
-  const NodeCosts& node_costs() const { return node_costs_; }
+  /// Virtual-time cost of member lifecycle events, the same in every
+  /// space. Detection models the failure detector noticing a dead peer;
+  /// restart models reboot plus process start-up before the member serves
+  /// again.
+  static constexpr double kCrashDetectSeconds = 0.05;
+  static constexpr double kRestartSeconds = 0.5;
 
   /// Splits the members of `space` into partition groups: `groups[i]` lists
   /// the ids cut off into group i+1; members not listed stay in group 0,
@@ -423,7 +419,6 @@ class Network {
   Rng fault_rng_;
   FaultPlan collective_fault_plan_;
   Rng collective_fault_rng_{FaultPlan{}.seed};
-  NodeCosts node_costs_;
   std::array<std::vector<Member>, 3> spaces_;
   std::vector<ReplicaEvent> replica_events_;  // sorted by at_seconds, stable
   const char* current_op_ = nullptr;

@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <set>
-#include <utility>
-
 #include "compress/codec.h"
 #include "data/archive.h"
 #include "data/dataloader.h"
 #include "data/dataset.h"
-#include "data/prefetcher.h"
 
 namespace mmlib::data {
 namespace {
@@ -199,73 +195,42 @@ TEST(DataLoaderTest, AugmentationIsSeedDeterministic) {
       a.GetBatch(1).value().images.Equals(c.GetBatch(1).value().images));
 }
 
-// --- BatchPrefetcher ---
-
-TEST(BatchPrefetcherTest, MatchesDirectLoaderBitExactly) {
+TEST(DataLoaderTest, FillBatchIntoOneBatchMatchesGetBatch) {
+  // The training loop fills every batch of a run into one Batch. Each fill
+  // must equal a fresh GetBatch, reuse the images' storage while the shape
+  // holds, and end the epoch with OutOfRange.
   SyntheticImageDataset dataset(PaperDatasetId::kCocoFood512, kTestDivisor);
   DataLoaderOptions options = SmallLoaderOptions();
-  options.augment = true;  // prefetch must preserve the augmentation draws
-  DataLoader direct(&dataset, options);
-  DataLoader prefetched(&dataset, options);
-  BatchPrefetcher prefetcher(&prefetched);
+  options.batch_size = 7;  // 512 images: 73 full batches and one of 1
+  options.augment = true;
+  DataLoader loader(&dataset, options);
+  ASSERT_EQ(loader.BatchesPerEpoch(), 74u);
 
+  Batch batch;
+  size_t reused = 0;
   for (uint64_t epoch = 0; epoch < 2; ++epoch) {
-    direct.StartEpoch(epoch);
-    prefetcher.StartEpoch(epoch, 0, 5);
-    for (size_t index = 0; index < 5; ++index) {
-      Batch want = direct.GetBatch(index).value();
-      auto got = prefetcher.Next();
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_TRUE(got->images.Equals(want.images))
+    loader.StartEpoch(epoch);
+    for (size_t index = 0; index < loader.BatchesPerEpoch(); ++index) {
+      const Shape shape_before = batch.images.shape();
+      const float* data_before = batch.images.data();
+      ASSERT_TRUE(loader.FillBatch(index, &batch).ok());
+      if (batch.images.shape() == shape_before) {
+        EXPECT_EQ(batch.images.data(), data_before)
+            << "epoch " << epoch << " batch " << index;
+        ++reused;
+      }
+      Batch want = loader.GetBatch(index).value();
+      EXPECT_TRUE(batch.images.Equals(want.images))
           << "epoch " << epoch << " batch " << index;
-      EXPECT_EQ(got->labels, want.labels);
-      prefetcher.Recycle(std::move(got).value());
+      EXPECT_EQ(batch.labels, want.labels);
     }
-    // The epoch is exhausted; the consumer must be told, not fed garbage.
-    EXPECT_EQ(prefetcher.Next().status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(batch.labels.size(), 1u);  // the partial last batch
+    EXPECT_EQ(loader.FillBatch(loader.BatchesPerEpoch(), &batch).code(),
+              StatusCode::kOutOfRange);
   }
-  EXPECT_EQ(prefetcher.background_fills(), 10u);
-}
-
-TEST(BatchPrefetcherTest, RecycledStorageIsReusedInPlace) {
-  SyntheticImageDataset dataset(PaperDatasetId::kCocoFood512, kTestDivisor);
-  DataLoader loader(&dataset, SmallLoaderOptions());
-  BatchPrefetcher prefetcher(&loader);
-  prefetcher.StartEpoch(0, 0, 8);
-
-  // Consume two batches to learn the slots' storage, recycling each; from
-  // then on every fill reuses one of the circulating buffers.
-  std::set<const float*> storage;
-  for (size_t index = 0; index < 8; ++index) {
-    auto batch = prefetcher.Next();
-    ASSERT_TRUE(batch.ok()) << batch.status();
-    storage.insert(batch->images.data());
-    prefetcher.Recycle(std::move(batch).value());
-  }
-  // Double buffering plus recycling needs at most 3 distinct image tensors
-  // (two slots + one batch transiently held by the consumer).
-  EXPECT_LE(storage.size(), 3u);
-}
-
-TEST(BatchPrefetcherTest, MidEpochStartPrefetchesFromFirstBatch) {
-  // Resume support: a run restarting from a checkpoint enters the epoch at
-  // a nonzero batch index.
-  SyntheticImageDataset dataset(PaperDatasetId::kCocoFood512, kTestDivisor);
-  DataLoaderOptions options = SmallLoaderOptions();
-  DataLoader direct(&dataset, options);
-  DataLoader prefetched(&dataset, options);
-  BatchPrefetcher prefetcher(&prefetched);
-
-  direct.StartEpoch(4);
-  prefetcher.StartEpoch(4, 3, 6);
-  for (size_t index = 3; index < 6; ++index) {
-    Batch want = direct.GetBatch(index).value();
-    auto got = prefetcher.Next();
-    ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_TRUE(got->images.Equals(want.images)) << "batch " << index;
-    EXPECT_EQ(got->labels, want.labels);
-  }
-  EXPECT_EQ(prefetcher.Next().status().code(), StatusCode::kOutOfRange);
+  // Only the first full batch of each epoch (after a partial one, or the
+  // empty start) and the partial batch allocate.
+  EXPECT_EQ(reused, 2u * 72u);
 }
 
 // --- Archiver ---

@@ -179,10 +179,10 @@ TEST_P(MembershipTest, CrashAndRestartChargeTheClockAndCheckState) {
   }
   EXPECT_TRUE(network.IsReachable(space, 0));
   EXPECT_FALSE(network.IsUp(space, 3));
-  const NodeCosts costs = network.node_costs();
 
   ASSERT_TRUE(network.Crash(space, 1).ok());
-  EXPECT_DOUBLE_EQ(network.TotalTransferSeconds(), costs.crash_detect_seconds);
+  EXPECT_DOUBLE_EQ(network.TotalTransferSeconds(),
+                   Network::kCrashDetectSeconds);
   EXPECT_FALSE(network.IsUp(space, 1));
   EXPECT_FALSE(network.IsReachable(space, 1));
   EXPECT_FALSE(network.PairReachable(space, 0, 1));
@@ -193,11 +193,12 @@ TEST_P(MembershipTest, CrashAndRestartChargeTheClockAndCheckState) {
   EXPECT_EQ(network.Crash(space, 3).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(network.Restart(space, 0).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(network.Restart(space, 3).code(), StatusCode::kInvalidArgument);
-  EXPECT_DOUBLE_EQ(network.TotalTransferSeconds(), costs.crash_detect_seconds);
+  EXPECT_DOUBLE_EQ(network.TotalTransferSeconds(),
+                   Network::kCrashDetectSeconds);
 
   ASSERT_TRUE(network.Restart(space, 1).ok());
   EXPECT_DOUBLE_EQ(network.TotalTransferSeconds(),
-                   costs.crash_detect_seconds + costs.restart_seconds);
+                   Network::kCrashDetectSeconds + Network::kRestartSeconds);
   EXPECT_TRUE(network.IsReachable(space, 1));
   const MemberCounters counters = network.Counters(space, 1).value();
   EXPECT_EQ(counters.crashes, 1u);

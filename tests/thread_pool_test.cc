@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "util/scratch_pool.h"
-#include "util/worker_thread.h"
 
 namespace mmlib::util {
 namespace {
@@ -172,97 +171,6 @@ TEST(ThreadPoolTest, GrainHelpers) {
   // Small totals produce fewer chunks than the cap, never empty ones.
   EXPECT_EQ(GrainForMaxChunks(3, 8), 1);
   EXPECT_EQ(NumChunks(3, GrainForMaxChunks(3, 8)), 3);
-}
-
-TEST(WorkerThreadTest, RunsTasksInSubmissionOrder) {
-  WorkerThread worker;
-  EXPECT_EQ(worker.completed(), 0u);
-  std::vector<int> order;
-  std::mutex mu;
-  for (int i = 0; i < 64; ++i) {
-    worker.Submit([&, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-    });
-  }
-  worker.Drain();
-  EXPECT_EQ(worker.completed(), 64u);
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
-  // Drain on an idle worker returns immediately and changes nothing.
-  worker.Drain();
-  EXPECT_EQ(worker.completed(), 64u);
-}
-
-TEST(WorkerThreadTest, DrainObservesTaskEffects) {
-  WorkerThread worker;
-  int value = 0;  // not atomic: Drain's happens-before edge must suffice
-  for (int round = 0; round < 100; ++round) {
-    worker.Submit([&value] { ++value; });
-    worker.Drain();
-    EXPECT_EQ(value, round + 1);
-  }
-}
-
-TEST(WorkerThreadTest, DestructorFinishesQueuedTasks) {
-  std::atomic<int> ran{0};
-  {
-    WorkerThread worker;
-    for (int i = 0; i < 16; ++i) {
-      worker.Submit([&ran] { ++ran; });
-    }
-    // No Drain: destruction must still run everything already queued.
-  }
-  EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(WorkerThreadTest, NeverStartedWorkerDestructsCleanly) {
-  WorkerThread worker;
-  EXPECT_EQ(worker.completed(), 0u);
-}
-
-TEST(WorkerThreadTest, DrainRethrowsEscapedTaskExceptionAndStaysUsable) {
-  // Regression: an exception escaping a task used to unwind out of the
-  // worker's thread entry and std::terminate the whole process. It must be
-  // captured and surfaced to the submitter at the next Drain instead.
-  WorkerThread worker;
-  std::atomic<int> ran{0};
-  worker.Submit([] { throw std::runtime_error("boom"); });
-  worker.Submit([&ran] { ++ran; });  // later tasks still run
-  EXPECT_THROW(worker.Drain(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(worker.completed(), 2u);
-  // Rethrowing cleared the pending slot: the worker stays usable and a
-  // clean Drain follows.
-  worker.Submit([&ran] { ++ran; });
-  worker.Drain();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(WorkerThreadTest, FirstEscapedExceptionWins) {
-  WorkerThread worker;
-  worker.Submit([] { throw std::runtime_error("first"); });
-  worker.Submit([] { throw std::runtime_error("second"); });
-  try {
-    worker.Drain();
-    FAIL() << "Drain did not rethrow";
-  } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "first");
-  }
-}
-
-TEST(WorkerThreadDeathTest, UnobservedExceptionAbortsLoudlyAtDestruction) {
-  // An error still pending at destruction means no Drain ever looked at
-  // it; dropping it would hide a failed background save. The destructor
-  // must log the message and abort.
-  EXPECT_DEATH(
-      {
-        WorkerThread worker;
-        worker.Submit([] { throw std::runtime_error("dropped error"); });
-      },
-      "unobserved task exception.*dropped error");
 }
 
 TEST(ScratchPoolTest, ConcurrentAcquireReleaseKeepsInvariants) {

@@ -156,9 +156,13 @@ def check_iostream(ctx: FileContext, findings: List[Finding]) -> None:
                 "<sstream>, or util/strings.h"))
 
 
-@rule("no-raw-thread", "std::thread/std::async outside src/util/")
+_THREAD_POOL_FILES = frozenset(("src/util/thread_pool.h",
+                                "src/util/thread_pool.cc"))
+
+
+@rule("no-raw-thread", "std::thread/std::async outside util::ThreadPool")
 def check_raw_thread(ctx: FileContext, findings: List[Finding]) -> None:
-    if ctx.relpath.startswith("src/util/"):
+    if ctx.relpath in _THREAD_POOL_FILES:
         return
     for d in ctx.lexed.directives:
         if d.keyword == "include" and d.include_target() == "<future>":

@@ -79,6 +79,21 @@ class ScopingTest(unittest.TestCase):
                            " auto v = s->LoadFile(1).value(); }\n")
         self.assertEqual(run_token_rules([ctx]), [])
 
+    def test_thread_inside_thread_pool_is_fine(self):
+        ctx = make_context("src/util/thread_pool.cc",
+                           "void Start() { std::thread t([] {}); }\n")
+        self.assertEqual(run_token_rules([ctx]), [])
+
+    def test_thread_elsewhere_in_util_is_flagged(self):
+        # Only ThreadPool may start threads; the rest of util/ is not
+        # exempt. A hardware_concurrency query stays allowed anywhere.
+        ctx = make_context(
+            "src/util/worker.cc",
+            "unsigned N() { return std::thread::hardware_concurrency(); }\n"
+            "void Start() { std::thread t([] {}); }\n")
+        self.assertEqual(as_triples(run_token_rules([ctx])),
+                         [["no-raw-thread", "src/util/worker.cc", 2]])
+
 
 class SuppressionAuditTest(unittest.TestCase):
     def test_unknown_rule_name_is_reported(self):
